@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from .paintbox import Paintbox, phi_w
-from .qsym import fexpansion_to_json, product_F
+from .qsym import DEGREE_CAP, fexpansion_to_json, product_F
 from .render import render_template, render_vertex
 from .semifinite import GrowthModel, check_limit_formula, phi_tw
 from .templates import inject, member, member_J, parse_template
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="product of two fundamental functions")
     p.add_argument("--word", required=True, help="left factor (word or '@')")
     p.add_argument("--with", dest="right", required=True, help="right factor")
-    p.add_argument("--degree", type=int, default=12)
+    p.add_argument("--degree", type=int, default=DEGREE_CAP)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("inject", help="section coordinates of a word")
@@ -187,8 +187,8 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    if not 2 <= args.degree <= 12:
-        raise ValueError("product degree cap must stay within 2..12")
+    if not 2 <= args.degree <= DEGREE_CAP:
+        raise ValueError(f"product degree cap must stay within 2..{DEGREE_CAP}")
     expansion = product_F(parse_vertex(args.word), parse_vertex(args.right),
                           degree_cap=args.degree)
     if args.format == "json":

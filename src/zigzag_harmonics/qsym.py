@@ -1,150 +1,80 @@
-"""Products in the fundamental basis at bounded degree.
+"""Products in the fundamental basis by Gessel's shuffle rule.
 
-The fundamental function of a word with n - 1 symbols expands, in any
-N >= n variables, as the sum of monomials x_{i_1} ... x_{i_n} over
-weakly increasing index chains that increase strictly exactly where
-the word has a '-' (a '-' between boxes j and j+1 starts a new row,
-hence a descent).  Products are computed by honestly multiplying these
-polynomials and re-expanding through the unitriangular change of basis
-to monomial coefficients, coarsest compositions first.  N = combined
-degree variables are faithful at that degree; the test suite doubles N
-and compares.
+A word with n - 1 symbols is the descent set of any permutation of
+n letters whose runs break exactly at its '-' symbols (a '-' between
+boxes j and j+1 starts a new row, hence a descent).  Gessel's rule
+(Multipartite P-partitions, 1984; Malvenuto-Reutenauer 1995) says that
+for permutations u and v on disjoint alphabets
 
-This route is deliberately slow but self-verifying: the one-box
-product reproducing the upward covers is a theorem here, not an input.
+    F_{Des u} * F_{Des v} = sum of F_{Des w} over all shuffles w of u and v,
+
+so the structure constants are shuffle counts: non-negative integers,
+computed here with no polynomial and no change of basis.  The
+independent polynomial route (monomial expansions multiplied and
+re-expanded) lives in ``tests/polynomial_oracle.py``, where the tests
+compare the two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
-from .words import (EMPTY, MINUS, ROOT, BinaryWord, FormalCombination, Vertex,
-                    level, upper_covers, word_of_composition)
+from .words import (EMPTY, ROOT, BinaryWord, FormalCombination, Vertex, level,
+                    upper_covers)
 
 #: largest |a| + |b| accepted by product_F
-DEGREE_CAP = 12
-
-MonomialPoly = dict[tuple[int, ...], int]
+DEGREE_CAP = 16
 
 
-def _descents(w: BinaryWord) -> frozenset[int]:
-    """1-indexed positions of '-' symbols (row starts)."""
-    return frozenset(j + 1 for j in range(len(w)) if w.symbol(j) == MINUS)
+def _place(into: dict[int, int], prefixes: dict[int, int], bit: int) -> None:
+    """Extend every descent-word prefix by one symbol, merging equal results."""
+    for prefix, count in prefixes.items():
+        key = prefix | bit
+        into[key] = into.get(key, 0) + count
 
 
-def _composition_of_descents(des: frozenset[int], n: int) -> tuple[int, ...]:
-    cuts = sorted(des)
-    bounds = [0, *cuts, n]
-    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
-def monomial_expansion(v: Vertex, nvars: int) -> MonomialPoly:
-    """Expansion in x_1 .. x_nvars as a sparse exponent-vector dict.
-
-    Chains are grouped by run: choosing cut positions (a superset of
-    the descents) fixes run sizes, and an increasing choice of
-    variables fixes the monomial, so every coefficient is 1.
-    """
-    if v is ROOT:
-        return {(0,) * nvars: 1}
-    w: BinaryWord = v
-    n = len(w) + 1
-    if nvars < n:
-        raise ValueError(f"need at least {n} variables, got {nvars}")
-    des = _descents(w)
-    weak = [j for j in range(1, n) if j not in des]
-    out: MonomialPoly = {}
-    for extra_count in range(len(weak) + 1):
-        for extra in combinations(weak, extra_count):
-            cuts = sorted(des.union(extra))
-            bounds = [0, *cuts, n]
-            runs = [b - a for a, b in zip(bounds, bounds[1:])]
-            for vars_ in combinations(range(nvars), len(runs)):
-                key = [0] * nvars
-                for var, run in zip(vars_, runs):
-                    key[var] = run
-                out[tuple(key)] = 1
-    return out
-
-
-def poly_mul(p: MonomialPoly, q: MonomialPoly) -> MonomialPoly:
-    if len(p) > len(q):
-        p, q = q, p
-    out: MonomialPoly = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
-
-
-def _f_coefficients(poly: MonomialPoly, n: int, nvars: int) -> dict[tuple[int, ...], int]:
-    """Invert the F-to-monomial matrix by leading-term subtraction.
-
-    The monomial coefficient of a composition collects every F-term it
-    refines, so walking compositions by increasing part count and
-    subtracting what coarser compositions already explain isolates each
-    F-coefficient.
-    """
-    all_descents = [frozenset(s) for k in range(n)
-                    for s in combinations(range(1, n), k)]
-    all_descents.sort(key=len)
-    coeff: dict[frozenset[int], int] = {}
-    for des in all_descents:
-        comp = _composition_of_descents(des, n)
-        key = tuple(comp) + (0,) * (nvars - len(comp))
-        acc = poly.get(key, 0)
-        for other, c in coeff.items():
-            if other < des:
-                acc -= c
-        if acc < 0:
-            raise RuntimeError(
-                f"negative structure constant {acc} at {comp}; expansion is corrupt")
-        if acc:
-            coeff[des] = acc
-    return {_composition_of_descents(des, n): c for des, c in coeff.items()}
-
-
-def product_F(a: Vertex, b: Vertex, degree_cap: int = DEGREE_CAP,
-              nvars: int = 0) -> FormalCombination:
+def product_F(a: Vertex, b: Vertex, degree_cap: int = DEGREE_CAP) -> FormalCombination:
     """Structure constants of F_a * F_b as a combination of vertices.
 
-    The empty diagram is the unit.  Coefficients are non-negative
-    integers supported on words above both factors in subword order;
-    both facts are consequences here and are asserted downstream.
-    Degree-many variables are faithful; nvars overrides the count so
-    tests can double it and compare.
+    The empty diagram is the unit.  Otherwise take one permutation per
+    factor with the factor's word as its descent set: runs increase and
+    later runs take smaller values, with all of a's values above all of
+    b's.  Every comparison a shuffle makes is then known without the
+    values: inside a factor it is that factor's own symbol, a letter of
+    a followed by one of b descends ('-'), and the reverse ascends
+    ('+').  A dynamic program over (letters of a placed, letters of b
+    placed, factor placed last) counts the shuffles by descent word;
+    each state maps the packed prefix bits to a count, so shuffles
+    sharing a prefix merge.  Coefficients are positive integers
+    supported on words above both factors in subword order.
     """
-    if a is ROOT and b is ROOT:
-        return FormalCombination(0, {ROOT: Fraction(1)})
-    if a is ROOT:
-        return FormalCombination(level(b), {b: Fraction(1)})
-    if b is ROOT:
-        return FormalCombination(level(a), {a: Fraction(1)})
-    n = level(a) + level(b)
+    if a is ROOT or b is ROOT:
+        other = b if a is ROOT else a
+        return FormalCombination(level(other), {other: Fraction(1)})
+    la, lb = level(a), level(b)
+    n = la + lb
     if n > degree_cap:
         raise ValueError(f"combined degree {n} above cap {degree_cap}")
-    nvars = nvars or n
-    if nvars < n:
-        raise ValueError(f"{nvars} variables are too few for degree {n}")
-    poly = poly_mul(monomial_expansion(a, nvars), monomial_expansion(b, nvars))
-    coeffs = _f_coefficients(poly, n, nvars)
+    # (letters of a placed, last letter from a) -> {prefix bits: count};
+    # the other letters placed so far are b's
+    layer: dict[tuple[int, bool], dict[int, int]] = {(1, True): {0: 1}, (0, False): {0: 1}}
+    for placed in range(1, n):
+        bit = 1 << (placed - 1)
+        nxt: dict[tuple[int, bool], dict[int, int]] = {}
+        for (i, last_a), prefixes in layer.items():
+            j = placed - i
+            if i < la:
+                descends = last_a and (a.bits >> (i - 1)) & 1
+                _place(nxt.setdefault((i + 1, True), {}), prefixes, bit if descends else 0)
+            if j < lb:
+                descends = last_a or (b.bits >> (j - 1)) & 1
+                _place(nxt.setdefault((i, False), {}), prefixes, bit if descends else 0)
+        layer = nxt
+    counts: dict[int, int] = {}
+    for prefixes in layer.values():
+        _place(counts, prefixes, 0)
     return FormalCombination(
-        n, {word_of_composition(comp): Fraction(c) for comp, c in coeffs.items()})
-
-
-def reexpand(comb: FormalCombination, nvars: int) -> MonomialPoly:
-    """Monomial polynomial of an F-combination; test hook for faithfulness."""
-    out: MonomialPoly = {}
-    for v, c in comb.coeffs.items():
-        for key, value in monomial_expansion(v, nvars).items():
-            acc = out.get(key, 0) + int(c) * value
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
+        n, {BinaryWord(n - 1, bits): Fraction(c) for bits, c in counts.items()})
 
 
 def pieri_check(a: Vertex, degree_cap: int = DEGREE_CAP) -> bool:

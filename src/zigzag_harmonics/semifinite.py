@@ -24,8 +24,8 @@ from .paintbox import IntervalTuple, Paintbox, eval_F, template_of_intervals
 from .qsym import DEGREE_CAP, product_F
 from .templates import (Template, flange_and_sections, inject, is_finite_template,
                         member, member_J, minimal_maxblock_word, parse_template)
-from .words import (ROOT, BinaryWord, FormalCombination, Vertex, dominates_search,
-                    is_subword, level, upper_covers)
+from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
+                    dominates_search, is_subword, level, upper_covers)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,8 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     original one) the valuation must exceed n, so that the rescaled
     limit vanishes too.  n and the constant are measured outputs.
     """
+    if level_cap - 1 > LEVEL_CAP:
+        raise ValueError(f"level cap {level_cap} above the enumeration cap {LEVEL_CAP + 1}")
     t = model.template
     nu = minimal_maxblock_word(t)
     if level(nu) > level_cap:

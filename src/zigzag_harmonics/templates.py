@@ -143,13 +143,6 @@ def member(t: Template, w: BinaryWord) -> bool:
     return n in frontier
 
 
-def superscript_member(t: Template, generator: BinaryWord, w: BinaryWord) -> bool:
-    """Membership in the part of the coideal above a fixed generator word."""
-    from .words import is_subword
-
-    return member(t, w) and is_subword(generator, w)
-
-
 # ---------------------------------------------------------------------------
 # Flange and sections
 # ---------------------------------------------------------------------------

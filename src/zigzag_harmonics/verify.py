@@ -68,7 +68,7 @@ class SuiteReport:
 def _report(suite: str, started: float, failures: list[str],
             lines: list[str]) -> SuiteReport:
     ok = not failures
-    return SuiteReport(suite, ok, lines + failures, time.time() - started)
+    return SuiteReport(suite, ok, lines + failures, time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def _report(suite: str, started: float, failures: list[str],
 
 def suite_pieri(level: Optional[int] = None, degree: Optional[int] = None,
                 seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     max_symbols = 7 if level is None else level
     failures, count = [], 0
     for length in range(max_symbols + 1):
@@ -95,7 +95,7 @@ def suite_pieri(level: Optional[int] = None, degree: Optional[int] = None,
 
 def suite_path_counts(level: Optional[int] = None, degree: Optional[int] = None,
                       seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     cap = 6 if level is None else level
     failures, count = [], 0
     for n in range(2, 5):
@@ -129,7 +129,7 @@ def _random_interval_tuple(rng: random.Random, max_intervals: int = 4) -> Interv
 
 def suite_kerov_oracle(level: Optional[int] = None, degree: Optional[int] = None,
                        seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     max_symbols = 7 if level is None else level
     rng = random.Random(20240 if seed is None else seed)
     tuples = [_random_interval_tuple(rng) for _ in range(20)]
@@ -160,7 +160,7 @@ def random_paintbox(rng: random.Random, max_intervals: int = 4) -> Paintbox:
 
 def suite_finite_harmonicity(level: Optional[int] = None, degree: Optional[int] = None,
                              seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     cap = 10 if level is None else level
     rng = random.Random(20241 if seed is None else seed)
     boxes = [random_paintbox(rng) for _ in range(10)]
@@ -197,7 +197,7 @@ def suite_finite_harmonicity(level: Optional[int] = None, degree: Optional[int] 
 
 def suite_coideal_identities(level: Optional[int] = None, degree: Optional[int] = None,
                              seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     max_symbols = 11 if level is None else level
     failures = []
 
@@ -249,7 +249,7 @@ def suite_coideal_identities(level: Optional[int] = None, degree: Optional[int] 
 
 def suite_injection(level: Optional[int] = None, degree: Optional[int] = None,
                     seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     cap = 10 if level is None else level
     failures: list[str] = []
     lines: list[str] = []
@@ -304,7 +304,7 @@ def suite_injection(level: Optional[int] = None, degree: Optional[int] = None,
 
 def suite_semifinite(level: Optional[int] = None, degree: Optional[int] = None,
                      seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     cap = 10 if level is None else level
     failures = []
     for name, model in EXAMPLE_MODELS.items():
@@ -345,7 +345,7 @@ def suite_semifinite(level: Optional[int] = None, degree: Optional[int] = None,
 
 def suite_approx_sequence(level: Optional[int] = None, degree: Optional[int] = None,
                           seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     max_n = 6 if level is None else level
     failures = []
     w1, w2 = STEP_MODEL.weights
@@ -380,7 +380,7 @@ def suite_approx_sequence(level: Optional[int] = None, degree: Optional[int] = N
 
 def suite_eps_limit(level: Optional[int] = None, degree: Optional[int] = None,
                     seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     cap = 9 if level is None else level
     failures, lines = [], []
     for name, model in EXAMPLE_MODELS.items():
@@ -406,7 +406,7 @@ def suite_eps_limit(level: Optional[int] = None, degree: Optional[int] = None,
 
 def suite_ring_identity(level: Optional[int] = None, degree: Optional[int] = None,
                         seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     left_boxes = 3
     right_boxes = 6 if degree is None else degree - left_boxes
     failures, lines = [], []
@@ -454,7 +454,7 @@ DISTINCT_PAIRS: list[tuple[GrowthModel, GrowthModel]] = [
 
 def suite_distinctness(level: Optional[int] = None, degree: Optional[int] = None,
                        seed: Optional[int] = None) -> SuiteReport:
-    started = time.time()
+    started = time.perf_counter()
     cap = 10 if level is None else level
     failures, lines = [], []
     for idx, (m1, m2) in enumerate(DISTINCT_PAIRS):

@@ -49,10 +49,6 @@ class BinaryWord:
                 raise ValueError(f"bad word symbol {ch!r} in {text!r}")
         return BinaryWord(len(text), bits)
 
-    @staticmethod
-    def from_symbols(symbols: Iterable[str]) -> "BinaryWord":
-        return BinaryWord.from_str("".join(symbols))
-
     def __len__(self) -> int:
         return self.n
 
@@ -197,15 +193,6 @@ def is_subword(a: BinaryWord, b: BinaryWord) -> bool:
     return i == a.n
 
 
-def vertex_below(a: Vertex, b: Vertex) -> bool:
-    """a <= b in the graph order (subword order with ROOT at the bottom)."""
-    if a is ROOT:
-        return True
-    if b is ROOT:
-        return False
-    return is_subword(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Path counting
 # ---------------------------------------------------------------------------
@@ -256,20 +243,8 @@ class FormalCombination:
         self.level = lvl
         self.coeffs = clean
 
-    @classmethod
-    def from_terms(cls, terms: dict[Vertex, Fraction]) -> "FormalCombination":
-        if not terms:
-            raise ValueError("empty combination has no level")
-        lvls = {level(v) for v in terms}
-        if len(lvls) != 1:
-            raise ValueError(f"mixed levels {sorted(lvls)}")
-        return cls(lvls.pop(), terms)
-
     def coefficient(self, v: Vertex) -> Fraction:
         return self.coeffs.get(v, Fraction(0))
-
-    def scaled(self, factor: Fraction) -> "FormalCombination":
-        return FormalCombination(self.level, {v: c * factor for v, c in self.coeffs.items()})
 
     def total_mass(self) -> Fraction:
         return sum(self.coeffs.values(), Fraction(0))

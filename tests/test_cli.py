@@ -8,13 +8,14 @@ Core claims:
 """
 
 import json
+import time
 
 import pytest
 
 from zigzag_harmonics import (BinaryWord, enumerate_level, member, member_J,
                               parse_template, parse_vertex)
 from zigzag_harmonics.cli import main
-from zigzag_harmonics.qsym import fexpansion_from_json
+from zigzag_harmonics.qsym import DEGREE_CAP, fexpansion_from_json
 from zigzag_harmonics.verify import SUITES, SuiteReport
 
 W = BinaryWord.from_str
@@ -123,6 +124,15 @@ def test_product_json_round_trips(capsys):
     assert comb.coeffs == {W("+"): 1, W("-"): 1}
 
 
+def test_product_degree_cap_follows_the_library(capsys):
+    code, _, err = run(capsys, "product", "--word", "", "--with", "",
+                       "--degree", str(DEGREE_CAP + 1))
+    assert code == 2 and f"2..{DEGREE_CAP}" in err
+    # the default cap is the library's: 8 + 9 boxes is one above it
+    code, _, err = run(capsys, "product", "--word", "+" * 7, "--with=" + "-" * 8)
+    assert code == 2 and f"above cap {DEGREE_CAP}" in err
+
+
 def test_inject(capsys):
     code, out, _ = run(capsys, "inject", "--template", "+* -1 +1 -*",
                        "--word", "++-+--")
@@ -137,6 +147,14 @@ def test_limit(capsys):
                        "--level", "7")
     assert code == 0
     assert "n=1" in out and "const=2" in out and "ok=True" in out
+
+
+def test_limit_level_above_enumeration_cap_exits_2_before_scanning(capsys):
+    started = time.perf_counter()
+    code, _, err = run(capsys, "limit", "--model", "+* -1 +1 -* | w=1/2,1/2",
+                       "--level", "30")
+    assert code == 2 and "enumeration cap" in err
+    assert time.perf_counter() - started < 1.0
 
 
 def test_verify_suite_pass(capsys):

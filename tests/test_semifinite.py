@@ -25,6 +25,7 @@ from zigzag_harmonics import (EMPTY, EPS, ROOT, BinaryWord, EpsPoly, ExtValue,
                               enumerate_level, eps_expansion, level, member,
                               model_paintbox, phi_tw, section_interval_tuples)
 from zigzag_harmonics.verify import BRACKETED_MODEL, CAPPED_MODEL, STEP_MODEL
+from zigzag_harmonics.words import LEVEL_CAP
 
 W = BinaryWord.from_str
 F = Fraction
@@ -158,6 +159,12 @@ def test_limit_formula_measured_constants():
     assert rep.ok and rep.n == 2
     with pytest.raises(ValueError):
         check_limit_formula(BRACKETED_MODEL, 8)  # below the marker level
+
+
+def test_limit_formula_rejects_levels_beyond_enumeration_at_entry():
+    # words of LEVEL_CAP symbols sit on level LEVEL_CAP + 1, the last one scanned
+    with pytest.raises(ValueError, match="enumeration cap"):
+        check_limit_formula(STEP_MODEL, LEVEL_CAP + 2)
 
 
 def test_limit_formula_vanishing_points_have_higher_valuation():
