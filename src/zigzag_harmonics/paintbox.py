@@ -9,6 +9,16 @@ piece carry the piece's sign, and between two consecutive non-empty
 pieces exactly one symbol is consumed as the joining corner and may
 have either sign.
 
+Read box by box, that sum is a product of m x m transfer matrices,
+e . M_{w_1} ... M_{w_n} . 1, whose state is the interval holding the
+last box placed: a symbol s keeps the next box in interval j only when
+s is j's sign, or moves it into j from any earlier interval, and both
+moves multiply by l_j.  :func:`eval_F` runs this as a vector with
+prefix sums, O(m) per symbol.  Each interval tuple is compiled once,
+when it is built: rational lengths become integer numerators over one
+common denominator D, so the whole product stays in integers and is
+divided by D^(n+1) once at the end.
+
 A paintbox is such a tuple with total length one.  Two adjacent
 intervals of equal orientation are allowed and mean open components
 touching at a point; the touching point is what inserts a separating
@@ -16,16 +26,17 @@ one-symbol cluster into the associated template.  Evaluation against a
 paintbox is a harmonic function whose support is exactly the coideal
 of that template.
 
-Two independent evaluators are kept side by side on purpose: the word
-DP (:func:`eval_F`) and the iterated two-piece splitting on
-compositions (:func:`eval_F_coproduct`).  Their agreement is checked
-by the test suite and pins down the corner-symbol convention above.
+An independent evaluator, the iterated two-piece splitting on
+compositions (:func:`eval_F_coproduct`), is kept as the oracle of the
+transfer vector.  Their agreement is checked by the test suite and
+pins down the corner-symbol convention above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any, Union
 
 from .templates import Cluster, Template, maxblock_member
@@ -39,6 +50,8 @@ class IntervalTuple:
     """Ordered oriented intervals; lengths are positive but otherwise free."""
 
     intervals: tuple[tuple[str, Scalar], ...]
+    # (keeps per symbol bit, scaled lengths, common denominator D), see eval_F
+    _transfer: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.intervals:
@@ -48,6 +61,14 @@ class IntervalTuple:
                 raise ValueError(f"bad orientation {sign!r}")
             if isinstance(length, (int, Fraction)) and length <= 0:
                 raise ValueError(f"interval length must be positive, got {length}")
+        lengths = self.lengths
+        if all(isinstance(l, (int, Fraction)) for l in lengths):
+            denominator = lcm(*(Fraction(l).denominator for l in lengths))
+            lengths = tuple(int(l * denominator) for l in lengths)
+        else:
+            denominator = 1
+        keeps = tuple(tuple(s == sign for s in self.signs) for sign in (PLUS, MINUS))
+        object.__setattr__(self, "_transfer", (keeps, lengths, denominator))
 
     @staticmethod
     def parse(text: str) -> "IntervalTuple":
@@ -98,30 +119,35 @@ class Paintbox(IntervalTuple):
 # ---------------------------------------------------------------------------
 
 def eval_F(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Scalar:
-    """Sum over splittings via a left-to-right DP on the word.
+    """Sum over splittings as a transfer vector run along the word.
 
-    State is the number of boxes already placed; each interval either
-    stays put or takes a run of boxes whose interior symbols match its
-    sign, consuming the symbol just before the run as the corner when
-    the run is not the first.  The empty diagram evaluates to 1.
+    Entry j of the vector sums the splittings of the boxes placed so
+    far whose last box lies in interval j; the first box starts it at
+    l_j.  Symbol s between two boxes maps it to l_j * (sum of entries
+    before j, plus entry j when s is interval j's sign), one pass of
+    prefix sums.  The empty diagram evaluates to 1.
+
+    With rational lengths the vector holds integers, the lengths scaled
+    by their common denominator D, and the sum of its entries is
+    divided by D^(n+1) once, for a word of n symbols; integer and
+    non-rational lengths (the eps polynomials of the semifinite module)
+    run with D = 1 and keep their own type.
     """
     if v is ROOT:
         return Fraction(1)
-    word: BinaryWord = v
-    n = len(word) + 1
-    layer: dict[int, Scalar] = {0: 1}
-    for sign, length in u.intervals:
-        nxt = dict(layer)
-        for b, val in layer.items():
-            power = val
-            k = 1
-            while b + k <= n and (k == 1 or word.symbol(b + k - 2) == sign):
-                power = power * length
-                key = b + k
-                nxt[key] = nxt.get(key, 0) + power
-                k += 1
-        layer = nxt
-    return layer.get(n, Fraction(0))
+    keeps, lengths, denominator = u._transfer
+    bits = v.bits
+    vec = list(lengths)
+    intervals = range(len(vec))
+    for k in range(v.n):
+        keep = keeps[(bits >> k) & 1]
+        before = 0  # sum of the entries before j, read before they change
+        for j in intervals:
+            x = vec[j]
+            vec[j] = lengths[j] * (before + x) if keep[j] else lengths[j] * before
+            before += x
+    total = sum(vec)
+    return total if denominator == 1 else Fraction(total, denominator ** (v.n + 1))
 
 
 def _cut(comp: tuple[int, ...], c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -153,8 +179,8 @@ def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Scalar:
 
     Splits the diagram with the coproduct cut (inside a row or at a row
     boundary), scales each tensor factor by its interval length, and
-    applies the row/column evaluations.  Shares no code with the word
-    DP; serves as its oracle.
+    applies the row/column evaluations.  Shares no code with the
+    transfer vector; serves as its oracle.
     """
     if v is ROOT:
         return Fraction(1)

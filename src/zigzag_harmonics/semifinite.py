@@ -16,14 +16,15 @@ about valuations and leading coefficients.  eps is never a float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .paintbox import IntervalTuple, Paintbox, eval_F, template_of_intervals
 from .qsym import DEGREE_CAP, product_F
-from .templates import (Template, flange_and_sections, inject, is_finite_template,
-                        member, member_J, minimal_maxblock_word, parse_template)
+from .templates import (FlangeDecomposition, Template, flange_and_sections,
+                        is_finite_template, member, member_J, minimal_maxblock_word,
+                        parse_template)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
                     dominates_search, is_subword, level, upper_covers)
 
@@ -166,6 +167,9 @@ class GrowthModel:
 
     template: Template
     weights: tuple[Fraction, ...]
+    # filled by _parts on first use
+    _stored: Optional[tuple[FlangeDecomposition, tuple[IntervalTuple, ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if is_finite_template(self.template):
@@ -192,14 +196,22 @@ class GrowthModel:
         return f"{self.template} | w={','.join(str(w) for w in self.weights)}"
 
 
+def _parts(model: GrowthModel) -> tuple[FlangeDecomposition, tuple[IntervalTuple, ...]]:
+    """The template's flange decomposition and the section interval
+    tuples, built on first use and stored on the model."""
+    if model._stored is None:
+        fd = flange_and_sections(model.template)
+        weights = iter(model.weights)
+        tuples = tuple(IntervalTuple(tuple((c.sign, next(weights))
+                                           for c in section if c.is_infinite))
+                       for section in fd.sections)
+        object.__setattr__(model, "_stored", (fd, tuples))
+    return model._stored
+
+
 def section_interval_tuples(model: GrowthModel) -> tuple[IntervalTuple, ...]:
     """Weighted intervals per section, weights following the infinite clusters."""
-    weights = iter(model.weights)
-    out = []
-    for section in flange_and_sections(model.template).sections:
-        intervals = tuple((c.sign, next(weights)) for c in section if c.is_infinite)
-        out.append(IntervalTuple(intervals))
-    return tuple(out)
+    return _parts(model)[1]
 
 
 def model_paintbox(model: GrowthModel) -> Paintbox:
@@ -214,7 +226,10 @@ def phi_tw(model: GrowthModel, v: Vertex) -> ExtValue:
 
     Zero off the coideal, infinite on every vertex fitting a reduced
     template (the root included), and otherwise the product of section
-    coordinates against the section interval tuples.
+    coordinates against the section interval tuples.  The coordinates
+    are those of :func:`~zigzag_harmonics.templates.inject`, taken from
+    the model's stored decomposition once v is known to lie in the
+    coideal and off the blow-up locus.
     """
     t = model.template
     if v is ROOT:
@@ -223,9 +238,9 @@ def phi_tw(model: GrowthModel, v: Vertex) -> ExtValue:
         return ExtValue.zero()
     if member_J(t, v):
         return ExtValue.infinite()
-    parts = inject(t, v)
+    fd, tuples = _parts(model)
     value = Fraction(1)
-    for part, intervals in zip(parts, section_interval_tuples(model)):
+    for part, intervals in zip(next(fd.splittings(v)), tuples):
         value *= eval_F(part, intervals)
     return ExtValue.finite(value)
 
@@ -261,8 +276,8 @@ def build_w_eps(model: GrowthModel) -> IntervalTuple:
     template order.  A semifinite template has a non-empty flange, so
     at least one eps-interval always appears.
     """
-    fd = flange_and_sections(model.template)
-    sections = iter(section_interval_tuples(model))
+    fd, tuples = _parts(model)
+    sections = iter(tuples)
     intervals: list[tuple[str, object]] = []
     for i, word in enumerate(fd.flange_words):
         for sign, _length in word.blocks():

@@ -25,7 +25,7 @@ positive integer or '*' for an infinite multiplicity, e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .words import EMPTY, MINUS, PLUS, BinaryWord
@@ -53,6 +53,12 @@ class Cluster:
 @dataclass(frozen=True, slots=True)
 class Template:
     clusters: tuple[Cluster, ...]
+    # (sign bit, multiplicity or None) per cluster, read by member
+    _runs: tuple[tuple[int, Optional[int]], ...] = field(
+        init=False, repr=False, compare=False)
+    # filled by reduced_templates on first use
+    _reduced: Optional[tuple["Template", ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.clusters:
@@ -62,6 +68,8 @@ class Template:
                 raise ValueError(f"clusters must alternate, got {a} {b}")
         if not any(c.is_infinite for c in self.clusters):
             raise ValueError("template needs at least one infinite cluster")
+        object.__setattr__(self, "_runs", tuple(
+            (1 if c.sign == MINUS else 0, c.mult) for c in self.clusters))
 
     @staticmethod
     def parse(text: str) -> "Template":
@@ -125,22 +133,29 @@ def is_semifinite_template(t: Template) -> bool:
 def member(t: Template, w: BinaryWord) -> bool:
     """True iff w splits into chunks fitting t's clusters in order.
 
-    Left-to-right pass keeping the set of consumed prefixes; chunks may
-    be empty, so the frontier only grows along same-sign runs capped at
-    the cluster multiplicity.  Linear in len(w) * len(t) * run length.
+    Greedy: each cluster in turn takes the longest run of its sign that
+    its multiplicity allows, read off ``w.bits``, and w fits once the
+    clusters have consumed all of it.  This is exact because the
+    coideal is closed under deletion: if some splitting fits, every
+    suffix of the remainder it leaves after a cluster fits the
+    remaining clusters, so taking more symbols never hurts.  (By
+    induction, the greedy position after each cluster is at least that
+    of any fitting splitting.)  Linear in len(w) + len(t).
     """
-    n = len(w)
-    frontier = {0}
-    for c in t.clusters:
-        nxt = set(frontier)
-        for p in frontier:
-            cap = n - p if c.mult is None else min(c.mult, n - p)
-            q = p
-            while q - p < cap and w.symbol(q) == c.sign:
-                q += 1
-                nxt.add(q)
-        frontier = nxt
-    return n in frontier
+    bits, n = w.bits, w.n
+    pos = 0
+    for bit, mult in t._runs:
+        rest = bits >> pos
+        if bit:
+            run = (~rest & (rest + 1)).bit_length() - 1   # trailing ones
+        else:
+            run = (rest & -rest).bit_length() - 1 if rest else n - pos
+        if mult is not None and run > mult:
+            run = mult
+        pos += run
+        if pos == n:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +172,41 @@ class FlangeDecomposition:
     def __post_init__(self) -> None:
         if len(self.flange_words) != len(self.sections) + 1:
             raise ValueError("need exactly one more flange word than sections")
+
+    def splittings(self, w: BinaryWord) -> Iterator[tuple[BinaryWord, ...]]:
+        """Every a_0 . s_1 . a_1 ... s_k . a_k = w with s_i fitting section i,
+        as the tuple (s_1, ..., s_k)."""
+        segments: list[tuple[str, object]] = []
+        for i, section in enumerate(self.sections):
+            if len(self.flange_words[i]):
+                segments.append(("lit", self.flange_words[i]))
+            segments.append(("sec", section))
+        if len(self.flange_words[-1]):
+            segments.append(("lit", self.flange_words[-1]))
+
+        n = len(w)
+        acc: list[BinaryWord] = []
+
+        def rec(pos: int, si: int) -> Iterator[tuple[BinaryWord, ...]]:
+            if si == len(segments):
+                if pos == n:
+                    yield tuple(acc)
+                return
+            kind, payload = segments[si]
+            if kind == "lit":
+                lit: BinaryWord = payload  # type: ignore[assignment]
+                if pos + len(lit) <= n and w.sub(pos, pos + len(lit)) == lit:
+                    yield from rec(pos + len(lit), si + 1)
+            else:
+                section: Template = payload  # type: ignore[assignment]
+                for end in range(pos, n + 1):
+                    piece = w.sub(pos, end)
+                    if member(section, piece):
+                        acc.append(piece)
+                        yield from rec(end, si + 1)
+                        acc.pop()
+
+        return rec(0, 0)
 
 
 def flange_and_sections(t: Template) -> FlangeDecomposition:
@@ -212,8 +262,14 @@ def reduced_templates(t: Template) -> tuple[Template, ...]:
 
     Only flange clusters are eligible; separating clusters stay.  When
     a one-symbol flange cluster disappears its two neighbours share a
-    sign and merge.
+    sign and merge.  Computed on first use and stored on t.
     """
+    if t._reduced is None:
+        object.__setattr__(t, "_reduced", _reduce(t))
+    return t._reduced
+
+
+def _reduce(t: Template) -> tuple[Template, ...]:
     out: list[Template] = []
     for i, c in enumerate(t.clusters):
         if c.is_infinite or _is_separating(t, i):
@@ -239,41 +295,6 @@ def member_J(t: Template, w: BinaryWord) -> bool:
 # The injection into the product of sections
 # ---------------------------------------------------------------------------
 
-def _decompositions(t: Template, w: BinaryWord) -> Iterator[tuple[BinaryWord, ...]]:
-    fd = flange_and_sections(t)
-    segments: list[tuple[str, object]] = []
-    for i, section in enumerate(fd.sections):
-        if len(fd.flange_words[i]):
-            segments.append(("lit", fd.flange_words[i]))
-        segments.append(("sec", section))
-    if len(fd.flange_words[-1]):
-        segments.append(("lit", fd.flange_words[-1]))
-
-    n = len(w)
-    acc: list[BinaryWord] = []
-
-    def rec(pos: int, si: int) -> Iterator[tuple[BinaryWord, ...]]:
-        if si == len(segments):
-            if pos == n:
-                yield tuple(acc)
-            return
-        kind, payload = segments[si]
-        if kind == "lit":
-            lit: BinaryWord = payload  # type: ignore[assignment]
-            if pos + len(lit) <= n and w.sub(pos, pos + len(lit)) == lit:
-                yield from rec(pos + len(lit), si + 1)
-        else:
-            section: Template = payload  # type: ignore[assignment]
-            for end in range(pos, n + 1):
-                piece = w.sub(pos, end)
-                if member(section, piece):
-                    acc.append(piece)
-                    yield from rec(end, si + 1)
-                    acc.pop()
-
-    return rec(0, 0)
-
-
 def inject(t: Template, w: BinaryWord) -> tuple[BinaryWord, ...]:
     """Coordinates of w in the product of section coideals.
 
@@ -288,14 +309,14 @@ def inject(t: Template, w: BinaryWord) -> tuple[BinaryWord, ...]:
         raise ValueError(f"{w} does not fit {t}")
     if member_J(t, w):
         raise ValueError(f"{w} fits a reduced template of {t}")
-    for dec in _decompositions(t, w):
+    for dec in flange_and_sections(t).splittings(w):
         return dec
     raise RuntimeError(f"no decomposition found for {w} in {t}")
 
 
 def inject_all(t: Template, w: BinaryWord) -> list[tuple[BinaryWord, ...]]:
     """Every decomposition; used to check the uniqueness claim."""
-    return list(_decompositions(t, w))
+    return list(flange_and_sections(t).splittings(w))
 
 
 # ---------------------------------------------------------------------------

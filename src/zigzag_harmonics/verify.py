@@ -12,7 +12,10 @@ a verdict.  The three worked growth models used throughout:
              separating cluster inside.
 
 Suites accept ``level``/``degree``/``seed`` overrides but default to
-the documented caps.
+the documented caps.  An override whose words or products would pass
+:data:`~zigzag_harmonics.words.LEVEL_CAP` or
+:data:`~zigzag_harmonics.qsym.DEGREE_CAP` is rejected with a
+``ValueError`` before the suite does any work.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ from typing import Callable, Optional
 
 from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct, phi_w,
                        template_of_paintbox)
-from .qsym import pieri_check
+from .qsym import DEGREE_CAP, pieri_check
 from .semifinite import (ExtValue, GrowthModel, check_approx_sequence,
                          check_harmonic_at, check_limit_formula,
                          check_ring_identity, phi_tw)
 from .templates import (inject_all, member, member_J, parse_template,
                         reduced_templates)
-from .words import (ROOT, BinaryWord, FormalCombination, Vertex, dim,
+from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex, dim,
                     enumerate_level, is_subword, lower_covers, upper_covers)
 from .words import level as vertex_level
 
@@ -71,6 +74,12 @@ def _report(suite: str, started: float, failures: list[str],
     return SuiteReport(suite, ok, lines + failures, time.perf_counter() - started)
 
 
+def _within_cap(what: str, value: int, cap: int) -> None:
+    """Reject an override at entry rather than after the work below it."""
+    if value > cap:
+        raise ValueError(f"{what} {value} above cap {cap}")
+
+
 # ---------------------------------------------------------------------------
 # Suite 1: one-box products list the upward covers
 # ---------------------------------------------------------------------------
@@ -79,6 +88,7 @@ def suite_pieri(level: Optional[int] = None, degree: Optional[int] = None,
                 seed: Optional[int] = None) -> SuiteReport:
     started = time.perf_counter()
     max_symbols = 7 if level is None else level
+    _within_cap("combined degree", max_symbols + 2, DEGREE_CAP)
     failures, count = [], 0
     for length in range(max_symbols + 1):
         for w in enumerate_level(length):
@@ -131,6 +141,7 @@ def suite_kerov_oracle(level: Optional[int] = None, degree: Optional[int] = None
                        seed: Optional[int] = None) -> SuiteReport:
     started = time.perf_counter()
     max_symbols = 7 if level is None else level
+    _within_cap("word length", max_symbols, LEVEL_CAP)
     rng = random.Random(20240 if seed is None else seed)
     tuples = [_random_interval_tuple(rng) for _ in range(20)]
     failures, count = [], 0
@@ -162,6 +173,7 @@ def suite_finite_harmonicity(level: Optional[int] = None, degree: Optional[int] 
                              seed: Optional[int] = None) -> SuiteReport:
     started = time.perf_counter()
     cap = 10 if level is None else level
+    _within_cap("word length", cap, LEVEL_CAP)
     rng = random.Random(20241 if seed is None else seed)
     boxes = [random_paintbox(rng) for _ in range(10)]
     failures = []
@@ -199,6 +211,7 @@ def suite_coideal_identities(level: Optional[int] = None, degree: Optional[int] 
                              seed: Optional[int] = None) -> SuiteReport:
     started = time.perf_counter()
     max_symbols = 11 if level is None else level
+    _within_cap("word length", max_symbols, LEVEL_CAP)
     failures = []
 
     capped = CAPPED_TEMPLATE
@@ -251,6 +264,7 @@ def suite_injection(level: Optional[int] = None, degree: Optional[int] = None,
                     seed: Optional[int] = None) -> SuiteReport:
     started = time.perf_counter()
     cap = 10 if level is None else level
+    _within_cap("word length", cap - 1, LEVEL_CAP)
     failures: list[str] = []
     lines: list[str] = []
     for name, model in EXAMPLE_MODELS.items():
@@ -306,6 +320,7 @@ def suite_semifinite(level: Optional[int] = None, degree: Optional[int] = None,
                      seed: Optional[int] = None) -> SuiteReport:
     started = time.perf_counter()
     cap = 10 if level is None else level
+    _within_cap("word length", cap - 1, LEVEL_CAP)
     failures = []
     for name, model in EXAMPLE_MODELS.items():
         t = model.template
@@ -409,6 +424,7 @@ def suite_ring_identity(level: Optional[int] = None, degree: Optional[int] = Non
     started = time.perf_counter()
     left_boxes = 3
     right_boxes = 6 if degree is None else degree - left_boxes
+    _within_cap("combined degree", left_boxes + right_boxes, DEGREE_CAP)
     failures, lines = [], []
     lefts: list[Vertex] = [ROOT]
     for length in range(left_boxes):
@@ -456,6 +472,7 @@ def suite_distinctness(level: Optional[int] = None, degree: Optional[int] = None
                        seed: Optional[int] = None) -> SuiteReport:
     started = time.perf_counter()
     cap = 10 if level is None else level
+    _within_cap("word length", cap - 1, LEVEL_CAP)
     failures, lines = [], []
     for idx, (m1, m2) in enumerate(DISTINCT_PAIRS):
         witness = None

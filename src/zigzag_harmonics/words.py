@@ -169,10 +169,19 @@ def parse_composition(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def upper_covers(v: Vertex) -> set[BinaryWord]:
-    """All distinct one-symbol insertions; ROOT is covered by the one-box word."""
+    """All distinct one-symbol insertions; ROOT is covered by the one-box word.
+
+    A word of n symbols has exactly n + 2 of them: the opposite of each
+    symbol inserted just before it, and either symbol appended.  Any
+    other insertion lands inside a run of its own symbol and repeats
+    the insertion at that run's end.
+    """
     if v is ROOT:
         return {EMPTY}
-    return {v.insert(pos, s) for pos in range(len(v) + 1) for s in (PLUS, MINUS)}
+    n, bits = v.n, v.bits
+    covers = {v.insert(n, PLUS), v.insert(n, MINUS)}
+    covers.update(v.insert(pos, PLUS if (bits >> pos) & 1 else MINUS) for pos in range(n))
+    return covers
 
 
 def lower_covers(v: Vertex) -> set[BinaryWord]:

@@ -157,6 +157,17 @@ def test_limit_level_above_enumeration_cap_exits_2_before_scanning(capsys):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("argv", [("pieri", "--level", "15"),
+                                  ("ring-identity", "--degree", "17"),
+                                  ("semifinite", "--level", "22"),
+                                  ("coideal-identities", "--level", "21")])
+def test_verify_rejects_caps_before_any_work(capsys, argv):
+    started = time.perf_counter()
+    code, _, err = run(capsys, "verify", *argv)
+    assert code == 2 and "above cap" in err
+    assert time.perf_counter() - started < 1.0
+
+
 def test_verify_suite_pass(capsys):
     code, out, _ = run(capsys, "verify", "path-counts", "--format", "json")
     assert code == 0

@@ -1,8 +1,10 @@
 """Interval evaluation layer.
 
 Core claims:
-    - eval_F agrees with brute-force splitting enumeration
-    - eval_F and the coproduct evaluator agree everywhere tested
+    - eval_F agrees with brute-force splitting enumeration, also with
+      the eps-polynomial lengths of the semifinite deformation
+    - eval_F and the coproduct evaluator agree everywhere tested, and on
+      property-test inputs well above the exhaustive levels
     - the max-block closed form agrees with eval_F, including the
       boundary cases (a single interval, equal-orientation neighbours)
     - paintbox evaluations are normalized, harmonic, supported exactly
@@ -13,17 +15,19 @@ Core claims:
 
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, IntervalTuple, Paintbox,
                               dim, enumerate_level, eval_F, eval_F_coproduct,
                               eval_F_maxblock, is_finite_template,
                               maxblock_member, member, phi_w, product_F,
-                              template_of_intervals, template_of_paintbox,
-                              upper_covers)
-from zigzag_harmonics.verify import random_paintbox
+                              build_w_eps, template_of_intervals,
+                              template_of_paintbox, upper_covers)
+from zigzag_harmonics.verify import EXAMPLE_MODELS, random_paintbox
 
 W = BinaryWord.from_str
 F = Fraction
@@ -32,13 +36,17 @@ F = Fraction
 # -- oracle -------------------------------------------------------------------
 
 def brute_eval(word, u):
-    """Enumerate every piece-size vector and check it against the word."""
+    """Enumerate every piece-size vector and check it against the word.
+
+    The vectors are the m - 1 cut points of the n boxes, so every one
+    sums to n; lengths are used as given, so eps polynomials work too.
+    """
     n = len(word) + 1
     m = len(u)
     total = F(0)
-    for sizes in iproduct(range(n + 1), repeat=m):
-        if sum(sizes) != n:
-            continue
+    for cuts in combinations_with_replacement(range(n + 1), m - 1):
+        bounds = (0,) + cuts + (n,)
+        sizes = [stop - start for start, stop in zip(bounds, bounds[1:])]
         ok = True
         consumed = 0
         value = F(1)
@@ -52,7 +60,7 @@ def brute_eval(word, u):
                    for i in range(interior_start, consumed + k) if i >= 1):
                 ok = False
                 break
-            value *= F(length) ** k
+            value *= length ** k
             consumed += k
         if ok and consumed == n:
             total += value
@@ -107,6 +115,46 @@ def test_eval_agrees_with_coproduct_route():
         for length in range(7):
             for w in enumerate_level(length):
                 assert eval_F(w, u) == eval_F_coproduct(w, u), (w, u)
+
+
+# Words with few runs mostly lie in the support of a few intervals, where
+# uniformly random long words almost always evaluate to 0.
+def words(max_len):
+    random_words = st.integers(0, max_len).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda bits: BinaryWord(n, bits)))
+    few_runs = st.lists(st.tuples(st.sampled_from("+-"), st.integers(1, 8)),
+                        max_size=6).map(
+        lambda runs: W("".join(s * k for s, k in runs)[:max_len]))
+    return st.one_of(random_words, few_runs)
+
+
+@st.composite
+def interval_tuples(draw):
+    lengths = draw(st.sampled_from([st.integers(1, 9),
+                                    st.builds(F, st.integers(1, 9), st.integers(1, 9))]))
+    m = draw(st.integers(1, 5))
+    return IntervalTuple(tuple((draw(st.sampled_from("+-")), draw(lengths))
+                               for _ in range(m)))
+
+
+@settings(max_examples=300)
+@given(interval_tuples(), words(24))
+def test_eval_agrees_with_coproduct_route_on_long_words(u, w):
+    assert eval_F(w, u) == eval_F_coproduct(w, u)
+
+
+# the bracketed model has 7 eps-deformed intervals; the oracle's cut
+# points grow as (word length)^6, so its words stay shorter
+EPS_CASES = [(EXAMPLE_MODELS["step"], 10), (EXAMPLE_MODELS["capped"], 10),
+             (EXAMPLE_MODELS["bracketed"], 6)]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(EPS_CASES).flatmap(
+    lambda case: st.tuples(st.just(build_w_eps(case[0])), words(case[1]))))
+def test_eval_matches_brute_force_on_eps_lengths(case):
+    w_eps, w = case
+    assert eval_F(w, w_eps) == brute_eval(w, w_eps), w
 
 
 # -- max-block closed form ----------------------------------------------------

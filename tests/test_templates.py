@@ -3,7 +3,8 @@
 Core claims:
     - the grammar parses and rejects exactly what it should
     - finiteness classification matches the worked pair of examples
-    - membership agrees with brute-force chunk assignment
+    - membership agrees with brute-force chunk assignment, exhaustively
+      on small words and by property tests on random templates
     - flange words and sections reproduce the worked decompositions
     - reductions come from flange clusters only; the capped template
       reduces to its bare section (so its blow-up locus is one coideal)
@@ -17,8 +18,10 @@ Core claims:
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zigzag_harmonics import (EMPTY, BinaryWord, enumerate_level,
+from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, Template, enumerate_level,
                               flange_and_sections, inject, inject_all,
                               is_finite_template, is_semifinite_template,
                               is_subword, lower_covers, maxblock_member,
@@ -100,6 +103,39 @@ def test_member_matches_brute_force():
         for length in range(8):
             for w in enumerate_level(length):
                 assert member(t, w) == brute_member(t, w), (t, w)
+
+
+@st.composite
+def alternating_templates(draw):
+    k = draw(st.integers(1, 6))
+    first = draw(st.sampled_from("+-"))
+    mults = draw(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=k, max_size=k))
+    if None not in mults:
+        mults[draw(st.integers(0, k - 1))] = None
+    signs = [first if i % 2 == 0 else ("-" if first == "+" else "+") for i in range(k)]
+    return Template(tuple(Cluster(s, m) for s, m in zip(signs, mults)))
+
+
+# half the words are cut from the template's own clusters, so that both
+# answers occur often; uniformly random words of 14 symbols rarely fit
+@settings(max_examples=300)
+@given(alternating_templates(), st.data())
+def test_member_matches_brute_force_on_random_templates(t, data):
+    random_word = st.integers(0, 14).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda bits: BinaryWord(n, bits)))
+    near_fit = st.tuples(*(st.integers(0, 4) for _ in t.clusters), st.integers(-1, 13)).map(
+        lambda sizes: _near_fit(t, sizes))
+    w = data.draw(st.one_of(random_word, near_fit))
+    assert member(t, w) == brute_member(t, w), (t, w)
+
+
+def _near_fit(t, sizes):
+    """Chunks of the cluster signs, then one symbol flipped (index -1: none)."""
+    text = "".join(c.sign * k for c, k in zip(t.clusters, sizes))[:14]
+    flip = sizes[-1]
+    if 0 <= flip < len(text):
+        text = text[:flip] + ("+" if text[flip] == "-" else "-") + text[flip + 1:]
+    return W(text)
 
 
 def test_coideals_are_saturated():

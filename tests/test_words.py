@@ -17,10 +17,11 @@ import pytest
 
 from fractions import Fraction
 
-from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, FormalCombination, dim,
-                              dominates_at, dominates_search, enumerate_level,
-                              expand, is_subword, level, lower_covers, member,
-                              parse_template, parse_vertex, upper_covers,
+from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, FormalCombination, GrowthModel,
+                              Paintbox, dim, dominates_at, dominates_search,
+                              enumerate_level, expand, is_subword, level,
+                              lower_covers, member, member_J, parse_template,
+                              parse_vertex, phi_tw, phi_w, upper_covers,
                               word_of_composition)
 from zigzag_harmonics.words import composition_of_word, parse_composition
 
@@ -77,6 +78,15 @@ def test_upper_covers_examples():
     assert upper_covers(W("+")) == {W("++"), W("+-"), W("-+")}
     assert W("-+-+-+-+") in upper_covers(W("-+-+-+-"))
     assert upper_covers(ROOT) == {EMPTY}
+
+
+def test_upper_covers_are_the_n_plus_2_insertions():
+    for length in range(11):
+        for w in enumerate_level(length):
+            covers = upper_covers(w)
+            assert covers == {w.insert(pos, s) for pos in range(length + 1)
+                              for s in "+-"}
+            assert len(covers) == length + 2
 
 
 def test_lower_covers_worked_sets():
@@ -277,15 +287,36 @@ def test_vertex_serialization():
 
 
 def test_operations_are_safe_under_threads():
-    # shared memo table: concurrent path counts must agree with serial ones
+    # shared memo table, and a template, a paintbox and a growth model
+    # whose compiled parts are stored on the object: concurrent results
+    # must agree with serial ones computed on fresh objects
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
     from zigzag_harmonics.words import _dim_words
 
+    text_t, text_pb = "-1 +* -* +1 -* +* -* +1", "+1/3,-1/6,+1/4,+1/4"
+    text_m = text_t + " | w=1/3,1/4,1/6,1/8,1/8"
+    template, paintbox = parse_template(text_t), Paintbox.parse(text_pb)
+    model = GrowthModel.parse(text_m)
+    words = [w for length in range(9) for w in enumerate_level(length)]
     _dim_words.cache_clear()
     pairs = [(a, b) for b in enumerate_level(8) for a in enumerate_level(3)
              if is_subword(a, b)][:200]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda p: dim(*p), pairs))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda p: dim(*p), pairs, timeout=60))
+            blown = list(pool.map(lambda w: member_J(template, w), words, timeout=60))
+            values = list(pool.map(lambda w: phi_w(w, paintbox), words, timeout=60))
+            model_values = list(pool.map(lambda w: phi_tw(model, w), words, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     _dim_words.cache_clear()
     assert threaded == [dim(a, b) for a, b in pairs]
+    fresh_t, fresh_pb = parse_template(text_t), Paintbox.parse(text_pb)
+    assert blown == [member_J(fresh_t, w) for w in words]
+    assert values == [phi_w(w, fresh_pb) for w in words]
+    fresh_m = GrowthModel.parse(text_m)
+    assert model_values == [phi_tw(fresh_m, w) for w in words]
