@@ -18,6 +18,6 @@ from .templates import (Cluster, FlangeDecomposition, Template,
 from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
                     composition_of_word, dim, dominates_at, dominates_search,
                     enumerate_level, expand, is_subword, level, lower_covers,
-                    parse_vertex, upper_covers, word_of_composition)
+                    parse_vertex, upper_covers, word_of_composition, words_below)
 
 __version__ = "0.1.0"

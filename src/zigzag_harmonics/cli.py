@@ -18,8 +18,8 @@ from .render import render_template, render_vertex
 from .semifinite import GrowthModel, check_limit_formula, phi_tw
 from .templates import inject, member, member_J, parse_template
 from .verify import SUITES, run_suite
-from .words import (ROOT, BinaryWord, dim, enumerate_level, level, lower_covers,
-                    parse_vertex, upper_covers)
+from .words import (ROOT, BinaryWord, dim, level, lower_covers, parse_vertex,
+                    upper_covers, words_below)
 
 SCHEMA_GRAPH = "zigzag-graph/1"
 SCHEMA_VERIFY = "zigzag-verify/1"
@@ -51,9 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(set(SUITES)))
-    p.add_argument("--level", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--level", type=int,
+                   help="size of the check; read by every suite but ring-identity")
+    p.add_argument("--degree", type=int,
+                   help=f"combined product degree of ring-identity (3..{DEGREE_CAP})")
+    p.add_argument("--seed", type=int,
+                   help="random seed of kerov-oracle and finite-harmonicity")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("covers", help="upper (or lower) covers of a vertex")
@@ -118,8 +121,7 @@ def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
     vertices = []
     if template is None or not ideal:
         vertices.append(ROOT)
-    for length in range(max_level):
-        vertices.extend(w for w in enumerate_level(length) if keep(w))
+    vertices.extend(w for w in words_below(max_level) if keep(w))
     vset = set(vertices)
     edges = [(v, u) for v in vertices for u in sorted(upper_covers(v), key=str)
              if u in vset]
@@ -127,8 +129,6 @@ def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
 
 
 def _cmd_graph(args) -> int:
-    if not 0 <= args.level <= 21:
-        raise ValueError("graph level must stay within 0..21")
     vertices, edges = _graph_data(args.level, args.template, args.ideal)
     if args.format == "json":
         print(json.dumps({

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .paintbox import IntervalTuple, Paintbox, eval_F, template_of_intervals
-from .qsym import DEGREE_CAP, product_F
+from .qsym import product_F
 from .templates import (FlangeDecomposition, Template, flange_and_sections,
                         is_finite_template, member, member_J, minimal_maxblock_word,
                         parse_template)
@@ -365,8 +365,7 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
 # Ring identity and approximating sequences
 # ---------------------------------------------------------------------------
 
-def check_ring_identity(model: GrowthModel, a: Vertex, b: Vertex,
-                        degree_cap: int = DEGREE_CAP) -> bool:
+def check_ring_identity(model: GrowthModel, a: Vertex, b: Vertex) -> bool:
     """phi(F_a F_b) = phi_paintbox(a) * phi(b) for b of finite value.
 
     Every word carrying a positive structure constant sits above b,
@@ -376,7 +375,7 @@ def check_ring_identity(model: GrowthModel, a: Vertex, b: Vertex,
     t = model.template
     if not member(t, b) or member_J(t, b):
         raise ValueError(f"{b} is not a finite-value vertex of {t}")
-    expansion = product_F(a, b, degree_cap)
+    expansion = product_F(a, b)
     lhs = Fraction(0)
     for v, c in expansion.coeffs.items():
         val = phi_tw(model, v)

@@ -11,15 +11,22 @@ a verdict.  The three worked growth models used throughout:
 * bracketed: -1 +* -* +1 -* +* -* +1   flange words at both ends, a
              separating cluster inside.
 
-Suites accept ``level``/``degree``/``seed`` overrides but default to
-the documented caps.  An override whose words or products would pass
-:data:`~zigzag_harmonics.words.LEVEL_CAP` or
-:data:`~zigzag_harmonics.qsym.DEGREE_CAP` is rejected with a
-``ValueError`` before the suite does any work.
+The registry is the only place that knows a suite's interface.  Each
+suite is declared once with :func:`_suite`: its name, the one flag it
+reads (``level``, or ``degree`` for ring-identity), that flag's default
+and accepted range, and, for the seeded suites, their default seed.
+The ranges come from :data:`~zigzag_harmonics.words.LEVEL_CAP` and
+:data:`~zigzag_harmonics.qsym.DEGREE_CAP`.  Before any work a suite
+rejects with a ``ValueError`` a value outside its range, a flag it does
+not read, and a seed it does not take; the CLI exits 2 on those.  The
+suite body only checks: it takes ``(value, seed)`` and returns
+``(lines, failures)``, and the registry times it and builds the
+:class:`SuiteReport`.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -33,10 +40,11 @@ from .qsym import DEGREE_CAP, pieri_check
 from .semifinite import (ExtValue, GrowthModel, check_approx_sequence,
                          check_harmonic_at, check_limit_formula,
                          check_ring_identity, phi_tw)
-from .templates import (inject_all, member, member_J, parse_template,
-                        reduced_templates)
+from .templates import (flange_and_sections, inject_all, member, member_J,
+                        parse_template, reduced_templates)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex, dim,
-                    enumerate_level, is_subword, lower_covers, upper_covers)
+                    enumerate_level, is_subword, lower_covers, upper_covers,
+                    words_below)
 from .words import level as vertex_level
 
 W = BinaryWord.from_str
@@ -68,45 +76,64 @@ class SuiteReport:
         return f"{verdict} {self.suite} ({self.elapsed:.2f}s)"
 
 
-def _report(suite: str, started: float, failures: list[str],
-            lines: list[str]) -> SuiteReport:
-    ok = not failures
-    return SuiteReport(suite, ok, lines + failures, time.perf_counter() - started)
+Checks = tuple[list[str], list[str]]
+
+SUITES: dict[str, Callable[..., SuiteReport]] = {}
 
 
-def _within_cap(what: str, value: int, cap: int) -> None:
-    """Reject an override at entry rather than after the work below it."""
-    if value > cap:
-        raise ValueError(f"{what} {value} above cap {cap}")
+def _suite(name: str, default: int, lowest: int, highest: int, *,
+           flag: str = "level", default_seed: Optional[int] = None):
+    """Register a suite body under ``name`` and return the suite it becomes.
+
+    The suite reads only ``flag``, within ``lowest..highest``, and takes
+    a seed only when ``default_seed`` is set.
+    """
+    def register(body: Callable[[int, Optional[int]], Checks]):
+        @functools.wraps(body)
+        def suite(level: Optional[int] = None, degree: Optional[int] = None,
+                  seed: Optional[int] = None) -> SuiteReport:
+            given = {"level": level, "degree": degree}
+            for other, value in given.items():
+                if other != flag and value is not None:
+                    raise ValueError(f"{name} reads --{flag}, not --{other}")
+            if seed is not None and default_seed is None:
+                raise ValueError(f"{name} takes no --seed")
+            value = default if given[flag] is None else given[flag]
+            if value > highest:
+                raise ValueError(f"{name} --{flag} {value} above cap {highest}")
+            if value < lowest:
+                raise ValueError(f"{name} --{flag} {value} below {lowest}")
+            started = time.perf_counter()
+            lines, failures = body(value, default_seed if seed is None else seed)
+            return SuiteReport(name, not failures, lines + failures,
+                               time.perf_counter() - started)
+
+        SUITES[name] = suite
+        return suite
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # Suite 1: one-box products list the upward covers
 # ---------------------------------------------------------------------------
 
-def suite_pieri(level: Optional[int] = None, degree: Optional[int] = None,
-                seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
-    max_symbols = 7 if level is None else level
-    _within_cap("combined degree", max_symbols + 2, DEGREE_CAP)
+@_suite("pieri", 7, 0, DEGREE_CAP - 2)
+def suite_pieri(max_symbols: int, _seed: Optional[int]) -> Checks:
     failures, count = [], 0
-    for length in range(max_symbols + 1):
-        for w in enumerate_level(length):
-            count += 1
-            if not pieri_check(w):
-                failures.append(f"one-box product wrong at {w}")
-    lines = [f"checked {count} words up to {max_symbols} symbols"]
-    return _report("pieri", started, failures, lines)
+    for w in words_below(max_symbols + 1):
+        count += 1
+        if not pieri_check(w):
+            failures.append(f"one-box product wrong at {w}")
+    return [f"checked {count} words up to {max_symbols} symbols"], failures
 
 
 # ---------------------------------------------------------------------------
 # Suite 2: closed-form path counts into the bent two-block words
 # ---------------------------------------------------------------------------
 
-def suite_path_counts(level: Optional[int] = None, degree: Optional[int] = None,
-                      seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
-    cap = 6 if level is None else level
+@_suite("path-counts", 6, 0, LEVEL_CAP + 1)
+def suite_path_counts(cap: int, _seed: Optional[int]) -> Checks:
     failures, count = [], 0
     for n in range(2, 5):
         for m in range(2, 5):
@@ -121,8 +148,7 @@ def suite_path_counts(level: Optional[int] = None, degree: Optional[int] = None,
                     if got != expected:
                         failures.append(
                             f"dim({source},{target}) = {got}, expected {expected}")
-    lines = [f"checked {count} path counts, N <= {cap}"]
-    return _report("path-counts", started, failures, lines)
+    return [f"checked {count} path counts, N <= {cap}"], failures
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +163,18 @@ def _random_interval_tuple(rng: random.Random, max_intervals: int = 4) -> Interv
     return IntervalTuple(intervals)
 
 
-def suite_kerov_oracle(level: Optional[int] = None, degree: Optional[int] = None,
-                       seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
-    max_symbols = 7 if level is None else level
-    _within_cap("word length", max_symbols, LEVEL_CAP)
-    rng = random.Random(20240 if seed is None else seed)
+@_suite("kerov-oracle", 7, 0, LEVEL_CAP, default_seed=20240)
+def suite_kerov_oracle(max_symbols: int, seed: Optional[int]) -> Checks:
+    rng = random.Random(seed)
     tuples = [_random_interval_tuple(rng) for _ in range(20)]
     failures, count = [], 0
-    vertices: list[Vertex] = [ROOT]
-    for length in range(max_symbols + 1):
-        vertices.extend(enumerate_level(length))
+    vertices: list[Vertex] = [ROOT, *words_below(max_symbols + 1)]
     for u in tuples:
         for v in vertices:
             count += 1
             if eval_F(v, u) != eval_F_coproduct(v, u):
                 failures.append(f"evaluator mismatch at {v} against {u}")
-    lines = [f"compared {count} evaluations over {len(tuples)} interval tuples"]
-    return _report("kerov-oracle", started, failures, lines)
+    return [f"compared {count} evaluations over {len(tuples)} interval tuples"], failures
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +189,15 @@ def random_paintbox(rng: random.Random, max_intervals: int = 4) -> Paintbox:
     return Paintbox(tuple((s, Fraction(r, total)) for s, r in zip(signs, raw)))
 
 
-def suite_finite_harmonicity(level: Optional[int] = None, degree: Optional[int] = None,
-                             seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
-    cap = 10 if level is None else level
-    _within_cap("word length", cap, LEVEL_CAP)
-    rng = random.Random(20241 if seed is None else seed)
+@_suite("finite-harmonicity", 10, 0, LEVEL_CAP, default_seed=20241)
+def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
+    rng = random.Random(seed)
     boxes = [random_paintbox(rng) for _ in range(10)]
     failures = []
     for idx, pb in enumerate(boxes):
         t_w = template_of_paintbox(pb)
         values: dict[Vertex, Fraction] = {ROOT: phi_w(ROOT, pb)}
-        for length in range(cap + 1):
-            for w in enumerate_level(length):
-                values[w] = phi_w(w, pb)
+        values.update((w, phi_w(w, pb)) for w in words_below(cap + 1))
         for v, val in values.items():
             if vertex_level(v) > cap:
                 continue
@@ -199,19 +214,15 @@ def suite_finite_harmonicity(level: Optional[int] = None, degree: Optional[int] 
                         Fraction(0))
             if total != 1:
                 failures.append(f"paintbox {idx}: mass {total} at {length} symbols")
-    lines = [f"10 paintboxes, harmonicity, support, and unit mass up to level {cap}"]
-    return _report("finite-harmonicity", started, failures, lines)
+    return [f"10 paintboxes, harmonicity, support, and unit mass up to level {cap}"], failures
 
 
 # ---------------------------------------------------------------------------
 # Suite 5: coideal identities of the capped and bracketed templates
 # ---------------------------------------------------------------------------
 
-def suite_coideal_identities(level: Optional[int] = None, degree: Optional[int] = None,
-                             seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
-    max_symbols = 11 if level is None else level
-    _within_cap("word length", max_symbols, LEVEL_CAP)
+@_suite("coideal-identities", 11, 0, LEVEL_CAP)
+def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
     failures = []
 
     capped = CAPPED_TEMPLATE
@@ -222,24 +233,23 @@ def suite_coideal_identities(level: Optional[int] = None, degree: Optional[int] 
     bracketed = BRACKETED_TEMPLATE
     g1, g2 = W("-+-+-+-+"), W("-++-++-+")
     minimal: list[BinaryWord] = []
-    for length in range(max_symbols + 1):
-        for w in enumerate_level(length):
-            in_capped, in_section = member(capped, w), member(section, w)
-            above_gen = in_capped and is_subword(gen, w)
-            if in_capped != (in_section or above_gen):
-                failures.append(f"capped split fails at {w}")
-            if in_section and not in_capped:
-                failures.append(f"section coideal leaves the capped coideal at {w}")
-            if in_section and above_gen:
-                failures.append(f"capped split overlaps at {w}")
+    for w in words_below(max_symbols + 1):
+        in_capped, in_section = member(capped, w), member(section, w)
+        above_gen = in_capped and is_subword(gen, w)
+        if in_capped != (in_section or above_gen):
+            failures.append(f"capped split fails at {w}")
+        if in_section and not in_capped:
+            failures.append(f"section coideal leaves the capped coideal at {w}")
+        if in_section and above_gen:
+            failures.append(f"capped split overlaps at {w}")
 
-            in_b = member(bracketed, w)
-            in_j = in_b and member_J(bracketed, w)
-            above = in_b and (is_subword(g1, w) or is_subword(g2, w))
-            if (in_b and not in_j) != above:
-                failures.append(f"bracketed two-generator identity fails at {w}")
-            if in_b and not in_j and len(w) == len(g1):
-                minimal.append(w)
+        in_b = member(bracketed, w)
+        in_j = in_b and member_J(bracketed, w)
+        above = in_b and (is_subword(g1, w) or is_subword(g2, w))
+        if (in_b and not in_j) != above:
+            failures.append(f"bracketed two-generator identity fails at {w}")
+        if in_b and not in_j and len(w) == len(g1):
+            minimal.append(w)
     if sorted(map(str, minimal)) != sorted([str(g1), str(g2)]):
         failures.append(f"bracketed minimal elements are {minimal}, expected two generators")
 
@@ -251,40 +261,33 @@ def suite_coideal_identities(level: Optional[int] = None, degree: Optional[int] 
         if not (member(bracketed, w) and member_J(bracketed, w)):
             failures.append(f"common lower cover {w} escapes the blow-up locus")
 
-    lines = [f"both identities exhaustive to {max_symbols} symbols; "
-             f"bracketed ideal has {len(minimal)} minimal elements"]
-    return _report("coideal-identities", started, failures, lines)
+    return [f"both identities exhaustive to {max_symbols} symbols; "
+            f"bracketed ideal has {len(minimal)} minimal elements"], failures
 
 
 # ---------------------------------------------------------------------------
 # Suite 6: the injection into the product of sections
 # ---------------------------------------------------------------------------
 
-def suite_injection(level: Optional[int] = None, degree: Optional[int] = None,
-                    seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
-    cap = 10 if level is None else level
-    _within_cap("word length", cap - 1, LEVEL_CAP)
+@_suite("injection", 10, 0, LEVEL_CAP + 1)
+def suite_injection(cap: int, _seed: Optional[int]) -> Checks:
     failures: list[str] = []
     lines: list[str] = []
     for name, model in EXAMPLE_MODELS.items():
         t = model.template
-        from .templates import flange_and_sections
-
         sections = flange_and_sections(t).sections
         image: dict[tuple[BinaryWord, ...], BinaryWord] = {}
         coords: dict[BinaryWord, tuple[BinaryWord, ...]] = {}
-        for length in range(cap):
-            for w in enumerate_level(length):
-                if member(t, w) and not member_J(t, w):
-                    decs = inject_all(t, w)
-                    if len(decs) != 1:
-                        failures.append(f"{name}: {len(decs)} decompositions at {w}")
-                        continue
-                    coords[w] = decs[0]
-                    if decs[0] in image:
-                        failures.append(f"{name}: image collision at {decs[0]}")
-                    image[decs[0]] = w
+        for w in words_below(cap):
+            if member(t, w) and not member_J(t, w):
+                decs = inject_all(t, w)
+                if len(decs) != 1:
+                    failures.append(f"{name}: {len(decs)} decompositions at {w}")
+                    continue
+                coords[w] = decs[0]
+                if decs[0] in image:
+                    failures.append(f"{name}: image collision at {decs[0]}")
+                image[decs[0]] = w
         for w, tup in coords.items():
             ups = [u for u in upper_covers(w) if u in coords]
             for u in ups:
@@ -309,26 +312,20 @@ def suite_injection(level: Optional[int] = None, degree: Optional[int] = None,
                     elif pre not in upper_covers(w):
                         failures.append(f"{name}: product edge at {tup} has no preimage edge")
         lines.append(f"{name}: {len(coords)} points embedded, edges and ideal image checked")
-    return _report("injection", started, failures, lines)
+    return lines, failures
 
 
 # ---------------------------------------------------------------------------
 # Suite 7: semifinite trichotomy, harmonicity, closed form
 # ---------------------------------------------------------------------------
 
-def suite_semifinite(level: Optional[int] = None, degree: Optional[int] = None,
-                     seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
-    cap = 10 if level is None else level
-    _within_cap("word length", cap - 1, LEVEL_CAP)
+@_suite("semifinite", 10, 0, LEVEL_CAP + 1)
+def suite_semifinite(cap: int, _seed: Optional[int]) -> Checks:
     failures = []
     for name, model in EXAMPLE_MODELS.items():
         t = model.template
         count = 0
-        vertices: list[Vertex] = [ROOT]
-        for length in range(cap):
-            vertices.extend(enumerate_level(length))
-        for v in vertices:
+        for v in (ROOT, *words_below(cap)):
             val = phi_tw(model, v)
             if v is ROOT:
                 inside, blown = True, True
@@ -349,19 +346,16 @@ def suite_semifinite(level: Optional[int] = None, degree: Optional[int] = None,
             expected = ExtValue.finite(w1 ** (n + 1) * w2 ** (m + 1))
             if phi_tw(STEP_MODEL, v) != expected:
                 failures.append(f"step closed form fails at {v}")
-    lines = [f"three models, trichotomy and harmonicity to level {cap}; "
-             "step closed form n,m <= 4"]
-    return _report("semifinite", started, failures, lines)
+    return [f"three models, trichotomy and harmonicity to level {cap}; "
+            "step closed form n,m <= 4"], failures
 
 
 # ---------------------------------------------------------------------------
 # Suite 8: the approximating sequence under the two-block words
 # ---------------------------------------------------------------------------
 
-def suite_approx_sequence(level: Optional[int] = None, degree: Optional[int] = None,
-                          seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
-    max_n = 6 if level is None else level
+@_suite("approx-sequence", 6, 1, LEVEL_CAP + 1)
+def suite_approx_sequence(max_n: int, _seed: Optional[int]) -> Checks:
     failures = []
     w1, w2 = STEP_MODEL.weights
     for n in (2, 3):
@@ -385,18 +379,15 @@ def suite_approx_sequence(level: Optional[int] = None, degree: Optional[int] = N
             if report.certified_levels != expected_levels:
                 failures.append(
                     f"certificates under {target} at {report.certified_levels}")
-    lines = [f"step model, n,m in 2..3, multiples up to {max_n}"]
-    return _report("approx-sequence", started, failures, lines)
+    return [f"step model, n,m in 2..3, multiples up to {max_n}"], failures
 
 
 # ---------------------------------------------------------------------------
 # Suite 9: the eps-limit (valuation and ratio constancy)
 # ---------------------------------------------------------------------------
 
-def suite_eps_limit(level: Optional[int] = None, degree: Optional[int] = None,
-                    seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
-    cap = 9 if level is None else level
+@_suite("eps-limit", 9, 0, LEVEL_CAP + 1)
+def suite_eps_limit(cap: int, _seed: Optional[int]) -> Checks:
     failures, lines = [], []
     for name, model in EXAMPLE_MODELS.items():
         report = check_limit_formula(model, cap)
@@ -412,27 +403,21 @@ def suite_eps_limit(level: Optional[int] = None, degree: Optional[int] = None,
                 failures.append(f"step: valuation {report.n}, expected 1")
             if report.const != 2:
                 failures.append(f"step: ratio {report.const}, expected 2")
-    return _report("eps-limit", started, failures, lines)
+    return lines, failures
 
 
 # ---------------------------------------------------------------------------
 # Suite 10: ring identity against the model paintbox
 # ---------------------------------------------------------------------------
 
-def suite_ring_identity(level: Optional[int] = None, degree: Optional[int] = None,
-                        seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
+@_suite("ring-identity", 9, 3, DEGREE_CAP, flag="degree")
+def suite_ring_identity(degree: int, _seed: Optional[int]) -> Checks:
     left_boxes = 3
-    right_boxes = 6 if degree is None else degree - left_boxes
-    _within_cap("combined degree", left_boxes + right_boxes, DEGREE_CAP)
     failures, lines = [], []
-    lefts: list[Vertex] = [ROOT]
-    for length in range(left_boxes):
-        lefts.extend(enumerate_level(length))
+    lefts: list[Vertex] = [ROOT, *words_below(left_boxes)]
     for name, model in EXAMPLE_MODELS.items():
         t = model.template
-        rights = [w for length in range(right_boxes)
-                  for w in enumerate_level(length)
+        rights = [w for w in words_below(degree - left_boxes)
                   if member(t, w) and not member_J(t, w)]
         pairs = 0
         for b in rights:
@@ -442,71 +427,46 @@ def suite_ring_identity(level: Optional[int] = None, degree: Optional[int] = Non
                     failures.append(f"{name}: ring identity fails at ({a}, {b})")
         lines.append(f"{name}: {pairs} pairs"
                      + (" (no finite vertices this low)" if not rights else ""))
-    return _report("ring-identity", started, failures, lines)
+    return lines, failures
 
 
 # ---------------------------------------------------------------------------
 # Suite 11: distinct models are separated by a low vertex
 # ---------------------------------------------------------------------------
 
-def _model(text: str) -> GrowthModel:
-    return GrowthModel.parse(text)
-
-
 DISTINCT_PAIRS: list[tuple[GrowthModel, GrowthModel]] = [
-    (_model("+* -1 +1 -* | w=1/3,2/3"), _model("+* -1 +1 -* | w=1/2,1/2")),
-    (_model("+* -1 +1 -* | w=1/3,2/3"), _model("+* -1 +1 -* | w=2/3,1/3")),
-    (_model("+* -1 +1 -* | w=1/4,3/4"), _model("+* -1 +1 -* | w=1/5,4/5")),
+    (GrowthModel.parse("+* -1 +1 -* | w=1/3,2/3"),
+     GrowthModel.parse("+* -1 +1 -* | w=1/2,1/2")),
+    (GrowthModel.parse("+* -1 +1 -* | w=1/3,2/3"),
+     GrowthModel.parse("+* -1 +1 -* | w=2/3,1/3")),
+    (GrowthModel.parse("+* -1 +1 -* | w=1/4,3/4"),
+     GrowthModel.parse("+* -1 +1 -* | w=1/5,4/5")),
     (STEP_MODEL, CAPPED_MODEL),
     (STEP_MODEL, BRACKETED_MODEL),
     (CAPPED_MODEL, BRACKETED_MODEL),
-    (_model("+1 -* +* -1 +* | w=1/2,1/3,1/6"), _model("+1 -* +* -1 +* | w=1/6,1/3,1/2")),
-    (_model("+1 -* +* -1 +* | w=1/2,1/3,1/6"), _model("+1 -* +* -1 +* | w=1/3,1/3,1/3")),
-    (_model("-1 +* -* +1 -* +* -* +1 | w=1/3,1/4,1/6,1/8,1/8"),
-     _model("-1 +* -* +1 -* +* -* +1 | w=1/8,1/8,1/6,1/4,1/3")),
-    (_model("+* -1 +1 -* | w=1/6,5/6"), _model("+1 -* +* -1 +* | w=1/6,2/3,1/6")),
+    (GrowthModel.parse("+1 -* +* -1 +* | w=1/2,1/3,1/6"),
+     GrowthModel.parse("+1 -* +* -1 +* | w=1/6,1/3,1/2")),
+    (GrowthModel.parse("+1 -* +* -1 +* | w=1/2,1/3,1/6"),
+     GrowthModel.parse("+1 -* +* -1 +* | w=1/3,1/3,1/3")),
+    (GrowthModel.parse("-1 +* -* +1 -* +* -* +1 | w=1/3,1/4,1/6,1/8,1/8"),
+     GrowthModel.parse("-1 +* -* +1 -* +* -* +1 | w=1/8,1/8,1/6,1/4,1/3")),
+    (GrowthModel.parse("+* -1 +1 -* | w=1/6,5/6"),
+     GrowthModel.parse("+1 -* +* -1 +* | w=1/6,2/3,1/6")),
 ]
 
 
-def suite_distinctness(level: Optional[int] = None, degree: Optional[int] = None,
-                       seed: Optional[int] = None) -> SuiteReport:
-    started = time.perf_counter()
-    cap = 10 if level is None else level
-    _within_cap("word length", cap - 1, LEVEL_CAP)
+@_suite("distinctness", 10, 0, LEVEL_CAP + 1)
+def suite_distinctness(cap: int, _seed: Optional[int]) -> Checks:
     failures, lines = [], []
     for idx, (m1, m2) in enumerate(DISTINCT_PAIRS):
-        witness = None
-        for length in range(cap):
-            for w in enumerate_level(length):
-                if phi_tw(m1, w) != phi_tw(m2, w):
-                    witness = w
-                    break
-            if witness is not None:
-                break
+        witness = next((w for w in words_below(cap) if phi_tw(m1, w) != phi_tw(m2, w)),
+                       None)
         if witness is None:
             failures.append(f"pair {idx} not separated up to level {cap}")
         else:
             lines.append(f"pair {idx} separated at {witness} (level {vertex_level(witness)})")
-    return _report("distinctness", started, failures, lines)
+    return lines, failures
 
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-SUITES: dict[str, Callable[..., SuiteReport]] = {
-    "pieri": suite_pieri,
-    "path-counts": suite_path_counts,
-    "kerov-oracle": suite_kerov_oracle,
-    "finite-harmonicity": suite_finite_harmonicity,
-    "coideal-identities": suite_coideal_identities,
-    "injection": suite_injection,
-    "semifinite": suite_semifinite,
-    "approx-sequence": suite_approx_sequence,
-    "eps-limit": suite_eps_limit,
-    "ring-identity": suite_ring_identity,
-    "distinctness": suite_distinctness,
-}
 
 #: alias kept because the identity is usually asked for by this name
 SUITES["harmonicity"] = suite_finite_harmonicity

@@ -329,12 +329,12 @@ def dominates_search(a: Vertex, comb: FormalCombination, max_level: int,
 # Level enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_level(nsymbols: int, cap: int = LEVEL_CAP) -> list[BinaryWord]:
+def enumerate_level(nsymbols: int) -> list[BinaryWord]:
     """All 2^n words of the given length in lexicographic order ('+' < '-')."""
     if nsymbols < 0:
         raise ValueError("word length must be >= 0")
-    if nsymbols > cap:
-        raise ValueError(f"word length {nsymbols} above cap {cap}")
+    if nsymbols > LEVEL_CAP:
+        raise ValueError(f"word length {nsymbols} above cap {LEVEL_CAP}")
     out = []
     for rank in range(1 << nsymbols):
         bits = 0
@@ -343,3 +343,16 @@ def enumerate_level(nsymbols: int, cap: int = LEVEL_CAP) -> list[BinaryWord]:
                 bits |= 1 << i
         out.append(BinaryWord(nsymbols, bits))
     return out
+
+
+def words_below(n: int) -> Iterator[BinaryWord]:
+    """Every word of fewer than n symbols, shortest first, lazily.
+
+    The cap is checked here, before any word is made; the words come
+    one level at a time, so a search that stops early builds no more.
+    """
+    if n < 0:
+        raise ValueError(f"negative word length bound {n}")
+    if n - 1 > LEVEL_CAP:
+        raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
+    return (w for length in range(n) for w in enumerate_level(length))

@@ -14,6 +14,7 @@ import pytest
 
 from zigzag_harmonics import (BinaryWord, enumerate_level, member, member_J,
                               parse_template, parse_vertex)
+from zigzag_harmonics import verify
 from zigzag_harmonics.cli import main
 from zigzag_harmonics.qsym import DEGREE_CAP, fexpansion_from_json
 from zigzag_harmonics.verify import SUITES, SuiteReport
@@ -166,6 +167,33 @@ def test_verify_rejects_caps_before_any_work(capsys, argv):
     code, _, err = run(capsys, "verify", *argv)
     assert code == 2 and "above cap" in err
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    # values outside a suite's accepted range
+    ("verify", "pieri", "--level", "-3"),
+    ("verify", "injection", "--level", "-4"),
+    ("verify", "ring-identity", "--degree", "2"),
+    ("verify", "approx-sequence", "--level", "0"),
+    ("verify", "path-counts", "--level", "200"),
+    ("verify", "injection", "--level", "22"),
+    # flags the suite does not read
+    ("verify", "pieri", "--degree", "5"),
+    ("verify", "pieri", "--seed", "9"),
+    ("verify", "ring-identity", "--level", "5"),
+    ("graph", "--level", "22"),
+])
+def test_bad_input_exits_2_at_once(capsys, argv):
+    started = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_every_registered_suite_is_the_module_function_of_its_name():
+    # the benchmark tracer finds suites by identity in the module namespace
+    for fn in SUITES.values():
+        assert getattr(verify, fn.__name__) is fn
 
 
 def test_verify_suite_pass(capsys):

@@ -22,8 +22,8 @@ from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, FormalCombination, Growth
                               enumerate_level, expand, is_subword, level,
                               lower_covers, member, member_J, parse_template,
                               parse_vertex, phi_tw, phi_w, upper_covers,
-                              word_of_composition)
-from zigzag_harmonics.words import composition_of_word, parse_composition
+                              word_of_composition, words_below)
+from zigzag_harmonics.words import LEVEL_CAP, composition_of_word, parse_composition
 
 W = BinaryWord.from_str
 
@@ -251,7 +251,18 @@ def test_enumerate_level():
     with pytest.raises(ValueError):
         enumerate_level(21)
     with pytest.raises(ValueError):
-        enumerate_level(5, cap=4)
+        enumerate_level(-1)
+
+
+def test_words_below_is_the_levels_in_order_and_checks_its_cap_first():
+    assert list(words_below(0)) == []
+    assert list(words_below(4)) == [w for n in range(4) for w in enumerate_level(n)]
+    with pytest.raises(ValueError, match="above cap"):
+        words_below(LEVEL_CAP + 2)  # raises at the call, not at the first word
+    with pytest.raises(ValueError):
+        words_below(-1)
+    # lazy: the first word of the capped range comes without building the rest
+    assert next(words_below(LEVEL_CAP + 1)) == EMPTY
 
 
 def test_packed_operations_match_string_model():
