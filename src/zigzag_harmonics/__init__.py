@@ -17,7 +17,7 @@ from .templates import (Cluster, FlangeDecomposition, Template,
                         reduced_templates, single_generator_word)
 from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
                     composition_of_word, dim, dominates_at, dominates_search,
-                    enumerate_level, expand, is_subword, level, lower_covers,
-                    parse_vertex, upper_covers, word_of_composition, words_below)
+                    expand, is_subword, level, lower_covers, parse_vertex,
+                    upper_covers, word_of_composition, words_below)
 
 __version__ = "0.1.0"

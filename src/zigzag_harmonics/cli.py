@@ -110,18 +110,10 @@ def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
     template = parse_template(template_text) if template_text else None
     if ideal and template is None:
         raise ValueError("--ideal needs --template")
-
-    def keep(w: BinaryWord) -> bool:
-        if template is None:
-            return True
-        if not member(template, w):
-            return False
-        return not (ideal and member_J(template, w))
-
-    vertices = []
-    if template is None or not ideal:
-        vertices.append(ROOT)
-    vertices.extend(w for w in words_below(max_level) if keep(w))
+    within = None if template is None else (lambda w: member(template, w))
+    vertices = [] if ideal else [ROOT]
+    vertices.extend(w for w in words_below(max_level, within)
+                    if not (ideal and member_J(template, w)))
     vset = set(vertices)
     edges = [(v, u) for v in vertices for u in sorted(upper_covers(v), key=str)
              if u in vset]

@@ -26,7 +26,8 @@ from .templates import (FlangeDecomposition, Template, flange_and_sections,
                         is_finite_template, member, member_J, minimal_maxblock_word,
                         parse_template)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
-                    dominates_search, is_subword, level, upper_covers)
+                    dominates_search, is_subword, level, upper_covers,
+                    words_below)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +306,15 @@ class LimitReport:
 def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     """Valuation and leading-coefficient constancy above the marker word.
 
-    Scans every word above the template's minimal max-block word that
-    fits the deformed template, up to the level cap.  Where the model
-    evaluates finitely the eps-valuation must be one number n and the
-    ratio leading coefficient / value one constant; where the model
-    evaluates to zero (the word fits the deformed template but not the
-    original one) the valuation must exceed n, so that the rescaled
-    limit vanishes too.  n and the constant are measured outputs.
+    Walks the coideal of the deformed template up to the level cap and
+    keeps the words above the template's minimal max-block word; that
+    set is closed upward, not under prefixes, so it filters the walk
+    instead of pruning it.  Where the model evaluates finitely the
+    eps-valuation must be one number n and the ratio leading
+    coefficient / value one constant; where the model evaluates to zero
+    (the word fits the deformed template but not the original one) the
+    valuation must exceed n, so that the rescaled limit vanishes too.
+    n and the constant are measured outputs.
     """
     if level_cap - 1 > LEVEL_CAP:
         raise ValueError(f"level cap {level_cap} above the enumeration cap {LEVEL_CAP + 1}")
@@ -322,37 +325,34 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     w_eps = build_w_eps(model)
     t_eps = template_of_intervals(w_eps)
 
-    from .words import enumerate_level
-
     n_seen: Optional[int] = None
     const_seen: Optional[Fraction] = None
     finite_points = 0
     vanishing: list[tuple[BinaryWord, int]] = []
     failures: list[str] = []
-    for length in range(len(nu), level_cap):
-        for w in enumerate_level(length):
-            if not is_subword(nu, w) or not member(t_eps, w):
-                continue
-            poly = eps_expansion(w, w_eps)
-            val = phi_tw(model, w)
-            if val.is_infinite:
-                failures.append(f"{w}: infinite value above the marker word")
-                continue
-            if val.is_zero:
-                vanishing.append((w, poly.valuation()))
-                continue
-            finite_points += 1
-            if poly.is_zero:
-                failures.append(f"{w}: zero expansion at a positive point")
-                continue
-            n_here, const_here = poly.valuation(), poly.leading() / val.value
-            if n_seen is None:
-                n_seen, const_seen = n_here, const_here
-            else:
-                if n_here != n_seen:
-                    failures.append(f"{w}: valuation {n_here} != {n_seen}")
-                if const_here != const_seen:
-                    failures.append(f"{w}: ratio {const_here} != {const_seen}")
+    for w in words_below(level_cap, lambda v: member(t_eps, v)):
+        if not is_subword(nu, w):
+            continue
+        poly = eps_expansion(w, w_eps)
+        val = phi_tw(model, w)
+        if val.is_infinite:
+            failures.append(f"{w}: infinite value above the marker word")
+            continue
+        if val.is_zero:
+            vanishing.append((w, poly.valuation()))
+            continue
+        finite_points += 1
+        if poly.is_zero:
+            failures.append(f"{w}: zero expansion at a positive point")
+            continue
+        n_here, const_here = poly.valuation(), poly.leading() / val.value
+        if n_seen is None:
+            n_seen, const_seen = n_here, const_here
+        else:
+            if n_here != n_seen:
+                failures.append(f"{w}: valuation {n_here} != {n_seen}")
+            if const_here != const_seen:
+                failures.append(f"{w}: ratio {const_here} != {const_seen}")
     for w, v in vanishing:
         if n_seen is not None and (v is None or v <= n_seen):
             failures.append(f"{w}: vanishing point with valuation {v} <= {n_seen}")

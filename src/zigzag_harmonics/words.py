@@ -9,8 +9,8 @@ from a word to every word obtained by inserting one symbol, so going
 down means deleting one symbol (subword order).
 
 Words are stored packed: ``bits`` holds one bit per symbol, 0 for '+'
-and 1 for '-', least significant bit first.  This keeps 2^n level
-enumerations and the path-count memo cheap to hash and compare.
+and 1 for '-', least significant bit first.  Appending a symbol sets one
+bit, and words are cheap to hash and compare in the path-count memo.
 Everything here is immutable and safe to use from several threads.
 """
 
@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 PLUS = "+"
 MINUS = "-"
 
-#: enumerate_level refuses word lengths above this
+#: words_below refuses word lengths above this
 LEVEL_CAP = 20
 
 
@@ -326,33 +326,33 @@ def dominates_search(a: Vertex, comb: FormalCombination, max_level: int,
 
 
 # ---------------------------------------------------------------------------
-# Level enumeration
+# Prefix walk
 # ---------------------------------------------------------------------------
 
-def enumerate_level(nsymbols: int) -> list[BinaryWord]:
-    """All 2^n words of the given length in lexicographic order ('+' < '-')."""
-    if nsymbols < 0:
-        raise ValueError("word length must be >= 0")
-    if nsymbols > LEVEL_CAP:
-        raise ValueError(f"word length {nsymbols} above cap {LEVEL_CAP}")
-    out = []
-    for rank in range(1 << nsymbols):
-        bits = 0
-        for i in range(nsymbols):
-            if (rank >> (nsymbols - 1 - i)) & 1:
-                bits |= 1 << i
-        out.append(BinaryWord(nsymbols, bits))
-    return out
-
-
-def words_below(n: int) -> Iterator[BinaryWord]:
+def words_below(n: int, within: Filter = None) -> Iterator[BinaryWord]:
     """Every word of fewer than n symbols, shortest first, lazily.
 
+    Each length comes in lexicographic order ('+' < '-'): the next one
+    appends '+', then '-', to each word of the last.  ``within`` keeps
+    only the words it accepts and extends only those, so its set must
+    be prefix-closed, as every template coideal is; the walk then
+    visits that set and its one-symbol boundary, not whole levels.
     The cap is checked here, before any word is made; the words come
-    one level at a time, so a search that stops early builds no more.
+    one length at a time, so a search that stops early builds no more.
     """
     if n < 0:
         raise ValueError(f"negative word length bound {n}")
     if n - 1 > LEVEL_CAP:
         raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
-    return (w for length in range(n) for w in enumerate_level(length))
+    return _prefix_walk(n, within)
+
+
+def _prefix_walk(n: int, within: Filter) -> Iterator[BinaryWord]:
+    layer = [EMPTY]
+    for length in range(n):
+        if length:
+            minus = 1 << (length - 1)
+            layer = [BinaryWord(length, w.bits | bit) for w in layer for bit in (0, minus)]
+        if within is not None:
+            layer = [w for w in layer if within(w)]
+        yield from layer

@@ -12,8 +12,9 @@ import time
 
 import pytest
 
-from zigzag_harmonics import (BinaryWord, enumerate_level, member, member_J,
-                              parse_template, parse_vertex)
+from word_oracle import enumerate_level
+from zigzag_harmonics import (BinaryWord, member, member_J, parse_template,
+                              parse_vertex)
 from zigzag_harmonics import verify
 from zigzag_harmonics.cli import main
 from zigzag_harmonics.qsym import DEGREE_CAP, fexpansion_from_json
@@ -99,6 +100,17 @@ def test_graph_ideal_restriction(capsys):
     assert got == expected
 
 
+def test_graph_template_lists_root_then_the_coideal_in_scan_order(capsys):
+    text = "+1 -* +* -1 +*"
+    code, out, _ = run(capsys, "graph", "--level", "7", "--template", text,
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    t = parse_template(text)
+    coideal = [w for length in range(7) for w in enumerate_level(length) if member(t, w)]
+    assert data["vertices"] == ["@", *map(str, coideal)]
+
+
 def test_graph_dot_output(capsys):
     code, out, _ = run(capsys, "graph", "--level", "2", "--format", "dot")
     assert code == 0
@@ -182,12 +194,19 @@ def test_verify_rejects_caps_before_any_work(capsys, argv):
     ("verify", "pieri", "--seed", "9"),
     ("verify", "ring-identity", "--level", "5"),
     ("graph", "--level", "22"),
+    # below the marker word of the bracketed model
+    ("verify", "eps-limit", "--level", "8"),
 ])
 def test_bad_input_exits_2_at_once(capsys, argv):
     started = time.perf_counter()
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
     assert time.perf_counter() - started < 1.0
+
+
+def test_eps_limit_rejects_a_level_below_every_marker_word_before_any_work(capsys):
+    code, _, err = run(capsys, "verify", "eps-limit", "--level", "8")
+    assert code == 2 and "eps-limit --level 8 below 9" in err
 
 
 def test_every_registered_suite_is_the_module_function_of_its_name():

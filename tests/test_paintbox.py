@@ -21,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, IntervalTuple, Paintbox,
-                              dim, enumerate_level, eval_F, eval_F_coproduct,
+                              dim, eval_F, eval_F_coproduct,
                               eval_F_maxblock, is_finite_template,
                               maxblock_member, member, phi_w, product_F,
                               build_w_eps, template_of_intervals,

@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 
 from polynomial_oracle import (monomial_expansion, poly_mul,
                                polynomial_product, reexpand)
-from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, enumerate_level,
-                              is_subword, level, pieri_check, product_F)
+from word_oracle import enumerate_level
+from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, is_subword, level,
+                              pieri_check, product_F)
 from zigzag_harmonics.qsym import DEGREE_CAP
 
 W = BinaryWord.from_str

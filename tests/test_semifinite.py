@@ -18,11 +18,12 @@ from fractions import Fraction
 
 import pytest
 
+from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, EPS, ROOT, BinaryWord, EpsPoly, ExtValue,
                               FormalCombination, GrowthModel, build_w_eps,
                               check_approx_sequence, check_harmonic_at,
                               check_limit_formula, check_ring_identity,
-                              enumerate_level, eps_expansion, level, member,
+                              eps_expansion, level, member,
                               model_paintbox, phi_tw, section_interval_tuples)
 from zigzag_harmonics.verify import BRACKETED_MODEL, CAPPED_MODEL, STEP_MODEL
 from zigzag_harmonics.words import LEVEL_CAP

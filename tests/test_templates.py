@@ -13,6 +13,8 @@ Core claims:
     - the candidate generator word and its sufficiency flag behave as
       documented, including the exhaustive identity when the flag holds
     - the max-block ideal has Pascal-graph level counts
+    - the prefix walk inside a coideal, or a union of coideals, lists
+      exactly the words of the filtered level scan, in the same order
 """
 
 from itertools import combinations_with_replacement
@@ -21,13 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, Template, enumerate_level,
+from word_oracle import enumerate_level
+from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, Template, build_w_eps,
                               flange_and_sections, inject, inject_all,
                               is_finite_template, is_semifinite_template,
                               is_subword, lower_covers, maxblock_member,
                               member, member_J, minimal_maxblock_word,
                               parse_template, reduced_templates,
-                              single_generator_word, upper_covers)
+                              single_generator_word, template_of_intervals,
+                              upper_covers, words_below)
+from zigzag_harmonics.verify import DISTINCT_PAIRS, EXAMPLE_MODELS
 
 W = BinaryWord.from_str
 
@@ -313,3 +318,49 @@ def test_maxblock_ideal_has_pascal_counts():
             count = sum(1 for w in enumerate_level(base + extra)
                         if maxblock_member(t, w))
             assert count == comb(extra + d - 1, d - 1)
+
+
+# -- the coideal walk ---------------------------------------------------------
+
+SECTION = parse_template("-* +* -1 +*")
+
+
+def _scan(n, within):
+    return [w for k in range(n) for w in enumerate_level(k) if within(w)]
+
+
+def _in(t):
+    return lambda w: member(t, w)
+
+
+def _walk_filters():
+    yield from (_in(t) for t in (STEP, CAPPED, BRACKETED, SECTION))
+    for model in EXAMPLE_MODELS.values():
+        yield _in(template_of_intervals(build_w_eps(model)))
+    yield lambda w: member(CAPPED, w) or member(SECTION, w) or member(BRACKETED, w)
+    for t1, t2 in {(m1.template, m2.template) for m1, m2 in DISTINCT_PAIRS}:
+        yield lambda w, t1=t1, t2=t2: member(t1, w) or member(t2, w)
+
+
+def test_walk_inside_a_coideal_is_the_filtered_scan():
+    for within in _walk_filters():
+        assert list(words_below(13, within)) == _scan(13, within)
+
+
+@settings(max_examples=100)
+@given(alternating_templates(), st.integers(0, 16), st.data())
+def test_walk_matches_membership_on_random_templates(t, n, data):
+    walked = list(words_below(n + 1, _in(t)))
+    if n <= 10:
+        assert walked == _scan(n + 1, _in(t))
+    assert all(member(t, w) for w in walked)
+    assert walked == sorted(walked, key=lambda w: (len(w), str(w)))
+    # above 10 symbols the level scan is too long: sampled words stand in
+    seen = set(walked)
+    random_word = st.integers(0, n).flatmap(
+        lambda k: st.integers(0, (1 << k) - 1).map(lambda bits: BinaryWord(k, bits)))
+    near_fit = st.tuples(*(st.integers(0, 4) for _ in t.clusters), st.integers(-1, 13)).map(
+        lambda sizes: _near_fit(t, sizes))
+    for w in data.draw(st.lists(st.one_of(random_word, near_fit), max_size=20)):
+        if len(w) <= n:
+            assert (w in seen) == member(t, w), (t, w)
