@@ -1,8 +1,8 @@
 """Exact arithmetic on the zigzag graph and its harmonic functions."""
 
 from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
-                       eval_F_maxblock, phi_w, template_of_intervals,
-                       template_of_paintbox)
+                       eval_F_levels, eval_F_maxblock, phi_w,
+                       template_of_intervals, template_of_paintbox)
 from .qsym import pieri_check, product_F
 from .semifinite import (EPS, ApproxReport, EpsPoly, ExtValue, GrowthModel,
                          LimitReport, build_w_eps, check_approx_sequence,
@@ -18,6 +18,7 @@ from .templates import (Cluster, FlangeDecomposition, Template,
 from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
                     composition_of_word, dim, dominates_at, dominates_search,
                     expand, is_subword, level, lower_covers, parse_vertex,
-                    upper_covers, word_of_composition, words_below)
+                    upper_cover_bits, upper_covers, word_of_composition,
+                    words_below)
 
 __version__ = "0.1.0"

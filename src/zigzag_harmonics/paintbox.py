@@ -17,7 +17,10 @@ moves multiply by l_j.  :func:`eval_F` runs this as a vector with
 prefix sums, O(m) per symbol.  Each interval tuple is compiled once,
 when it is built: rational lengths become integer numerators over one
 common denominator D, so the whole product stays in integers and is
-divided by D^(n+1) once at the end.
+divided by D^(n+1) once at the end.  :func:`eval_F_levels` carries the
+same vector from every word to its two one-symbol extensions, so it
+gives the numerators of whole levels at O(m) per word, without the
+division.
 
 A paintbox is such a tuple with total length one.  Two adjacent
 intervals of equal orientation are allowed and mean open components
@@ -28,19 +31,24 @@ of that template.
 
 An independent evaluator, the iterated two-piece splitting on
 compositions (:func:`eval_F_coproduct`), is kept as the oracle of the
-transfer vector.  Their agreement is checked by the test suite and
-pins down the corner-symbol convention above.
+transfer vector.  It also runs on integers, but scales the lengths by a
+common denominator it computes from the lengths itself, not from the
+compiled form, so it shares nothing with :func:`eval_F`.  Their
+agreement is checked by the test suite and pins down the corner-symbol
+convention above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from .templates import Cluster, Template, maxblock_member
-from .words import MINUS, PLUS, ROOT, BinaryWord, Vertex, composition_of_word
+from .words import (LEVEL_CAP, MINUS, PLUS, ROOT, BinaryWord, Vertex,
+                    composition_of_word)
 
 Scalar = Any  # Fraction, int, or the eps polynomials of the semifinite module
 
@@ -150,6 +158,44 @@ def eval_F(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Scalar:
     return total if denominator == 1 else Fraction(total, denominator ** (v.n + 1))
 
 
+def eval_F_levels(u: IntervalTuple, n: int) -> tuple[Scalar, list[list[Scalar]]]:
+    """The common denominator D and the numerators of every word below n symbols.
+
+    Entry ``levels[k][w.bits]`` is ``eval_F(w, u) * D**(k+1)`` for the
+    word w of k symbols: the list of each word length is indexed by
+    packed bits, not by position in the scan.  The word lengths come
+    shortest first, as :func:`~zigzag_harmonics.words.words_below`
+    gives them.
+    Non-rational lengths run with D = 1 and keep their own type, as in
+    :func:`eval_F`.
+
+    Appending symbol s to a word of k symbols sets bit k, so the
+    '+' extensions of a length fill the first half of the next length
+    and the '-' extensions the second half.  Each word's transfer
+    vector is made once from its parent's, and held as its prefix sums
+    (the last one is the numerator), so a word costs O(m) and only two
+    lengths of vectors are held at a time.  The cap is that of
+    ``words_below``, checked before any work.
+    """
+    if n < 0:
+        raise ValueError(f"negative word length bound {n}")
+    if n - 1 > LEVEL_CAP:
+        raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
+    keeps, lengths, denominator = u._transfer
+    # the prefix sum that entry j reads after each symbol: through j when
+    # the symbol keeps the box in interval j, else before it
+    reads = [[j + 1 if keep else j for j, keep in enumerate(kept)] for kept in keeps]
+    levels: list[list[Scalar]] = []
+    prefixes = [list(accumulate(lengths, initial=0))]
+    for k in range(n):
+        if k:
+            prefixes = [list(accumulate([l * prefix[r] for l, r in zip(lengths, read)],
+                                        initial=0))
+                        for read in reads for prefix in prefixes]
+        levels.append([prefix[-1] for prefix in prefixes])
+    return denominator, levels
+
+
 def _cut(comp: tuple[int, ...], c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a composition after its first c boxes."""
     if c == 0:
@@ -174,20 +220,35 @@ def _psi(comp: tuple[int, ...], sign: str) -> bool:
     return all(p == 1 for p in comp)
 
 
-def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Scalar:
+def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
+                     memo: Optional[dict] = None) -> Scalar:
     """Same value through iterated two-piece splittings of the composition.
 
     Splits the diagram with the coproduct cut (inside a row or at a row
     boundary), scales each tensor factor by its interval length, and
     applies the row/column evaluations.  Shares no code with the
     transfer vector; serves as its oracle.
+
+    Rational lengths are scaled to integers by the common denominator
+    of the lengths, computed here from ``u.lengths``, and the total is
+    divided by D^(number of boxes) once; non-rational lengths run with
+    D = 1 in their own type.  A subproblem (composition suffix,
+    interval index) does not depend on the word, so ``memo`` may be
+    shared by every call on the same interval tuple, never across
+    tuples; by default each call takes a fresh one.
     """
     if v is ROOT:
         return Fraction(1)
     comp = composition_of_word(v)
     m = len(u)
     signs, lengths = u.signs, u.lengths
-    memo: dict[tuple[tuple[int, ...], int], Scalar] = {}
+    if all(isinstance(l, (int, Fraction)) for l in lengths):
+        denominator = lcm(*(l.denominator for l in lengths))
+        lengths = tuple(l.numerator * (denominator // l.denominator) for l in lengths)
+    else:
+        denominator = 1
+    if memo is None:
+        memo = {}
 
     def go(rest: tuple[int, ...], i: int) -> Scalar:
         boxes = sum(rest)
@@ -211,7 +272,8 @@ def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Scalar:
         memo[key] = total
         return total
 
-    return go(comp, 0)
+    total = go(comp, 0)
+    return total if denominator == 1 else Fraction(total, denominator ** (v.n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional
 
-from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct, phi_w,
-                       template_of_paintbox)
+from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
+                       eval_F_levels, template_of_paintbox)
 from .qsym import DEGREE_CAP, pieri_check
 from .semifinite import (ExtValue, GrowthModel, check_approx_sequence,
                          check_harmonic_at, check_limit_formula,
@@ -43,7 +43,8 @@ from .semifinite import (ExtValue, GrowthModel, check_approx_sequence,
 from .templates import (flange_and_sections, inject_all, member, member_J,
                         minimal_maxblock_word, parse_template, reduced_templates)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex, dim,
-                    is_subword, lower_covers, upper_covers, words_below)
+                    is_subword, lower_covers, upper_cover_bits, upper_covers,
+                    words_below)
 from .words import level as vertex_level
 
 W = BinaryWord.from_str
@@ -169,10 +170,16 @@ def suite_kerov_oracle(max_symbols: int, seed: Optional[int]) -> Checks:
     failures, count = [], 0
     vertices: list[Vertex] = [ROOT, *words_below(max_symbols + 1)]
     for u in tuples:
+        # the oracle's subproblems do not depend on the word
+        memo: dict = {}
+        denominator, numerators = eval_F_levels(u, max_symbols + 1)
         for v in vertices:
             count += 1
-            if eval_F(v, u) != eval_F_coproduct(v, u):
+            value = eval_F(v, u)
+            if value != eval_F_coproduct(v, u, memo):
                 failures.append(f"evaluator mismatch at {v} against {u}")
+            if v is not ROOT and value * denominator ** (v.n + 1) != numerators[v.n][v.bits]:
+                failures.append(f"level walk mismatch at {v} against {u}")
     return [f"compared {count} evaluations over {len(tuples)} interval tuples"], failures
 
 
@@ -190,27 +197,31 @@ def random_paintbox(rng: random.Random, max_intervals: int = 4) -> Paintbox:
 
 @_suite("finite-harmonicity", 10, 0, LEVEL_CAP, default_seed=20241)
 def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
+    # On the numerators N(v) = phi_w(v) * D^(k+1) of the words v of k
+    # symbols: harmonic is N(v) * D == sum of N over the covers, and
+    # unit mass is sum of dim(@, v) * N(v) == D^(k+1).
     rng = random.Random(seed)
     boxes = [random_paintbox(rng) for _ in range(10)]
+    checked = [(w, dim(ROOT, w)) for w in words_below(cap)]
     failures = []
     for idx, pb in enumerate(boxes):
         t_w = template_of_paintbox(pb)
-        values: dict[Vertex, Fraction] = {ROOT: phi_w(ROOT, pb)}
-        values.update((w, phi_w(w, pb)) for w in words_below(cap + 1))
-        mass = [Fraction(0)] * cap
-        for v, val in values.items():
-            if vertex_level(v) > cap:
-                continue
-            total = sum((values[c] for c in upper_covers(v)), Fraction(0))
-            if val != total:
-                failures.append(f"paintbox {idx}: not harmonic at {v}")
-            if v is ROOT:
-                continue
-            if (val > 0) != member(t_w, v):
-                failures.append(f"paintbox {idx}: support wrong at {v}")
-            mass[len(v)] += dim(ROOT, v) * val
-        failures.extend(f"paintbox {idx}: mass {total} at {length} symbols"
-                        for length, total in enumerate(mass) if total != 1)
+        denominator, numerators = eval_F_levels(pb, cap + 1)
+        if denominator != numerators[0][0]:  # N(@) = 1, its one cover the empty word
+            failures.append(f"paintbox {idx}: not harmonic at {ROOT}")
+        mass = [0] * cap
+        for w, paths in checked:
+            k, bits = w.n, w.bits
+            value = numerators[k][bits]
+            covers = numerators[k + 1]
+            if value * denominator != sum(covers[c] for c in upper_cover_bits(k, bits)):
+                failures.append(f"paintbox {idx}: not harmonic at {w}")
+            if (value > 0) != member(t_w, w):
+                failures.append(f"paintbox {idx}: support wrong at {w}")
+            mass[k] += paths * value
+        failures.extend(
+            f"paintbox {idx}: mass {Fraction(total, denominator ** (k + 1))} at {k} symbols"
+            for k, total in enumerate(mass) if total != denominator ** (k + 1))
     return [f"10 paintboxes, harmonicity, support, and unit mass up to level {cap}"], failures
 
 

@@ -168,20 +168,32 @@ def parse_composition(text: str) -> tuple[int, ...]:
 # Covers and subword order
 # ---------------------------------------------------------------------------
 
+def upper_cover_bits(n: int, bits: int) -> list[int]:
+    """Packed bits of the n + 2 distinct one-symbol insertions into a word.
+
+    The word has n symbols and packed bits ``bits``; every cover has
+    n + 1.  They are the opposite of each symbol inserted just before
+    it, and either symbol appended.  Any other insertion lands inside a
+    run of its own symbol and repeats the insertion at that run's end.
+    """
+    covers = [bits, bits | 1 << n]
+    for pos in range(n):
+        low = bits & ((1 << pos) - 1)
+        high = bits >> pos  # symbol pos and those after it
+        covers.append(low | (high << 1 | (~high & 1)) << pos)
+    return covers
+
+
 def upper_covers(v: Vertex) -> set[BinaryWord]:
     """All distinct one-symbol insertions; ROOT is covered by the one-box word.
 
-    A word of n symbols has exactly n + 2 of them: the opposite of each
-    symbol inserted just before it, and either symbol appended.  Any
-    other insertion lands inside a run of its own symbol and repeats
-    the insertion at that run's end.
+    A word of n symbols has exactly n + 2 of them, listed by
+    :func:`upper_cover_bits`.
     """
     if v is ROOT:
         return {EMPTY}
-    n, bits = v.n, v.bits
-    covers = {v.insert(n, PLUS), v.insert(n, MINUS)}
-    covers.update(v.insert(pos, PLUS if (bits >> pos) & 1 else MINUS) for pos in range(n))
-    return covers
+    n = v.n + 1
+    return {BinaryWord(n, bits) for bits in upper_cover_bits(v.n, v.bits)}
 
 
 def lower_covers(v: Vertex) -> set[BinaryWord]:

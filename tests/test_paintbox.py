@@ -4,7 +4,10 @@ Core claims:
     - eval_F agrees with brute-force splitting enumeration, also with
       the eps-polynomial lengths of the semifinite deformation
     - eval_F and the coproduct evaluator agree everywhere tested, and on
-      property-test inputs well above the exhaustive levels
+      property-test inputs well above the exhaustive levels; the
+      coproduct evaluator alone agrees with brute force too, and a memo
+      shared by every word of one interval tuple changes nothing
+    - the level walk's numerators are eval_F times D^(k+1) on every word
     - the max-block closed form agrees with eval_F, including the
       boundary cases (a single interval, equal-orientation neighbours)
     - paintbox evaluations are normalized, harmonic, supported exactly
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, IntervalTuple, Paintbox,
-                              dim, eval_F, eval_F_coproduct,
+                              dim, eval_F, eval_F_coproduct, eval_F_levels,
                               eval_F_maxblock, is_finite_template,
                               maxblock_member, member, phi_w, product_F,
                               build_w_eps, template_of_intervals,
@@ -95,15 +98,29 @@ def test_single_box_sums_the_lengths():
     assert eval_F(EMPTY, u) == F(6, 5)
 
 
+def seeded_tuples(seed, count, length):
+    rng = random.Random(seed)
+    return [IntervalTuple(tuple((rng.choice("+-"), length(rng))
+                                for _ in range(rng.randint(1, 4))))
+            for _ in range(count)]
+
+
+def fraction_length(rng):
+    return F(rng.randint(1, 5), rng.randint(1, 5))
+
+
+def int_length(rng):
+    return rng.randint(1, 5)
+
+
 def test_eval_matches_brute_force():
-    rng = random.Random(5)
-    tuples = [IntervalTuple(tuple(
-        (rng.choice("+-"), F(rng.randint(1, 5), rng.randint(1, 5)))
-        for _ in range(rng.randint(1, 4)))) for _ in range(6)]
+    tuples = seeded_tuples(5, 6, fraction_length) + seeded_tuples(15, 4, int_length)
     for u in tuples:
         for length in range(6):
             for w in enumerate_level(length):
-                assert eval_F(w, u) == brute_eval(w, u), (w, u)
+                expected = brute_eval(w, u)
+                assert eval_F(w, u) == expected, (w, u)
+                assert eval_F_coproduct(w, u) == expected, (w, u)
 
 
 def test_eval_agrees_with_coproduct_route():
@@ -144,6 +161,58 @@ def test_eval_agrees_with_coproduct_route_on_long_words(u, w):
     assert eval_F(w, u) == eval_F_coproduct(w, u)
 
 
+def test_a_memo_shared_by_every_word_changes_no_value():
+    # longest first as well, so that a word can meet the entries that
+    # longer words left behind for its own composition
+    scan = [w for length in range(9) for w in enumerate_level(length)]
+    for u in seeded_tuples(16, 4, fraction_length) + seeded_tuples(17, 2, int_length):
+        for order in (scan, scan[::-1]):
+            memo: dict = {}
+            for w in order:
+                assert eval_F_coproduct(w, u, memo) == eval_F_coproduct(w, u), (w, u)
+
+
+# -- the level walk -----------------------------------------------------------
+
+def assert_walk_is_eval_F(u, n):
+    denominator, levels = eval_F_levels(u, n)
+    assert [len(level) for level in levels] == [1 << k for k in range(n)]
+    for k in range(n):
+        for w in enumerate_level(k):
+            assert levels[k][w.bits] == eval_F(w, u) * denominator ** (k + 1), (w, u)
+
+
+def test_level_walk_is_eval_F_to_10_symbols():
+    for u in seeded_tuples(18, 4, fraction_length) + seeded_tuples(19, 3, int_length):
+        assert_walk_is_eval_F(u, 11)
+
+
+def test_level_walk_keeps_eps_lengths_with_denominator_1():
+    # eval_F on the eps polynomials takes about 10 s to 10 symbols, so
+    # these run to 8
+    for model in EXAMPLE_MODELS.values():
+        w_eps = build_w_eps(model)
+        assert eval_F_levels(w_eps, 1)[0] == 1
+        assert_walk_is_eval_F(w_eps, 9)
+
+
+@settings(max_examples=100)
+@given(interval_tuples(), words(14))
+def test_level_walk_is_eval_F_along_long_words(u, w):
+    denominator, levels = eval_F_levels(u, len(w) + 1)
+    for k in range(len(w) + 1):
+        prefix = w.sub(0, k)
+        assert levels[k][prefix.bits] == eval_F(prefix, u) * denominator ** (k + 1)
+
+
+def test_level_walk_checks_its_cap_first():
+    with pytest.raises(ValueError, match="above cap"):
+        eval_F_levels(Paintbox.parse("+1"), 22)
+    with pytest.raises(ValueError, match="negative"):
+        eval_F_levels(Paintbox.parse("+1"), -1)
+    assert eval_F_levels(Paintbox.parse("+1/2,-1/2"), 0) == (2, [])
+
+
 # the bracketed model has 7 eps-deformed intervals; the oracle's cut
 # points grow as (word length)^6, so its words stay shorter
 EPS_CASES = [(EXAMPLE_MODELS["step"], 10), (EXAMPLE_MODELS["capped"], 10),
@@ -155,7 +224,9 @@ EPS_CASES = [(EXAMPLE_MODELS["step"], 10), (EXAMPLE_MODELS["capped"], 10),
     lambda case: st.tuples(st.just(build_w_eps(case[0])), words(case[1]))))
 def test_eval_matches_brute_force_on_eps_lengths(case):
     w_eps, w = case
-    assert eval_F(w, w_eps) == brute_eval(w, w_eps), w
+    expected = brute_eval(w, w_eps)
+    assert eval_F(w, w_eps) == expected, w
+    assert eval_F_coproduct(w, w_eps) == expected, w
 
 
 # -- max-block closed form ----------------------------------------------------
