@@ -4,7 +4,7 @@ from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
                        eval_F_levels, eval_F_maxblock, phi_w,
                        template_of_intervals, template_of_paintbox)
 from .qsym import pieri_check, product_F
-from .semifinite import (EPS, ApproxReport, EpsPoly, ExtValue, GrowthModel,
+from .semifinite import (ApproxReport, ExtValue, GrowthModel,
                          LimitReport, build_w_eps, check_approx_sequence,
                          check_harmonic_at, check_limit_formula,
                          check_ring_identity, eps_expansion, model_paintbox,

@@ -15,7 +15,8 @@ last box placed: a symbol s keeps the next box in interval j only when
 s is j's sign, or moves it into j from any earlier interval, and both
 moves multiply by l_j.  :func:`eval_F` runs this as a vector with
 prefix sums, O(m) per symbol.  Each interval tuple is compiled once,
-when it is built: rational lengths become integer numerators over one
+when it is built: its lengths, positive ``int`` or ``Fraction`` values
+and nothing else (never a float), become integer numerators over one
 common denominator D, so the whole product stays in integers and is
 divided by D^(n+1) once at the end.  :func:`eval_F_levels` carries the
 same vector from every word to its two one-symbol extensions, so it
@@ -44,20 +45,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from .templates import Cluster, Template, maxblock_member
 from .words import (LEVEL_CAP, MINUS, PLUS, ROOT, BinaryWord, Vertex,
                     composition_of_word)
 
-Scalar = Any  # Fraction, int, or the eps polynomials of the semifinite module
-
 
 @dataclass(frozen=True)
 class IntervalTuple:
-    """Ordered oriented intervals; lengths are positive but otherwise free."""
+    """Ordered oriented intervals of positive rational (int or Fraction) length."""
 
-    intervals: tuple[tuple[str, Scalar], ...]
+    intervals: tuple[tuple[str, Fraction], ...]
     # (keeps per symbol bit, scaled lengths, common denominator D), see eval_F
     _transfer: tuple = field(init=False, repr=False, compare=False)
 
@@ -67,14 +66,10 @@ class IntervalTuple:
         for sign, length in self.intervals:
             if sign not in (PLUS, MINUS):
                 raise ValueError(f"bad orientation {sign!r}")
-            if isinstance(length, (int, Fraction)) and length <= 0:
-                raise ValueError(f"interval length must be positive, got {length}")
-        lengths = self.lengths
-        if all(isinstance(l, (int, Fraction)) for l in lengths):
-            denominator = lcm(*(Fraction(l).denominator for l in lengths))
-            lengths = tuple(int(l * denominator) for l in lengths)
-        else:
-            denominator = 1
+            if not isinstance(length, (int, Fraction)) or length <= 0:
+                raise ValueError(f"length {length!r} is not a positive int or Fraction")
+        denominator = lcm(*(l.denominator for l in self.lengths))
+        lengths = tuple(int(l * denominator) for l in self.lengths)
         keeps = tuple(tuple(s == sign for s in self.signs) for sign in (PLUS, MINUS))
         object.__setattr__(self, "_transfer", (keeps, lengths, denominator))
 
@@ -100,8 +95,12 @@ class IntervalTuple:
         return tuple(s for s, _ in self.intervals)
 
     @property
-    def lengths(self) -> tuple[Scalar, ...]:
+    def lengths(self) -> tuple[Fraction, ...]:
         return tuple(l for _, l in self.intervals)
+
+    @property
+    def denominator(self) -> int:
+        return self._transfer[2]
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,7 @@ class Paintbox(IntervalTuple):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for _, length in self.intervals:
-            if not isinstance(length, (int, Fraction)):
-                raise ValueError("paintbox lengths must be exact rationals")
-        total = sum((Fraction(l) for _, l in self.intervals), Fraction(0))
+        total = sum(self.lengths, Fraction(0))
         if total != 1:
             raise ValueError(f"paintbox lengths must sum to 1, got {total}")
 
@@ -126,7 +122,7 @@ class Paintbox(IntervalTuple):
 # The two evaluators
 # ---------------------------------------------------------------------------
 
-def eval_F(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Scalar:
+def eval_F(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Fraction:
     """Sum over splittings as a transfer vector run along the word.
 
     Entry j of the vector sums the splittings of the boxes placed so
@@ -135,11 +131,9 @@ def eval_F(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Scalar:
     before j, plus entry j when s is interval j's sign), one pass of
     prefix sums.  The empty diagram evaluates to 1.
 
-    With rational lengths the vector holds integers, the lengths scaled
+    The vector holds integers, the lengths scaled
     by their common denominator D, and the sum of its entries is
-    divided by D^(n+1) once, for a word of n symbols; integer and
-    non-rational lengths (the eps polynomials of the semifinite module)
-    run with D = 1 and keep their own type.
+    divided by D^(n+1) once, for a word of n symbols.
     """
     if v is ROOT:
         return Fraction(1)
@@ -154,11 +148,10 @@ def eval_F(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Scalar:
             x = vec[j]
             vec[j] = lengths[j] * (before + x) if keep[j] else lengths[j] * before
             before += x
-    total = sum(vec)
-    return total if denominator == 1 else Fraction(total, denominator ** (v.n + 1))
+    return Fraction(sum(vec), denominator ** (v.n + 1))
 
 
-def eval_F_levels(u: IntervalTuple, n: int) -> tuple[Scalar, list[list[Scalar]]]:
+def eval_F_levels(u: IntervalTuple, n: int) -> tuple[int, list[list[int]]]:
     """The common denominator D and the numerators of every word below n symbols.
 
     Entry ``levels[k][w.bits]`` is ``eval_F(w, u) * D**(k+1)`` for the
@@ -166,8 +159,6 @@ def eval_F_levels(u: IntervalTuple, n: int) -> tuple[Scalar, list[list[Scalar]]]
     packed bits, not by position in the scan.  The word lengths come
     shortest first, as :func:`~zigzag_harmonics.words.words_below`
     gives them.
-    Non-rational lengths run with D = 1 and keep their own type, as in
-    :func:`eval_F`.
 
     Appending symbol s to a word of k symbols sets bit k, so the
     '+' extensions of a length fill the first half of the next length
@@ -185,7 +176,7 @@ def eval_F_levels(u: IntervalTuple, n: int) -> tuple[Scalar, list[list[Scalar]]]
     # the prefix sum that entry j reads after each symbol: through j when
     # the symbol keeps the box in interval j, else before it
     reads = [[j + 1 if keep else j for j, keep in enumerate(kept)] for kept in keeps]
-    levels: list[list[Scalar]] = []
+    levels: list[list[int]] = []
     prefixes = [list(accumulate(lengths, initial=0))]
     for k in range(n):
         if k:
@@ -221,7 +212,7 @@ def _psi(comp: tuple[int, ...], sign: str) -> bool:
 
 
 def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
-                     memo: Optional[dict] = None) -> Scalar:
+                     memo: Optional[dict] = None) -> Fraction:
     """Same value through iterated two-piece splittings of the composition.
 
     Splits the diagram with the coproduct cut (inside a row or at a row
@@ -231,8 +222,7 @@ def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
 
     Rational lengths are scaled to integers by the common denominator
     of the lengths, computed here from ``u.lengths``, and the total is
-    divided by D^(number of boxes) once; non-rational lengths run with
-    D = 1 in their own type.  A subproblem (composition suffix,
+    divided by D^(number of boxes) once.  A subproblem (composition suffix,
     interval index) does not depend on the word, so ``memo`` may be
     shared by every call on the same interval tuple, never across
     tuples; by default each call takes a fresh one.
@@ -242,45 +232,34 @@ def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
     comp = composition_of_word(v)
     m = len(u)
     signs, lengths = u.signs, u.lengths
-    if all(isinstance(l, (int, Fraction)) for l in lengths):
-        denominator = lcm(*(l.denominator for l in lengths))
-        lengths = tuple(l.numerator * (denominator // l.denominator) for l in lengths)
-    else:
-        denominator = 1
+    denominator = lcm(*(l.denominator for l in lengths))
+    lengths = tuple(l.numerator * (denominator // l.denominator) for l in lengths)
     if memo is None:
         memo = {}
 
-    def go(rest: tuple[int, ...], i: int) -> Scalar:
+    def go(rest: tuple[int, ...], i: int) -> int:
         boxes = sum(rest)
         if i == m - 1:
-            if not _psi(rest, signs[i]):
-                return 0
-            return lengths[i] ** boxes if boxes else 1
+            return lengths[i] ** boxes if _psi(rest, signs[i]) else 0
         key = (rest, i)
         if key in memo:
             return memo[key]
-        total: Scalar = 0
+        total = 0
         for c in range(boxes + 1):
             left, right = _cut(rest, c)
-            if not _psi(left, signs[i]):
-                continue
-            tail = go(right, i + 1)
-            if c:
-                total = total + lengths[i] ** c * tail
-            else:
-                total = total + tail
+            if _psi(left, signs[i]):
+                total += lengths[i] ** c * go(right, i + 1)
         memo[key] = total
         return total
 
-    total = go(comp, 0)
-    return total if denominator == 1 else Fraction(total, denominator ** (v.n + 1))
+    return Fraction(go(comp, 0), denominator ** (v.n + 1))
 
 
 # ---------------------------------------------------------------------------
 # Closed form on max-block words
 # ---------------------------------------------------------------------------
 
-def eval_F_maxblock(w: BinaryWord, u: IntervalTuple) -> Scalar:
+def eval_F_maxblock(w: BinaryWord, u: IntervalTuple) -> Fraction:
     """Product formula for words with the most blocks the template allows.
 
     Blocks line up with the intervals (separator blocks in between);
@@ -297,7 +276,7 @@ def eval_F_maxblock(w: BinaryWord, u: IntervalTuple) -> Scalar:
     block_sizes = [length for (_, length), c in zip(blocks, t_u.clusters) if c.is_infinite]
     m = len(u)
     signs, lengths = u.signs, u.lengths
-    value: Scalar = 1
+    value = Fraction(1)
     for i in range(m):
         neighbours = (1 if i > 0 else 0) + (1 if i < m - 1 else 0)
         same = ((1 if i > 0 and signs[i - 1] == signs[i] else 0)
@@ -332,4 +311,4 @@ def template_of_paintbox(w: Paintbox) -> Template:
 
 def phi_w(v: Vertex, w: Paintbox) -> Fraction:
     """Harmonic function of a paintbox; normalized to 1 at the root."""
-    return Fraction(eval_F(v, w))
+    return eval_F(v, w)

@@ -9,8 +9,9 @@ root always evaluates to infinity: the empty diagram fits every
 reduced template, so no normalization at the root is possible.
 
 The deformation machinery replaces each flange block by an interval of
-formal length eps; evaluations then live in polynomials over the
-rationals in eps, and the limiting statements become exact statements
+length eps; evaluations are then polynomials in eps with non-negative
+rational coefficients, all read off one integer evaluation at a large
+eps, and the limiting statements become exact statements
 about valuations and leading coefficients.  eps is never a float.
 """
 
@@ -77,88 +78,6 @@ class ExtValue:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in the formal deformation parameter
-# ---------------------------------------------------------------------------
-
-class EpsPoly:
-    """Finitely supported map from eps-exponent to rational coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Optional[dict[int, Fraction]] = None):
-        self.coeffs = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = Fraction(v)
-                if v:
-                    self.coeffs[k] = v
-
-    @staticmethod
-    def const(value: Union[int, Fraction]) -> "EpsPoly":
-        return EpsPoly({0: Fraction(value)})
-
-    @staticmethod
-    def coerce(value: Union[int, Fraction, "EpsPoly"]) -> "EpsPoly":
-        return value if isinstance(value, EpsPoly) else EpsPoly.const(value)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def valuation(self) -> Optional[int]:
-        return min(self.coeffs) if self.coeffs else None
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[min(self.coeffs)]
-
-    def __add__(self, other):
-        other = EpsPoly.coerce(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return EpsPoly(out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = EpsPoly.coerce(other)
-        out: dict[int, Fraction] = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                k = ka + kb
-                out[k] = out.get(k, Fraction(0)) + va * vb
-        return EpsPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        out = EpsPoly.const(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = EpsPoly.const(other)
-        return isinstance(other, EpsPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "EpsPoly(0)"
-        terms = " + ".join(f"{v}*eps^{k}" for k, v in sorted(self.coeffs.items()))
-        return f"EpsPoly({terms})"
-
-
-EPS = EpsPoly({1: Fraction(1)})
-
-
-# ---------------------------------------------------------------------------
 # Growth models
 # ---------------------------------------------------------------------------
 
@@ -178,8 +97,8 @@ class GrowthModel:
         if len(self.weights) != self.template.infinite_count:
             raise ValueError(
                 f"need {self.template.infinite_count} weights, got {len(self.weights)}")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
+        if not all(isinstance(w, (int, Fraction)) and w > 0 for w in self.weights):
+            raise ValueError("weights must be positive ints or Fractions")
         if sum(self.weights, Fraction(0)) != 1:
             raise ValueError("weights must sum to 1")
 
@@ -269,28 +188,44 @@ def check_harmonic_at(model: GrowthModel, v: Vertex) -> bool:
 # The eps deformation
 # ---------------------------------------------------------------------------
 
-def build_w_eps(model: GrowthModel) -> IntervalTuple:
+def build_w_eps(model: GrowthModel, eps: Union[int, Fraction]) -> IntervalTuple:
     """Flange blocks become eps-intervals between the weighted sections.
 
-    One interval of formal length eps per block of each flange word,
+    One interval of length eps per block of each flange word,
     oriented by the block, interleaved with the section intervals in
     template order.  A semifinite template has a non-empty flange, so
     at least one eps-interval always appears.
     """
     fd, tuples = _parts(model)
     sections = iter(tuples)
-    intervals: list[tuple[str, object]] = []
+    intervals: list[tuple[str, Fraction]] = []
     for i, word in enumerate(fd.flange_words):
         for sign, _length in word.blocks():
-            intervals.append((sign, EPS))
+            intervals.append((sign, eps))
         if i < len(fd.sections):
             intervals.extend(next(sections).intervals)
     return IntervalTuple(tuple(intervals))
 
 
-def eps_expansion(v: Vertex, w_eps: IntervalTuple) -> EpsPoly:
-    """Evaluation against the deformed intervals, exactly in eps."""
-    return EpsPoly.coerce(eval_F(v, w_eps))
+def eps_expansion(v: Vertex, w_x: IntervalTuple) -> tuple[Fraction, ...]:
+    """Coefficients of the evaluation in eps, lowest degree first; empty for zero.
+
+    ``w_x`` is ``build_w_eps(model, x)`` at an integer x.  All lengths
+    are positive, so for a word of n symbols the coefficients times
+    D^(n+1) are integers c_k with 0 <= c_k <= (D * L)^(n+1), L the total
+    length at eps = 1.  An x above that bound has the c_k as the base-x
+    digits of eval_F(v, w_x) * D^(n+1) (Kronecker substitution); a
+    smaller or fractional x raises ``ValueError``.
+    """
+    x, scale = max(w_x.lengths), w_x.denominator ** level(v)
+    unit_total = sum(1 if l == x else l for l in w_x.lengths)
+    if x.denominator != 1 or x <= (w_x.denominator * unit_total) ** level(v):
+        raise ValueError(f"eps = {x} is no integer above the coefficients at {v}")
+    rest, coeffs = (eval_F(v, w_x) * scale).numerator, []
+    while rest:
+        rest, digit = divmod(rest, int(x))
+        coeffs.append(Fraction(digit, scale))
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -322,7 +257,9 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     nu = minimal_maxblock_word(t)
     if level(nu) > level_cap:
         raise ValueError(f"level cap {level_cap} below the marker level {level(nu)}")
-    w_eps = build_w_eps(model)
+    unit = build_w_eps(model, 1)
+    x = 1 << (int(unit.denominator * sum(unit.lengths)) ** level_cap).bit_length()
+    w_eps = build_w_eps(model, x)
     t_eps = template_of_intervals(w_eps)
 
     n_seen: Optional[int] = None
@@ -333,19 +270,20 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     for w in words_below(level_cap, lambda v: member(t_eps, v)):
         if not is_subword(nu, w):
             continue
-        poly = eps_expansion(w, w_eps)
+        coeffs = eps_expansion(w, w_eps)
+        n_here = next((k for k, c in enumerate(coeffs) if c), None)
         val = phi_tw(model, w)
         if val.is_infinite:
             failures.append(f"{w}: infinite value above the marker word")
             continue
         if val.is_zero:
-            vanishing.append((w, poly.valuation()))
+            vanishing.append((w, n_here))
             continue
         finite_points += 1
-        if poly.is_zero:
+        if n_here is None:
             failures.append(f"{w}: zero expansion at a positive point")
             continue
-        n_here, const_here = poly.valuation(), poly.leading() / val.value
+        const_here = coeffs[n_here] / val.value
         if n_seen is None:
             n_seen, const_seen = n_here, const_here
         else:

@@ -1,8 +1,9 @@
 """Interval evaluation layer.
 
 Core claims:
-    - eval_F agrees with brute-force splitting enumeration, also with
-      the eps-polynomial lengths of the semifinite deformation
+    - interval tuples refuse any length that is not a positive int or
+      Fraction, floats included
+    - eval_F agrees with brute-force splitting enumeration
     - eval_F and the coproduct evaluator agree everywhere tested, and on
       property-test inputs well above the exhaustive levels; the
       coproduct evaluator alone agrees with brute force too, and a memo
@@ -18,20 +19,20 @@ Core claims:
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eps_oracle import brute_eval
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, IntervalTuple, Paintbox,
                               dim, eval_F, eval_F_coproduct, eval_F_levels,
                               eval_F_maxblock, is_finite_template,
                               maxblock_member, member, phi_w, product_F,
-                              build_w_eps, template_of_intervals,
+                              template_of_intervals,
                               template_of_paintbox, upper_covers)
-from zigzag_harmonics.verify import EXAMPLE_MODELS, random_paintbox
+from zigzag_harmonics.verify import random_paintbox
 
 W = BinaryWord.from_str
 F = Fraction
@@ -39,44 +40,11 @@ F = Fraction
 
 # -- oracle -------------------------------------------------------------------
 
-def brute_eval(word, u):
-    """Enumerate every piece-size vector and check it against the word.
-
-    The vectors are the m - 1 cut points of the n boxes, so every one
-    sums to n; lengths are used as given, so eps polynomials work too.
-    """
-    n = len(word) + 1
-    m = len(u)
-    total = F(0)
-    for cuts in combinations_with_replacement(range(n + 1), m - 1):
-        bounds = (0,) + cuts + (n,)
-        sizes = [stop - start for start, stop in zip(bounds, bounds[1:])]
-        ok = True
-        consumed = 0
-        value = F(1)
-        for (sign, length), k in zip(u.intervals, sizes):
-            if k == 0:
-                continue
-            # when consumed > 0 the symbol at index consumed - 1 is the
-            # corner joining the pieces; interior symbols carry the sign
-            interior_start = consumed if consumed == 0 else consumed + 1
-            if any(word.symbol(i - 1) != sign
-                   for i in range(interior_start, consumed + k) if i >= 1):
-                ok = False
-                break
-            value *= length ** k
-            consumed += k
-        if ok and consumed == n:
-            total += value
-    return total
-
-
 def test_brute_oracle_itself():
     # one box in one interval, and the 2-interval row worked by hand
-    assert brute_eval(EMPTY, IntervalTuple((("+", F(1, 3)),))) == F(1, 3)
-    u = IntervalTuple((("+", F(1, 2)), ("+", F(1, 3))))
+    assert brute_eval(EMPTY, (("+", F(1, 3)),)) == F(1, 3)
     a, b = F(1, 2), F(1, 3)
-    assert brute_eval(W("+"), u) == a * a + a * b + b * b
+    assert brute_eval(W("+"), (("+", a), ("+", b))) == a * a + a * b + b * b
 
 
 # -- eval_F -------------------------------------------------------------------
@@ -118,7 +86,7 @@ def test_eval_matches_brute_force():
     for u in tuples:
         for length in range(6):
             for w in enumerate_level(length):
-                expected = brute_eval(w, u)
+                expected = brute_eval(w, u.intervals)
                 assert eval_F(w, u) == expected, (w, u)
                 assert eval_F_coproduct(w, u) == expected, (w, u)
 
@@ -187,15 +155,6 @@ def test_level_walk_is_eval_F_to_10_symbols():
         assert_walk_is_eval_F(u, 11)
 
 
-def test_level_walk_keeps_eps_lengths_with_denominator_1():
-    # eval_F on the eps polynomials takes about 10 s to 10 symbols, so
-    # these run to 8
-    for model in EXAMPLE_MODELS.values():
-        w_eps = build_w_eps(model)
-        assert eval_F_levels(w_eps, 1)[0] == 1
-        assert_walk_is_eval_F(w_eps, 9)
-
-
 @settings(max_examples=100)
 @given(interval_tuples(), words(14))
 def test_level_walk_is_eval_F_along_long_words(u, w):
@@ -211,22 +170,6 @@ def test_level_walk_checks_its_cap_first():
     with pytest.raises(ValueError, match="negative"):
         eval_F_levels(Paintbox.parse("+1"), -1)
     assert eval_F_levels(Paintbox.parse("+1/2,-1/2"), 0) == (2, [])
-
-
-# the bracketed model has 7 eps-deformed intervals; the oracle's cut
-# points grow as (word length)^6, so its words stay shorter
-EPS_CASES = [(EXAMPLE_MODELS["step"], 10), (EXAMPLE_MODELS["capped"], 10),
-             (EXAMPLE_MODELS["bracketed"], 6)]
-
-
-@settings(max_examples=60)
-@given(st.sampled_from(EPS_CASES).flatmap(
-    lambda case: st.tuples(st.just(build_w_eps(case[0])), words(case[1]))))
-def test_eval_matches_brute_force_on_eps_lengths(case):
-    w_eps, w = case
-    expected = brute_eval(w, w_eps)
-    assert eval_F(w, w_eps) == expected, w
-    assert eval_F_coproduct(w, w_eps) == expected, w
 
 
 # -- max-block closed form ----------------------------------------------------
@@ -287,6 +230,16 @@ def test_maxblock_rejects_other_words():
 
 
 # -- paintboxes ---------------------------------------------------------------
+
+def test_interval_lengths_must_be_exact_rationals():
+    for intervals in ((("+", 0.5), ("-", -0.25)), (("+", 0.5),), (("-", -0.25),),
+                      (("+", F(1, 2)), ("-", 0.5)), (("+", "1/2"),)):
+        with pytest.raises(ValueError, match="not a positive int or Fraction"):
+            IntervalTuple(intervals)
+    with pytest.raises(ValueError):
+        Paintbox((("+", 0.5), ("-", 0.5)))
+    assert IntervalTuple((("+", 2), ("-", F(1, 3)))).denominator == 3
+
 
 def test_paintbox_validation():
     Paintbox((("+", F(1, 3)), ("+", F(1, 3)), ("-", F(1, 3))))  # touching ok

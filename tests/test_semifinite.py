@@ -6,9 +6,13 @@ Core claims:
       zero / finite / infinite exactly off the coideal / on its finite
       part / on the blow-up locus (root included)
     - the harmonicity identity holds with extended arithmetic
-    - the eps deformation has one interval per flange block, exact
-      polynomials, and constant valuation and ratio above the marker
-      word; the step model measures n = 1 with ratio 2
+    - model weights are exact rationals; floats are refused
+    - the eps deformation has one interval per flange block; the
+      expansion read off one integer evaluation equals the splitting
+      sum over formal eps polynomials, and interpolates the rational
+      evaluations at n + 2 values of eps
+    - valuation and ratio are constant above the marker word, to
+      level 12; the step model measures n = 1 with ratio 2
     - the ring identity holds against the model's paintbox
     - the worked approximating sequence is certified inside the
       coideal's cone, with the expected values and sharp levels
@@ -18,14 +22,18 @@ from fractions import Fraction
 
 import pytest
 
+from eps_oracle import EPS, EpsPoly, brute_eval, eps_intervals
 from word_oracle import enumerate_level
-from zigzag_harmonics import (EMPTY, EPS, ROOT, BinaryWord, EpsPoly, ExtValue,
+from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, ExtValue,
                               FormalCombination, GrowthModel, build_w_eps,
                               check_approx_sequence, check_harmonic_at,
                               check_limit_formula, check_ring_identity,
-                              eps_expansion, level, member,
-                              model_paintbox, phi_tw, section_interval_tuples)
-from zigzag_harmonics.verify import BRACKETED_MODEL, CAPPED_MODEL, STEP_MODEL
+                              eps_expansion, eval_F, level, member,
+                              model_paintbox, parse_template, phi_tw,
+                              section_interval_tuples, template_of_intervals,
+                              words_below)
+from zigzag_harmonics.verify import (BRACKETED_MODEL, CAPPED_MODEL,
+                                     EXAMPLE_MODELS, STEP_MODEL)
 from zigzag_harmonics.words import LEVEL_CAP
 
 W = BinaryWord.from_str
@@ -67,6 +75,14 @@ def test_model_validation():
         GrowthModel.parse("+* -1 +1 -* | w=3/2,-1/2")
     m = GrowthModel.parse(" +* -1 +1 -*  |  w=1/3,2/3 ")
     assert str(m) == "+* -1 +1 -* | w=1/3,2/3"
+
+
+def test_model_refuses_float_weights():
+    # 0.1 + 0.9 == 1.0 in floats, so only the type check catches these
+    for weights in ((0.25, 0.75), (0.1, 0.9)):
+        with pytest.raises(ValueError, match="positive ints or Fractions"):
+            GrowthModel(parse_template("+* -1 +1 -*"), weights)
+    GrowthModel(parse_template("+* -1 +1 -*"), (F(1, 4), F(3, 4)))
 
 
 def test_section_intervals_and_paintbox():
@@ -112,12 +128,21 @@ def test_harmonicity_small_scan():
 
 # -- deformation --------------------------------------------------------------
 
+# above every eps coefficient (times D^(n+1)) of the example models to
+# 12 symbols: bracketed, the largest, has D = 24 and 7 eps-intervals,
+# and (24 * 8)^13 < 2^99
+X = 2 ** 128
+
+
 def test_build_w_eps_step():
-    we = build_w_eps(STEP_MODEL)
+    we = build_w_eps(STEP_MODEL, F(1, 100))
     w1, w2 = STEP_MODEL.weights
     assert we.signs == ("+", "-", "+", "-")
-    assert we.lengths[0] == w1 and we.lengths[3] == w2
-    assert we.lengths[1] == EPS and we.lengths[2] == EPS
+    assert we.lengths == (w1, F(1, 100), F(1, 100), w2)
+    with pytest.raises(ValueError):
+        build_w_eps(STEP_MODEL, 0)
+    with pytest.raises(ValueError):
+        build_w_eps(STEP_MODEL, 0.01)
 
 
 def test_build_w_eps_figure_model():
@@ -125,30 +150,77 @@ def test_build_w_eps_figure_model():
     model = GrowthModel.parse(
         "-1 +* -* +1 -1 +* -2 +* -1 +1 -2 +* -* +1 -* | "
         "w=1/7,1/7,1/7,1/7,1/7,1/7,1/7")
-    we = build_w_eps(model)
+    we = build_w_eps(model, 2)
     assert len(we) == 14
     assert we.signs == ("-", "+", "-", "+", "-", "+", "-", "+",
                         "-", "+", "-", "+", "-", "-")
-    assert sum(1 for l in we.lengths if l == EPS) == 7
+    assert we.lengths.count(2) == 7
 
 
 def test_every_model_gets_an_eps_interval():
     for model in (STEP_MODEL, CAPPED_MODEL, BRACKETED_MODEL):
-        assert any(l == EPS for l in build_w_eps(model).lengths)
+        assert 2 in build_w_eps(model, 2).lengths
 
 
 def test_eps_expansion_step_bent_words():
-    we = build_w_eps(STEP_MODEL)
+    we = build_w_eps(STEP_MODEL, X)
     w1, w2 = STEP_MODEL.weights
     for a, b in ((1, 1), (2, 1), (1, 3)):
-        poly = eps_expansion(W("+" * a + "-+" + "-" * b), we)
+        coeffs = eps_expansion(W("+" * a + "-+" + "-" * b), we)
         # two minimal splittings run through the pair of eps intervals
-        assert poly.valuation() == 1
-        assert poly.leading() == 2 * w1 ** (a + 1) * w2 ** (b + 1)
-        assert poly == EpsPoly.coerce(
-            w1 ** a * w2 ** b * (2 * EPS) * (w1 + EPS) * (w2 + EPS))
-    assert eps_expansion(W("+-+-+"), we).is_zero  # five blocks never fit
-    assert eps_expansion(ROOT, we) == EpsPoly.const(1)
+        assert coeffs[:2] == (0, 2 * w1 ** (a + 1) * w2 ** (b + 1))
+        closed_form = w1 ** a * w2 ** b * (2 * EPS) * (w1 + EPS) * (w2 + EPS)
+        assert coeffs == closed_form.coefficients()
+    assert eps_expansion(W("+-+-+"), we) == ()  # five blocks never fit
+    assert eps_expansion(ROOT, we) == (1,)
+
+
+def _t_eps_words(model, n):
+    """The words of under n symbols in the coideal of the deformed template."""
+    t_eps = template_of_intervals(build_w_eps(model, 1))
+    return words_below(n, lambda v: member(t_eps, v))
+
+
+def test_eps_expansion_is_the_splitting_sum_over_eps_polynomials():
+    for model in EXAMPLE_MODELS.values():
+        w_x, intervals = build_w_eps(model, X), eps_intervals(model)
+        for w in _t_eps_words(model, 9):
+            expected = EpsPoly.coerce(brute_eval(w, intervals))
+            assert eps_expansion(w, w_x) == expected.coefficients(), (model, w)
+
+
+def test_eps_expansion_interpolates_the_rational_evaluations():
+    # eval_F(w, build_w_eps(model, e)) is a polynomial in e of degree at
+    # most n + 1 for w of n symbols, so its values at n + 2 points fix it.
+    # The sum runs on integers: with D^(n+1) c_k = C_k and e = p/q,
+    # D^(n+1) q^top * sum(c_k e^k) = sum(C_k p^k q^(top - k)).
+    points = [F(k, 3) for k in range(1, 15)]
+    for model in EXAMPLE_MODELS.values():
+        w_x = build_w_eps(model, X)
+        at = {e: build_w_eps(model, e) for e in points}
+        for w in _t_eps_words(model, 13):
+            coeffs = eps_expansion(w, w_x)
+            top = len(coeffs) - 1
+            assert 0 <= top <= w.n + 1, (model, w)
+            scale = w_x.denominator ** (w.n + 1)
+            scaled = [c * scale for c in coeffs]
+            assert all(c.denominator == 1 for c in scaled), (model, w)
+            numerators = [c.numerator for c in scaled]
+            for e in points[:w.n + 2]:
+                p, q = e.numerator, e.denominator
+                value = sum(c * p ** k * q ** (top - k) for k, c in enumerate(numerators))
+                assert F(value, scale * q ** top) == eval_F(w, at[e]), (model, w, e)
+
+
+def test_eps_expansion_refuses_a_small_or_fractional_eps():
+    # step: D = 3 and total length 3 at eps = 1, so a word on level 5
+    # needs eps above 9^5
+    w = W("+-+-")
+    expected = eps_expansion(w, build_w_eps(STEP_MODEL, X))
+    assert eps_expansion(w, build_w_eps(STEP_MODEL, 9 ** 5 + 1)) == expected
+    for eps in (9 ** 5, F(2 ** 70 + 1, 2)):
+        with pytest.raises(ValueError, match="no integer above"):
+            eps_expansion(w, build_w_eps(STEP_MODEL, eps))
 
 
 def test_limit_formula_measured_constants():
@@ -162,6 +234,16 @@ def test_limit_formula_measured_constants():
         check_limit_formula(BRACKETED_MODEL, 8)  # below the marker level
 
 
+def test_limit_formula_at_level_12():
+    expected = {"step": (1, 2, 36, 294), "capped": (1, 1, 84, 126),
+                "bracketed": (2, 1, 56, 64)}
+    for name, model in EXAMPLE_MODELS.items():
+        rep = check_limit_formula(model, 12)
+        assert rep.ok and not rep.failures, name
+        assert (rep.n, rep.const, rep.finite_points,
+                rep.vanishing_points) == expected[name], name
+
+
 def test_limit_formula_rejects_levels_beyond_enumeration_at_entry():
     # words of LEVEL_CAP symbols sit on level LEVEL_CAP + 1, the last one scanned
     with pytest.raises(ValueError, match="enumeration cap"):
@@ -169,10 +251,10 @@ def test_limit_formula_rejects_levels_beyond_enumeration_at_entry():
 
 
 def test_limit_formula_vanishing_points_have_higher_valuation():
-    we = build_w_eps(STEP_MODEL)
     w = W("+--+-")  # fits the deformed template, not the original one
     assert not member(STEP_MODEL.template, w)
-    assert eps_expansion(w, we).valuation() > 1
+    coeffs = eps_expansion(w, build_w_eps(STEP_MODEL, X))
+    assert coeffs[:2] == (0, 0) and any(coeffs)
 
 
 # -- ring identity ------------------------------------------------------------

@@ -336,7 +336,7 @@ def _in(t):
 def _walk_filters():
     yield from (_in(t) for t in (STEP, CAPPED, BRACKETED, SECTION))
     for model in EXAMPLE_MODELS.values():
-        yield _in(template_of_intervals(build_w_eps(model)))
+        yield _in(template_of_intervals(build_w_eps(model, 1)))
     yield lambda w: member(CAPPED, w) or member(SECTION, w) or member(BRACKETED, w)
     for t1, t2 in {(m1.template, m2.template) for m1, m2 in DISTINCT_PAIRS}:
         yield lambda w, t1=t1, t2=t2: member(t1, w) or member(t2, w)

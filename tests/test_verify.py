@@ -4,12 +4,15 @@ Core claims:
     - finite-harmonicity reports a wrong walk numerator as a harmonicity
       and a mass failure, and a wrong non-zero as a support failure
     - kerov-oracle reports a wrong oracle value and a wrong walk numerator
+    - eps-limit reports a wrong leading coefficient at one finite point
+      as a ratio failure, and a vanishing point of too low a valuation
 
-Each test swaps a name inside ``verify`` for a wrapper that spoils one
-value, so it shows that the integer checks can fail.
+Each test swaps a name inside ``verify`` or ``semifinite`` for a
+wrapper that spoils one value, so it shows that the exact checks can
+fail.
 """
 
-from zigzag_harmonics import BinaryWord, verify
+from zigzag_harmonics import BinaryWord, semifinite, verify
 from zigzag_harmonics.verify import run_suite
 
 W = BinaryWord.from_str
@@ -78,3 +81,34 @@ def test_a_wrong_walk_numerator_fails_kerov_oracle(monkeypatch):
     assert not report.ok
     assert sum(line.startswith("level walk mismatch at +- against ")
                for line in report.lines) == 20
+
+
+def spoiled_expansion(monkeypatch, word, spoil):
+    """Let ``spoil(coeffs)`` replace the eps expansion at one word."""
+    real = semifinite.eps_expansion
+
+    def expansion(v, w_x):
+        coeffs = real(v, w_x)
+        return spoil(coeffs) if v == word else coeffs
+
+    monkeypatch.setattr(semifinite, "eps_expansion", expansion)
+
+
+def test_a_wrong_leading_coefficient_breaks_the_ratio(monkeypatch):
+    # ++-+- is a finite point of the step model above its marker word +-+-,
+    # and not above the marker words of the other two models
+    spoiled_expansion(monkeypatch, W("++-+-"),
+                      lambda coeffs: coeffs[:1] + (2 * coeffs[1],) + coeffs[2:])
+    report = run_suite("eps-limit", level=9)
+    assert not report.ok
+    assert "step: ++-+-: ratio 4 != 2" in report.lines
+    assert sum(" ratio " in line for line in report.lines) == 1
+
+
+def test_a_vanishing_point_of_low_valuation_breaks_the_limit(monkeypatch):
+    # +--+- fits the step model's deformed template but not the model's own
+    spoiled_expansion(monkeypatch, W("+--+-"), lambda coeffs: (0, 1) + coeffs[2:])
+    report = run_suite("eps-limit", level=9)
+    assert not report.ok
+    assert "step: +--+-: vanishing point with valuation 1 <= 1" in report.lines
+    assert sum("vanishing point with" in line for line in report.lines) == 1
