@@ -7,8 +7,8 @@ from .qsym import pieri_check, product_F
 from .semifinite import (ApproxReport, ExtValue, GrowthModel,
                          LimitReport, build_w_eps, check_approx_sequence,
                          check_harmonic_at, check_limit_formula,
-                         check_ring_identity, eps_expansion, model_paintbox,
-                         phi_tw, section_interval_tuples)
+                         check_ring_identity, cover_sum, eps_expansion,
+                         model_paintbox, phi_tw, section_interval_tuples)
 from .templates import (Cluster, FlangeDecomposition, Template,
                         flange_and_sections, inject, inject_all,
                         is_finite_template, is_semifinite_template,

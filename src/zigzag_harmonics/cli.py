@@ -107,6 +107,11 @@ def _cmd_eval(args) -> int:
 
 
 def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
+    """Vertex names, with their levels, and edges as pairs of names.
+
+    Each vertex is turned into its string once; the edges out of a
+    vertex come sorted by those strings.
+    """
     template = parse_template(template_text) if template_text else None
     if ideal and template is None:
         raise ValueError("--ideal needs --template")
@@ -114,10 +119,10 @@ def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
     vertices = [] if ideal else [ROOT]
     vertices.extend(w for w in words_below(max_level, within)
                     if not (ideal and member_J(template, w)))
-    vset = set(vertices)
-    edges = [(v, u) for v in vertices for u in sorted(upper_covers(v), key=str)
-             if u in vset]
-    return vertices, edges
+    names = {v: str(v) for v in vertices}
+    edges = [(names[v], name) for v in vertices
+             for name in sorted(names[u] for u in upper_covers(v) if u in names)]
+    return [(level(v), names[v]) for v in vertices], edges
 
 
 def _cmd_graph(args) -> int:
@@ -126,21 +131,21 @@ def _cmd_graph(args) -> int:
         print(json.dumps({
             "schema": SCHEMA_GRAPH,
             "level": args.level,
-            "vertices": [str(v) for v in vertices],
-            "edges": [[str(a), str(b)] for a, b in edges],
+            "vertices": [name for _, name in vertices],
+            "edges": edges,
         }, indent=2))
     elif args.format == "dot":
         print("digraph zigzag {")
         print("  rankdir=BT;")
-        for v in vertices:
-            print(f'  "{v}";')
+        for _, name in vertices:
+            print(f'  "{name}";')
         for a, b in edges:
             print(f'  "{a}" -> "{b}";')
         print("}")
     else:
         by_level: dict[int, list[str]] = {}
-        for v in vertices:
-            by_level.setdefault(level(v), []).append(str(v))
+        for lvl, name in vertices:
+            by_level.setdefault(lvl, []).append(name)
         for lvl in sorted(by_level):
             print(f"level {lvl}: {' '.join(by_level[lvl])}")
         print(f"{len(vertices)} vertices, {len(edges)} edges")

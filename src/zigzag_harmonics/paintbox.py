@@ -32,11 +32,15 @@ of that template.
 
 An independent evaluator, the iterated two-piece splitting on
 compositions (:func:`eval_F_coproduct`), is kept as the oracle of the
-transfer vector.  It also runs on integers, but scales the lengths by a
-common denominator it computes from the lengths itself, not from the
-compiled form, so it shares nothing with :func:`eval_F`.  Their
-agreement is checked by the test suite and pins down the corner-symbol
-convention above.
+transfer vector.  It cuts off the piece of the first interval and
+recurses on the rest, and builds only the cuts whose left piece that
+interval can take: a row for '+', so a cut inside or at the end of the
+first part, and a column for '-', so a cut after a leading one-box part
+or one box into the part after them.  It also runs on integers, but
+scales the lengths by a common denominator it computes from the lengths
+itself, not from the compiled form, so it shares nothing with
+:func:`eval_F`.  Their agreement is checked by the test suite and pins
+down the corner-symbol convention above.
 """
 
 from __future__ import annotations
@@ -187,21 +191,6 @@ def eval_F_levels(u: IntervalTuple, n: int) -> tuple[int, list[list[int]]]:
     return denominator, levels
 
 
-def _cut(comp: tuple[int, ...], c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a composition after its first c boxes."""
-    if c == 0:
-        return (), comp
-    total = 0
-    for r, part in enumerate(comp):
-        if total + part > c:
-            taken = c - total
-            return comp[:r] + (taken,), (part - taken,) + comp[r + 1:]
-        total += part
-        if total == c:
-            return comp[:r + 1], comp[r + 1:]
-    raise ValueError(f"cut {c} outside composition {comp}")
-
-
 def _psi(comp: tuple[int, ...], sign: str) -> bool:
     """Row/column membership of a possibly empty composition."""
     if not comp:
@@ -219,6 +208,13 @@ def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
     boundary), scales each tensor factor by its interval length, and
     applies the row/column evaluations.  Shares no code with the
     transfer vector; serves as its oracle.
+
+    Only the cuts whose left piece the interval can take are built: for
+    a '+' interval a row, so the cut falls inside or at the end of the
+    first part, and for a '-' interval a column, so the cut falls
+    after one of the leading one-box parts or after the first box of
+    the part that follows them.  The empty left piece fits both.  Every
+    other cut contributes zero to the sum.
 
     Rational lengths are scaled to integers by the common denominator
     of the lengths, computed here from ``u.lengths``, and the total is
@@ -238,17 +234,24 @@ def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
         memo = {}
 
     def go(rest: tuple[int, ...], i: int) -> int:
-        boxes = sum(rest)
         if i == m - 1:
-            return lengths[i] ** boxes if _psi(rest, signs[i]) else 0
+            return lengths[i] ** sum(rest) if _psi(rest, signs[i]) else 0
         key = (rest, i)
         if key in memo:
             return memo[key]
-        total = 0
-        for c in range(boxes + 1):
-            left, right = _cut(rest, c)
-            if _psi(left, signs[i]):
-                total += lengths[i] ** c * go(right, i + 1)
+        length = lengths[i]
+        total = go(rest, i + 1)  # the empty left piece
+        if rest and signs[i] == PLUS:
+            first, tail = rest[0], rest[1:]
+            for c in range(1, first):
+                total += length ** c * go((first - c,) + tail, i + 1)
+            total += length ** first * go(tail, i + 1)
+        elif rest:
+            for r, part in enumerate(rest):
+                if part > 1:
+                    total += length ** (r + 1) * go((part - 1,) + rest[r + 1:], i + 1)
+                    break
+                total += length ** (r + 1) * go(rest[r + 1:], i + 1)
         memo[key] = total
         return total
 

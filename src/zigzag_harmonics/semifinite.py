@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .paintbox import IntervalTuple, Paintbox, eval_F, template_of_intervals
 from .qsym import product_F
@@ -165,6 +165,21 @@ def phi_tw(model: GrowthModel, v: Vertex) -> ExtValue:
     return ExtValue.finite(value)
 
 
+def cover_sum(values: Iterable[ExtValue]) -> ExtValue:
+    """Sum in [0, +oo] of the values at the covers of a vertex.
+
+    Any infinite term absorbs the sum; zero terms add nothing, so the
+    covers off the coideal may be left out or summed alike.
+    """
+    total = Fraction(0)
+    for val in values:
+        if val.is_infinite:
+            return ExtValue.infinite()
+        if val.is_finite:
+            total += val.value
+    return ExtValue.finite(total) if total else ExtValue.zero()
+
+
 def check_harmonic_at(model: GrowthModel, v: Vertex) -> bool:
     """Value at v equals the sum over its covers inside the coideal.
 
@@ -175,13 +190,8 @@ def check_harmonic_at(model: GrowthModel, v: Vertex) -> bool:
     t = model.template
     if v is not ROOT and not member(t, v):
         raise ValueError(f"{v} is outside the coideal of {t}")
-    cover_values = [phi_tw(model, c) for c in upper_covers(v) if member(t, c)]
-    if any(val.is_infinite for val in cover_values):
-        combined = ExtValue.infinite()
-    else:
-        total = sum((val.value for val in cover_values if val.is_finite), Fraction(0))
-        combined = ExtValue.finite(total) if total else ExtValue.zero()
-    return phi_tw(model, v) == combined
+    return phi_tw(model, v) == cover_sum(
+        phi_tw(model, c) for c in upper_covers(v) if member(t, c))
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ from __future__ import annotations
 import functools
 import random
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 from typing import Callable, Optional
 
@@ -38,8 +40,8 @@ from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
                        eval_F_levels, template_of_paintbox)
 from .qsym import DEGREE_CAP, pieri_check
 from .semifinite import (ExtValue, GrowthModel, check_approx_sequence,
-                         check_harmonic_at, check_limit_formula,
-                         check_ring_identity, phi_tw)
+                         check_limit_formula, check_ring_identity, cover_sum,
+                         phi_tw)
 from .templates import (flange_and_sections, inject_all, member, member_J,
                         minimal_maxblock_word, parse_template, reduced_templates)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex, dim,
@@ -202,7 +204,22 @@ def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
     # unit mass is sum of dim(@, v) * N(v) == D^(k+1).
     rng = random.Random(seed)
     boxes = [random_paintbox(rng) for _ in range(10)]
-    checked = [(w, dim(ROOT, w)) for w in words_below(cap)]
+    # each word with its cover bits and dim(@, w), worked out once for
+    # every paintbox; the path counts are pushed up the same covers, and
+    # the covers are held packed: as lists of int objects they raise the
+    # suite's peak memory by half at level 15
+    checked = []
+    paths = [[0] * (1 << k) for k in range(cap)]
+    if cap:
+        paths[0][0] = 1  # one path from @ to the empty word
+    for w in words_below(cap):
+        k, count = w.n, paths[w.n][w.bits]
+        covers = upper_cover_bits(k, w.bits)
+        if k + 1 < cap:
+            above = paths[k + 1]
+            for c in covers:
+                above[c] += count
+        checked.append((w, array("q", covers), count))
     failures = []
     for idx, pb in enumerate(boxes):
         t_w = template_of_paintbox(pb)
@@ -210,15 +227,15 @@ def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
         if denominator != numerators[0][0]:  # N(@) = 1, its one cover the empty word
             failures.append(f"paintbox {idx}: not harmonic at {ROOT}")
         mass = [0] * cap
-        for w, paths in checked:
+        for w, covers, count in checked:
             k, bits = w.n, w.bits
             value = numerators[k][bits]
-            covers = numerators[k + 1]
-            if value * denominator != sum(covers[c] for c in upper_cover_bits(k, bits)):
+            above = numerators[k + 1]
+            if value * denominator != sum(above[c] for c in covers):
                 failures.append(f"paintbox {idx}: not harmonic at {w}")
             if (value > 0) != member(t_w, w):
                 failures.append(f"paintbox {idx}: support wrong at {w}")
-            mass[k] += paths * value
+            mass[k] += count * value
         failures.extend(
             f"paintbox {idx}: mass {Fraction(total, denominator ** (k + 1))} at {k} symbols"
             for k, total in enumerate(mass) if total != denominator ** (k + 1))
@@ -330,26 +347,53 @@ def suite_injection(cap: int, _seed: Optional[int]) -> Checks:
 # Suite 7: semifinite trichotomy, harmonicity, closed form
 # ---------------------------------------------------------------------------
 
+def semifinite_table(model: GrowthModel, cap: int
+                     ) -> tuple[dict[Vertex, ExtValue], dict[Vertex, ExtValue]]:
+    """The values and cover sums that the semifinite suite compares.
+
+    ``values`` holds phi_tw wherever it is not zero, at the root, at the
+    words below cap symbols and at the coideal words of cap symbols;
+    each word and model is valued once, and the zeros, most of a level,
+    are not kept.  ``sums`` holds, at the root and at each word below
+    cap symbols inside the coideal, the
+    :func:`~zigzag_harmonics.semifinite.cover_sum` of its covers read
+    from ``values``.
+    """
+    t = model.template
+    values: dict[Vertex, ExtValue] = {}
+    inside: list[Vertex] = []
+    for v in chain((ROOT,), words_below(cap)):
+        value = phi_tw(model, v)
+        if not value.is_zero:
+            values[v] = value
+        if v is ROOT or member(t, v):
+            inside.append(v)
+    sums: dict[Vertex, ExtValue] = {}
+    for v in inside:
+        covers = upper_covers(v)
+        for c in covers:
+            if c.n == cap and c not in values and member(t, c):
+                values[c] = phi_tw(model, c)
+        sums[v] = cover_sum(values[c] for c in covers if c in values)
+    return values, sums
+
+
 @_suite("semifinite", 10, 0, LEVEL_CAP + 1)
 def suite_semifinite(cap: int, _seed: Optional[int]) -> Checks:
     failures = []
+    zero = ExtValue.zero()
     for name, model in EXAMPLE_MODELS.items():
         t = model.template
-        count = 0
-        for v in (ROOT, *words_below(cap)):
-            val = phi_tw(model, v)
-            if v is ROOT:
-                inside, blown = True, True
-            else:
-                inside = member(t, v)
-                blown = inside and member_J(t, v)
+        values, sums = semifinite_table(model, cap)
+        for v in chain((ROOT,), words_below(cap)):
+            val = values.get(v, zero)
+            inside = v in sums
+            blown = inside and (v is ROOT or member_J(t, v))
             expected_kind = "zero" if not inside else ("infinite" if blown else "finite")
             if val.kind != expected_kind:
                 failures.append(f"{name}: {v} is {val.kind}, expected {expected_kind}")
-            if inside:
-                count += 1
-                if not check_harmonic_at(model, v):
-                    failures.append(f"{name}: not harmonic at {v}")
+            if inside and val != sums[v]:
+                failures.append(f"{name}: not harmonic at {v}")
     w1, w2 = STEP_MODEL.weights
     for n in range(0, 5):
         for m in range(0, 5):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 PLUS = "+"
@@ -26,6 +27,9 @@ MINUS = "-"
 
 #: words_below refuses word lengths above this
 LEVEL_CAP = 20
+
+# binary digits to symbols, for BinaryWord.__str__
+_SYMBOLS = str.maketrans("01", PLUS + MINUS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +57,8 @@ class BinaryWord:
         return self.n
 
     def __str__(self) -> str:
-        return "".join(MINUS if (self.bits >> i) & 1 else PLUS for i in range(self.n))
+        # a leading 1 keeps the zeros of high '+' symbols; reversed, it is dropped
+        return format(self.bits | 1 << self.n, "b")[:0:-1].translate(_SYMBOLS)
 
     def __repr__(self) -> str:
         return f"BinaryWord({str(self)!r})"
@@ -329,10 +334,45 @@ def dominates_search(a: Vertex, comb: FormalCombination, max_level: int,
 
     The certificate is monotone: once the level-L difference is a
     non-negative combination it stays one at every higher level.
+
+    Gives the first level at which :func:`dominates_at` holds, but
+    pushes both sides up one level at a time instead of expanding them
+    from the base at every level.  The layers hold integer path counts,
+    both sides scaled by the common denominator of the coefficients,
+    keyed by packed bits (the root by 0), and ``within`` is asked once
+    per word in one search.
     """
     start = max(comb.level, level(a))
+    if max_level < start:
+        return None
+    scale = lcm(*(c.denominator for c in comb.coeffs.values()))
+    kept: dict[int, bool] = {}  # within, by packed bits under a leading 1
+
+    def push(lvl: int, layer: dict[int, int]) -> dict[int, int]:
+        """Path counts one level above the words of level lvl."""
+        up: dict[int, int] = {}
+        for bits, count in layer.items():
+            for cover in (0,) if lvl == 0 else upper_cover_bits(lvl - 1, bits):
+                key = cover | 1 << lvl
+                inside = kept.get(key)
+                if inside is None:
+                    inside = kept[key] = within is None or within(BinaryWord(lvl, cover))
+                if inside:
+                    up[cover] = up.get(cover, 0) + count
+        return up
+
+    def lift(lvl: int, layer: dict[int, int]) -> dict[int, int]:
+        for below in range(lvl, start):
+            layer = push(below, layer)
+        return layer
+
+    lhs = lift(level(a), {0 if a is ROOT else a.bits: scale})
+    rhs = lift(comb.level, {0 if v is ROOT else v.bits: int(c * scale)
+                            for v, c in comb.coeffs.items()})
     for lvl in range(start, max_level + 1):
-        if dominates_at(a, comb, lvl, within):
+        if lvl > start:
+            lhs, rhs = push(lvl - 1, lhs), push(lvl - 1, rhs)
+        if all(lhs.get(u, 0) >= c for u, c in rhs.items()):
             return lvl
     return None
 

@@ -3,6 +3,8 @@
 Core claims:
     - every subcommand produces deterministic, parseable output
     - JSON output round-trips through the library parsers
+    - graph prints the same text, json and dot as a reference that
+      sorts each vertex's covers by their strings
     - exit codes are 0 on success, 1 on verification failure, 2 on
       usage and parse errors
 """
@@ -13,8 +15,8 @@ import time
 import pytest
 
 from word_oracle import enumerate_level
-from zigzag_harmonics import (BinaryWord, member, member_J, parse_template,
-                              parse_vertex)
+from zigzag_harmonics import (ROOT, BinaryWord, level, member, member_J,
+                              parse_template, parse_vertex, upper_covers)
 from zigzag_harmonics import verify
 from zigzag_harmonics.cli import main
 from zigzag_harmonics.qsym import DEGREE_CAP, fexpansion_from_json
@@ -115,6 +117,41 @@ def test_graph_dot_output(capsys):
     code, out, _ = run(capsys, "graph", "--level", "2", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph") and '"@" -> ""' in out
+
+
+def reference_graph(max_level, template_text, ideal, fmt):
+    """What ``zigzag graph`` prints, from whole levels and str-keyed sorts."""
+    template = parse_template(template_text) if template_text else None
+    vertices = [] if ideal else [ROOT]
+    vertices += [w for length in range(max_level) for w in enumerate_level(length)
+                 if (template is None or member(template, w))
+                 and not (ideal and member_J(template, w))]
+    vset = set(vertices)
+    edges = [(v, u) for v in vertices for u in sorted(upper_covers(v), key=str)
+             if u in vset]
+    if fmt == "json":
+        return json.dumps({"schema": "zigzag-graph/1", "level": max_level,
+                           "vertices": [str(v) for v in vertices],
+                           "edges": [[str(a), str(b)] for a, b in edges]},
+                          indent=2) + "\n"
+    if fmt == "dot":
+        lines = ["digraph zigzag {", "  rankdir=BT;"]
+        lines += [f'  "{v}";' for v in vertices]
+        lines += [f'  "{a}" -> "{b}";' for a, b in edges]
+        return "\n".join(lines + ["}"]) + "\n"
+    lines = [f"level {lvl}: " + " ".join(str(v) for v in vertices if level(v) == lvl)
+             for lvl in sorted({level(v) for v in vertices})]
+    return "\n".join(lines + [f"{len(vertices)} vertices, {len(edges)} edges"]) + "\n"
+
+
+@pytest.mark.parametrize("restriction", [(), ("--template", "+1 -* +* -1 +*"),
+                                         ("--template", "+1 -* +* -1 +*", "--ideal")])
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_graph_prints_the_reference_output(capsys, restriction, fmt):
+    code, out, _ = run(capsys, "graph", "--level", "9", *restriction, "--format", fmt)
+    assert code == 0
+    template_text = restriction[1] if restriction else None
+    assert out == reference_graph(9, template_text, "--ideal" in restriction, fmt)
 
 
 def test_covers(capsys):

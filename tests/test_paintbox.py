@@ -6,7 +6,9 @@ Core claims:
     - eval_F agrees with brute-force splitting enumeration
     - eval_F and the coproduct evaluator agree everywhere tested, and on
       property-test inputs well above the exhaustive levels; the
-      coproduct evaluator alone agrees with brute force too, and a memo
+      coproduct evaluator alone agrees with brute force too, to 10
+      symbols, on tuples with both orientations and with one only (so
+      the row and the column cuts are each checked alone), and a memo
       shared by every word of one interval tuple changes nothing
     - the level walk's numerators are eval_F times D^(k+1) on every word
     - the max-block closed form agrees with eval_F, including the
@@ -89,6 +91,24 @@ def test_eval_matches_brute_force():
                 expected = brute_eval(w, u.intervals)
                 assert eval_F(w, u) == expected, (w, u)
                 assert eval_F_coproduct(w, u) == expected, (w, u)
+
+
+def signed_tuples(seed, sign, sizes):
+    """Tuples whose intervals all point one way, one of each size."""
+    rng = random.Random(seed)
+    return [IntervalTuple(tuple((sign, fraction_length(rng)) for _ in range(m)))
+            for m in sizes]
+
+
+def test_coproduct_route_is_brute_force_to_10_symbols():
+    # all-'+' tuples take only row cuts and all-'-' tuples only column cuts
+    tuples = (seeded_tuples(20, 4, fraction_length) + seeded_tuples(21, 2, int_length)
+              + signed_tuples(22, "+", (2, 4)) + signed_tuples(23, "-", (2, 4)))
+    for u in tuples:
+        memo: dict = {}
+        for length in range(11):
+            for w in enumerate_level(length):
+                assert eval_F_coproduct(w, u, memo) == brute_eval(w, u.intervals), (w, u)
 
 
 def test_eval_agrees_with_coproduct_route():

@@ -6,14 +6,21 @@ Core claims:
     - kerov-oracle reports a wrong oracle value and a wrong walk numerator
     - eps-limit reports a wrong leading coefficient at one finite point
       as a ratio failure, and a vanishing point of too low a valuation
+    - semifinite reads phi_tw from one table per model whose values and
+      cover sums are those of the point API, and reports a wrong finite
+      value as a harmonicity failure and a wrong kind as a trichotomy one
 
-Each test swaps a name inside ``verify`` or ``semifinite`` for a
-wrapper that spoils one value, so it shows that the exact checks can
-fail.
+Each negative control swaps a name inside ``verify`` or ``semifinite``
+for a wrapper that spoils one value, so it shows that the exact checks
+can fail.
 """
 
-from zigzag_harmonics import BinaryWord, semifinite, verify
-from zigzag_harmonics.verify import run_suite
+from word_oracle import enumerate_level
+from zigzag_harmonics import (ROOT, BinaryWord, ExtValue, check_harmonic_at,
+                              cover_sum, member, phi_tw, semifinite,
+                              upper_covers, verify, words_below)
+from zigzag_harmonics.verify import (EXAMPLE_MODELS, STEP_MODEL, run_suite,
+                                     semifinite_table)
 
 W = BinaryWord.from_str
 
@@ -112,3 +119,49 @@ def test_a_vanishing_point_of_low_valuation_breaks_the_limit(monkeypatch):
     assert not report.ok
     assert "step: +--+-: vanishing point with valuation 1 <= 1" in report.lines
     assert sum("vanishing point with" in line for line in report.lines) == 1
+
+
+def test_the_semifinite_table_is_the_point_api():
+    # every word of up to 8 symbols, and the coideal words of 9 it reads
+    zero = ExtValue.zero()
+    for model in EXAMPLE_MODELS.values():
+        t = model.template
+        values, sums = semifinite_table(model, 9)
+        scanned = [ROOT, *words_below(9)]
+        for v in scanned:
+            assert values.get(v, zero) == phi_tw(model, v), (model, v)
+            assert (v in sums) == (v is ROOT or member(t, v)), (model, v)
+        assert set(values) - set(scanned) == {w for w in enumerate_level(9) if member(t, w)}
+        for v, total in sums.items():
+            assert total == cover_sum(phi_tw(model, c) for c in upper_covers(v)
+                                      if member(t, c)), (model, v)
+            assert check_harmonic_at(model, v) and values[v] == total, (model, v)
+
+
+def spoiled_phi_tw(monkeypatch, word, spoil):
+    """Let ``spoil(value)`` replace the step model's value at one word."""
+    real = verify.phi_tw
+
+    def value(model, v):
+        val = real(model, v)
+        return spoil(val) if model is STEP_MODEL and v == word else val
+
+    monkeypatch.setattr(verify, "phi_tw", value)
+
+
+def test_a_wrong_finite_value_breaks_semifinite_harmonicity(monkeypatch):
+    # -+- is a finite point of the step model, so its closed form fails too
+    spoiled_phi_tw(monkeypatch, W("-+-"), lambda val: ExtValue.finite(2 * val.value))
+    report = run_suite("semifinite", level=6)
+    assert not report.ok
+    assert "step: not harmonic at -+-" in report.lines
+    assert "step closed form fails at -+-" in report.lines
+    assert not any(" expected " in line for line in report.lines)
+
+
+def test_a_wrong_kind_breaks_the_semifinite_trichotomy(monkeypatch):
+    spoiled_phi_tw(monkeypatch, W("-+-"), lambda val: ExtValue.infinite())
+    report = run_suite("semifinite", level=6)
+    assert not report.ok
+    assert "step: -+- is infinite, expected finite" in report.lines
+    assert sum(" expected " in line for line in report.lines) == 1

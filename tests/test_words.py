@@ -8,14 +8,20 @@ Core claims:
     - expansions carry dim as coefficients and have unit single steps
     - the single-level cone certificate accepts and rejects correctly,
       in the full graph and restricted to a template's coideal
+    - the level-by-level cone search gives the first level at which the
+      single-level certificate holds, exhaustively on small targets and
+      as a property test
+    - a word prints as its symbols and parses back from them
     - subword order is a partial order
 """
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
-
-from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, FormalCombination, GrowthModel,
@@ -40,6 +46,25 @@ def brute_dim(a, b):
     if len(b) == len(a):
         return 1 if a == b else 0
     return sum(brute_dim(a, c) for c in lower_covers(b))
+
+
+def first_certified_level(a, comb, max_level, within=None):
+    """The first level up to max_level at which dominates_at holds, else None.
+
+    Each level expands both sides from the base again.
+    """
+    start = max(comb.level, level(a))
+    for lvl in range(start, max_level + 1):
+        if dominates_at(a, comb, lvl, within):
+            return lvl
+    return None
+
+
+STEP_T = parse_template("+* -1 +1 -*")
+CAPPED_T = parse_template("+1 -* +* -1 +*")
+FILTERS = {"graph": None,
+           "step": lambda w: member(STEP_T, w),
+           "capped": lambda w: member(CAPPED_T, w)}
 
 
 # -- compositions -------------------------------------------------------------
@@ -235,6 +260,60 @@ def test_dominates_needs_template_restriction():
     assert dominates_search(target, c, 9) is None
 
 
+def test_dominates_search_is_the_first_certified_level():
+    # every target of up to 5 symbols, against two seeded single
+    # vertices and a seeded pair of up to 4 symbols, in the full graph
+    # and inside two coideals; the last case certifies two levels up
+    rng = random.Random(41)
+    targets = [ROOT, *(w for k in range(6) for w in enumerate_level(k))]
+    cases = []
+    for a in targets:
+        for _ in range(2):
+            v = rng.choice(targets[:32])
+            cases.append((a, FormalCombination(level(v), {v: Fraction(rng.randint(1, 3),
+                                                                      rng.randint(1, 3))})))
+        pair = rng.sample(enumerate_level(rng.randint(1, 4)), 2)
+        cases.append((a, FormalCombination(level(pair[0]), {
+            v: Fraction(rng.randint(1, 3), rng.randint(1, 3)) for v in pair})))
+    cases.append((W("+-"), FormalCombination(3, {W("-+"): Fraction(2)})))
+    outcomes = Counter()
+    for a, comb in cases:
+        start = max(comb.level, level(a))
+        for name, within in FILTERS.items():
+            expected = first_certified_level(a, comb, start + 2, within)
+            assert dominates_search(a, comb, start + 2, within) == expected, (a, comb, name)
+            outcomes[None if expected is None else expected - start] += 1
+    # certified at once, one or two levels up, and not at all
+    assert set(outcomes) == {None, 0, 1, 2}
+
+
+@st.composite
+def cone_cases(draw):
+    a = draw(st.one_of(st.just(ROOT), st.integers(0, 6).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda bits: BinaryWord(n, bits)))))
+    lvl = draw(st.integers(0, 7))
+    if lvl == 0:
+        vertices = [ROOT]
+    else:
+        n = lvl - 1
+        vertices = [BinaryWord(n, bits) for bits in draw(
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3, unique=True))]
+    comb = FormalCombination(lvl, {v: draw(st.builds(Fraction, st.integers(1, 5),
+                                                     st.integers(1, 5)))
+                                   for v in vertices})
+    max_level = max(lvl, level(a)) + draw(st.integers(-1, 3))
+    return a, comb, max_level, draw(st.sampled_from(sorted(FILTERS)))
+
+
+@settings(max_examples=150)
+@given(cone_cases())
+def test_dominates_search_property(case):
+    a, comb, max_level, name = case
+    within = FILTERS[name]
+    assert (dominates_search(a, comb, max_level, within)
+            == first_certified_level(a, comb, max_level, within))
+
+
 def test_dominates_level_validation():
     c = FormalCombination(3, {W("++"): Fraction(1)})
     with pytest.raises(ValueError):
@@ -287,6 +366,17 @@ def test_packed_operations_match_string_model():
 def test_blocks():
     assert W("+-+++").blocks() == (("+", 1), ("-", 1), ("+", 3))
     assert EMPTY.blocks() == ()
+
+
+def test_str_round_trips_every_word_to_12_symbols():
+    assert str(EMPTY) == ""
+    for length in range(13):
+        for bits in range(1 << length):
+            w = BinaryWord(length, bits)
+            text = str(w)
+            assert len(text) == length
+            assert all(w.symbol(i) == s for i, s in enumerate(text))
+            assert BinaryWord.from_str(text) == w
 
 
 def test_vertex_serialization():
