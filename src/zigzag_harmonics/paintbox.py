@@ -13,15 +13,17 @@ Read box by box, that sum is a product of m x m transfer matrices,
 e . M_{w_1} ... M_{w_n} . 1, whose state is the interval holding the
 last box placed: a symbol s keeps the next box in interval j only when
 s is j's sign, or moves it into j from any earlier interval, and both
-moves multiply by l_j.  :func:`eval_F` runs this as a vector with
-prefix sums, O(m) per symbol.  Each interval tuple is compiled once,
-when it is built: its lengths, positive ``int`` or ``Fraction`` values
-and nothing else (never a float), become integer numerators over one
-common denominator D, so the whole product stays in integers and is
-divided by D^(n+1) once at the end.  :func:`eval_F_levels` carries the
-same vector from every word to its two one-symbol extensions, so it
-gives the numerators of whole levels at O(m) per word, without the
-division.
+moves multiply by l_j.  :func:`eval_F_numerator` runs this as a vector
+with prefix sums, O(m) per symbol.  Each interval tuple is compiled
+once, when it is built: its lengths, positive ``int`` or ``Fraction``
+values and nothing else (never a float), become integer numerators
+over one common denominator D, so the whole product stays in integers,
+and :func:`eval_F` divides it by D^(n+1) once at the end.  Callers that
+multiply or sum many values, such as the semifinite evaluation, keep
+the numerators and divide once themselves.  :func:`eval_F_levels`
+carries the same vector from every word to its two one-symbol
+extensions, so it gives the numerators of whole levels at O(m) per
+word, without the division.
 
 A paintbox is such a tuple with total length one.  Two adjacent
 intervals of equal orientation are allowed and mean open components
@@ -129,30 +131,38 @@ class Paintbox(IntervalTuple):
 def eval_F(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Fraction:
     """Sum over splittings as a transfer vector run along the word.
 
+    The value is :func:`eval_F_numerator` over D^(n+1), for a word of
+    n symbols and D the common denominator of the lengths; the empty
+    diagram evaluates to 1.
+    """
+    if v is ROOT:
+        return Fraction(1)
+    return Fraction(eval_F_numerator(v, u), u.denominator ** (v.n + 1))
+
+
+def eval_F_numerator(w: BinaryWord, u: IntervalTuple) -> int:
+    """``eval_F(w, u) * D**(n+1)`` for a word of n symbols, in integers.
+
     Entry j of the vector sums the splittings of the boxes placed so
     far whose last box lies in interval j; the first box starts it at
     l_j.  Symbol s between two boxes maps it to l_j * (sum of entries
     before j, plus entry j when s is interval j's sign), one pass of
-    prefix sums.  The empty diagram evaluates to 1.
-
-    The vector holds integers, the lengths scaled
-    by their common denominator D, and the sum of its entries is
-    divided by D^(n+1) once, for a word of n symbols.
+    prefix sums.  The vector holds integers, the lengths scaled by
+    their common denominator D, and the sum of its entries is the
+    numerator.
     """
-    if v is ROOT:
-        return Fraction(1)
-    keeps, lengths, denominator = u._transfer
-    bits = v.bits
+    keeps, lengths, _ = u._transfer
+    bits = w.bits
     vec = list(lengths)
     intervals = range(len(vec))
-    for k in range(v.n):
+    for k in range(w.n):
         keep = keeps[(bits >> k) & 1]
         before = 0  # sum of the entries before j, read before they change
         for j in intervals:
             x = vec[j]
             vec[j] = lengths[j] * (before + x) if keep[j] else lengths[j] * before
             before += x
-    return Fraction(sum(vec), denominator ** (v.n + 1))
+    return sum(vec)
 
 
 def eval_F_levels(u: IntervalTuple, n: int) -> tuple[int, list[list[int]]]:

@@ -9,10 +9,12 @@ for permutations u and v on disjoint alphabets
     F_{Des u} * F_{Des v} = sum of F_{Des w} over all shuffles w of u and v,
 
 so the structure constants are shuffle counts: non-negative integers,
-computed here with no polynomial and no change of basis.  The
-independent polynomial route (monomial expansions multiplied and
-re-expanded) lives in ``tests/polynomial_oracle.py``, where the tests
-compare the two.
+computed here with no polynomial and no change of basis, as integers
+keyed by packed word bits (:func:`shuffle_counts`).  :func:`product_F`
+makes them vertices; the one-box check and the ring identity read the
+counts as they come.  The independent polynomial route (monomial
+expansions multiplied and re-expanded) lives in
+``tests/polynomial_oracle.py``, where the tests compare the two.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .words import (EMPTY, ROOT, BinaryWord, FormalCombination, Vertex, level,
-                    upper_covers)
+                    upper_cover_bits)
 
 #: largest |a| + |b| accepted by product_F
 DEGREE_CAP = 16
@@ -33,24 +35,30 @@ def _place(into: dict[int, int], prefixes: dict[int, int], bit: int) -> None:
         into[key] = into.get(key, 0) + count
 
 
-def product_F(a: Vertex, b: Vertex, degree_cap: int = DEGREE_CAP) -> FormalCombination:
-    """Structure constants of F_a * F_b as a combination of vertices.
+def shuffle_counts(a: Vertex, b: Vertex,
+                   degree_cap: int = DEGREE_CAP) -> tuple[int, dict[int, int]]:
+    """Structure constants of F_a * F_b as the level n and {packed bits: count}.
 
-    The empty diagram is the unit.  Otherwise take one permutation per
-    factor with the factor's word as its descent set: runs increase and
-    later runs take smaller values, with all of a's values above all of
-    b's.  Every comparison a shuffle makes is then known without the
-    values: inside a factor it is that factor's own symbol, a letter of
-    a followed by one of b descends ('-'), and the reverse ascends
-    ('+').  A dynamic program over (letters of a placed, letters of b
-    placed, factor placed last) counts the shuffles by descent word;
-    each state maps the packed prefix bits to a count, so shuffles
-    sharing a prefix merge.  Coefficients are positive integers
-    supported on words above both factors in subword order.
+    The keys are the packed bits of the words of n - 1 symbols that
+    carry a positive count.  The empty diagram is the unit: a product
+    with it is the other factor, at count 1, and the root alone is
+    level 0 under the key 0.
+
+    Otherwise take one permutation per factor with the factor's word
+    as its descent set: runs increase and later runs take smaller
+    values, with all of a's values above all of b's.  Every comparison
+    a shuffle makes is then known without the values: inside a factor
+    it is that factor's own symbol, a letter of a followed by one of b
+    descends ('-'), and the reverse ascends ('+').  A dynamic program
+    over (letters of a placed, letters of b placed, factor placed last)
+    counts the shuffles by descent word; each state maps the packed
+    prefix bits to a count, so shuffles sharing a prefix merge.  The
+    counts are positive integers supported on words above both factors
+    in subword order.
     """
     if a is ROOT or b is ROOT:
         other = b if a is ROOT else a
-        return FormalCombination(level(other), {other: Fraction(1)})
+        return level(other), {0 if other is ROOT else other.bits: 1}
     la, lb = level(a), level(b)
     n = la + lb
     if n > degree_cap:
@@ -73,15 +81,30 @@ def product_F(a: Vertex, b: Vertex, degree_cap: int = DEGREE_CAP) -> FormalCombi
     counts: dict[int, int] = {}
     for prefixes in layer.values():
         _place(counts, prefixes, 0)
-    return FormalCombination(
-        n, {BinaryWord(n - 1, bits): Fraction(c) for bits, c in counts.items()})
+    return n, counts
+
+
+def product_F(a: Vertex, b: Vertex, degree_cap: int = DEGREE_CAP) -> FormalCombination:
+    """F_a * F_b as a combination of vertices with integer coefficients.
+
+    The counts of :func:`shuffle_counts`, each packed word made a
+    vertex; the empty diagram is the unit.
+    """
+    n, counts = shuffle_counts(a, b, degree_cap)
+    if not n:
+        return FormalCombination(0, {ROOT: 1})
+    return FormalCombination(n, {BinaryWord(n - 1, bits): c for bits, c in counts.items()})
 
 
 def pieri_check(a: Vertex, degree_cap: int = DEGREE_CAP) -> bool:
-    """Multiplying by the one-box function lists exactly the upward covers."""
-    prod = product_F(EMPTY, a, degree_cap)
-    expected = {w: Fraction(1) for w in upper_covers(a)}
-    return prod.coeffs == expected
+    """Multiplying by the one-box function lists exactly the upward covers.
+
+    Compares the shuffle counts themselves, packed bits to integers,
+    with count 1 at each cover's bits.
+    """
+    _, counts = shuffle_counts(EMPTY, a, degree_cap)
+    covers = [EMPTY.bits] if a is ROOT else upper_cover_bits(a.n, a.bits)
+    return counts == dict.fromkeys(covers, 1)
 
 
 def fexpansion_to_json(comb: FormalCombination) -> dict:

@@ -7,6 +7,8 @@ coideals, and elsewhere the product over sections of the section
 coordinate evaluated against that section's weighted intervals.  The
 root always evaluates to infinity: the empty diagram fits every
 reduced template, so no normalization at the root is possible.
+:func:`phi_tw` and the ring identity work on integer numerators and
+divide once.
 
 The deformation machinery replaces each flange block by an interval of
 length eps; evaluations are then polynomials in eps with non-negative
@@ -21,11 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .paintbox import IntervalTuple, Paintbox, eval_F, template_of_intervals
-from .qsym import product_F
+from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_numerator,
+                       template_of_intervals)
+from .qsym import shuffle_counts
 from .templates import (FlangeDecomposition, Template, flange_and_sections,
                         is_finite_template, member, member_J, minimal_maxblock_word,
-                        parse_template)
+                        parse_template, section_coordinates)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
                     dominates_search, is_subword, level, upper_covers,
                     words_below)
@@ -147,9 +150,11 @@ def phi_tw(model: GrowthModel, v: Vertex) -> ExtValue:
     Zero off the coideal, infinite on every vertex fitting a reduced
     template (the root included), and otherwise the product of section
     coordinates against the section interval tuples.  The coordinates
-    are those of :func:`~zigzag_harmonics.templates.inject`, taken from
-    the model's stored decomposition once v is known to lie in the
-    coideal and off the blow-up locus.
+    are those of :func:`~zigzag_harmonics.templates.inject`, read off
+    the greedy membership pass once v is known to be a finite point
+    (the early exit of ``member`` keeps the zeros, most of a level,
+    cheap).  Each section is valued on integer numerators, and the
+    value is one ``Fraction`` of their products.
     """
     t = model.template
     if v is ROOT:
@@ -158,11 +163,11 @@ def phi_tw(model: GrowthModel, v: Vertex) -> ExtValue:
         return ExtValue.zero()
     if member_J(t, v):
         return ExtValue.infinite()
-    fd, tuples = _parts(model)
-    value = Fraction(1)
-    for part, intervals in zip(next(fd.splittings(v)), tuples):
-        value *= eval_F(part, intervals)
-    return ExtValue.finite(value)
+    numerator = denominator = 1
+    for part, intervals in zip(section_coordinates(t, v), _parts(model)[1]):
+        numerator *= eval_F_numerator(part, intervals)
+        denominator *= intervals.denominator ** (part.n + 1)
+    return ExtValue.finite(Fraction(numerator, denominator))
 
 
 def cover_sum(values: Iterable[ExtValue]) -> ExtValue:
@@ -316,23 +321,59 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
 def check_ring_identity(model: GrowthModel, a: Vertex, b: Vertex) -> bool:
     """phi(F_a F_b) = phi_paintbox(a) * phi(b) for b of finite value.
 
+    The one pair (a, b) of :func:`ring_identity_failures`.
+    """
+    return not ring_identity_failures(model, (a,), (b,))
+
+
+def ring_identity_failures(model: GrowthModel, lefts: Sequence[Vertex],
+                           rights: Sequence[Vertex]) -> list[tuple[Vertex, BinaryWord]]:
+    """The pairs (a, b), a from lefts and b from rights, where the ring identity fails.
+
+    The identity is phi(F_a F_b) = phi_paintbox(a) * phi(b), for b of
+    finite value; any other b raises ``ValueError``.  Each product word
+    is valued once per call, into a table keyed by packed bits under a
+    leading 1, as phi(v) * D^(n+1) for a word of n symbols and D the
+    common denominator of the weights.  That is an integer: phi(v) is a
+    product over the k sections of numerators over D_i^(n_i+1), each
+    D_i divides D, and the n_i + 1 add up to at most n + 1, as the
+    k - 1 flange words between sections are not empty.  The integer
+    shuffle counts times those numerators then meet the right side in
+    one rational comparison per pair.
+
     Every word carrying a positive structure constant sits above b,
     hence outside the blow-up locus; an infinite term would contradict
     that geometry and raises instead of propagating.
     """
     t = model.template
-    if not member(t, b) or member_J(t, b):
-        raise ValueError(f"{b} is not a finite-value vertex of {t}")
-    expansion = product_F(a, b)
-    lhs = Fraction(0)
-    for v, c in expansion.coeffs.items():
-        val = phi_tw(model, v)
-        if val.is_infinite:
-            raise RuntimeError(f"structure constant {c} at blow-up vertex {v}")
-        if val.is_finite:
-            lhs += c * val.value
-    rhs = eval_F(a, model_paintbox(model)) * phi_tw(model, b).value
-    return lhs == rhs
+    box = model_paintbox(model)
+    denominator = box.denominator
+    left_values = [(a, eval_F(a, box)) for a in lefts]
+    numerators: dict[int, int] = {}
+    failures: list[tuple[Vertex, BinaryWord]] = []
+    for b in rights:
+        value_b = phi_tw(model, b)
+        if not value_b.is_finite:
+            raise ValueError(f"{b} is not a finite-value vertex of {t}")
+        for a, value_a in left_values:
+            lvl, counts = shuffle_counts(a, b)
+            n = lvl - 1  # symbols of every word in the product
+            scale = denominator ** (n + 1)
+            total = 0
+            for bits, count in counts.items():
+                numerator = numerators.get(bits | 1 << n)
+                if numerator is None:
+                    v = BinaryWord(n, bits)
+                    value = phi_tw(model, v)
+                    if value.is_infinite:
+                        raise RuntimeError(f"structure constant {count} at blow-up vertex {v}")
+                    numerator = numerators[bits | 1 << n] = (
+                        value.value.numerator * (scale // value.value.denominator)
+                        if value.is_finite else 0)
+                total += count * numerator
+            if Fraction(total, scale) != value_a * value_b.value:
+                failures.append((a, b))
+    return failures
 
 
 @dataclass(frozen=True)

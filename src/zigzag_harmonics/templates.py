@@ -16,7 +16,10 @@ whose only finite clusters are separating ("finite" templates).
 Removing one symbol from a flange cluster and merging any same-sign
 neighbours that this exposes yields the reduced templates; the union
 of their coideals is the locus where the semifinite evaluations of
-:mod:`zigzag_harmonics.semifinite` blow up.
+:mod:`zigzag_harmonics.semifinite` blow up.  Off that locus a fitting
+word fills every flange cluster exactly, so the greedy pass of
+:func:`member` also gives its section coordinates; the search over
+every splitting is left to :func:`inject_all`, the uniqueness oracle.
 
 Grammar: whitespace-separated tokens, each a sign followed by a
 positive integer or '*' for an infinite multiplicity, e.g.
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .words import EMPTY, MINUS, PLUS, BinaryWord
+from .words import MINUS, PLUS, BinaryWord
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +59,10 @@ class Template:
     # (sign bit, multiplicity or None) per cluster, read by member
     _runs: tuple[tuple[int, Optional[int]], ...] = field(
         init=False, repr=False, compare=False)
+    # per section, its first and one past its last cluster index; filled
+    # by _section_spans on first use
+    _spans: Optional[tuple[tuple[int, int], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
     # filled by reduced_templates on first use
     _reduced: Optional[tuple["Template", ...]] = field(
         default=None, init=False, repr=False, compare=False)
@@ -117,6 +124,21 @@ def _is_separating(t: Template, i: int) -> bool:
     return t.clusters[i - 1].is_infinite and t.clusters[i + 1].is_infinite
 
 
+def _section_spans(t: Template) -> tuple[tuple[int, int], ...]:
+    """Cluster index ranges of the sections: maximal runs of infinite
+    and separating clusters.  Computed on first use and stored on t."""
+    if t._spans is None:
+        spans: list[tuple[int, int]] = []
+        for i, c in enumerate(t.clusters):
+            if c.is_infinite or _is_separating(t, i):
+                if spans and spans[-1][1] == i:
+                    spans[-1] = (spans[-1][0], i + 1)
+                else:
+                    spans.append((i, i + 1))
+        object.__setattr__(t, "_spans", tuple(spans))
+    return t._spans
+
+
 def is_finite_template(t: Template) -> bool:
     """True iff every finite cluster is separating."""
     return all(c.is_infinite or _is_separating(t, i) for i, c in enumerate(t.clusters))
@@ -156,6 +178,37 @@ def member(t: Template, w: BinaryWord) -> bool:
         if pos == n:
             return True
     return False
+
+
+def section_coordinates(t: Template, w: BinaryWord) -> Optional[tuple[BinaryWord, ...]]:
+    """The chunks of member's greedy pass, joined per section; None when w does not fit.
+
+    Off the blow-up locus these are the coordinates of :func:`inject`:
+    there every fitting splitting fills each flange cluster exactly
+    (one that leaves a flange cluster short fits the reduced template
+    that cuts that cluster down), so the greedy flange chunks are the
+    flange words and the section chunks between them are the unique
+    section coordinates.  On the locus they mean nothing.
+    """
+    # member's loop, run to the last cluster to note where each chunk
+    # ends; member keeps its own copy with the early exit, as the scans'
+    # hot path
+    bits, n = w.bits, w.n
+    pos = 0
+    ends = [0]  # ends[i + 1]: where cluster i's chunk ends
+    for bit, mult in t._runs:
+        rest = bits >> pos
+        if bit:
+            run = (~rest & (rest + 1)).bit_length() - 1
+        else:
+            run = (rest & -rest).bit_length() - 1 if rest else n - pos
+        if mult is not None and run > mult:
+            run = mult
+        pos += run
+        ends.append(pos)
+    if pos != n:
+        return None
+    return tuple(w.sub(ends[lo], ends[hi]) for lo, hi in _section_spans(t))
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +268,17 @@ def flange_and_sections(t: Template) -> FlangeDecomposition:
     For a finite template the flange is empty and the single section is
     t itself.
     """
-    is_flange = [not c.is_infinite and not _is_separating(t, i)
-                 for i, c in enumerate(t.clusters)]
+    def flange_word(clusters: tuple[Cluster, ...]) -> BinaryWord:
+        return BinaryWord.from_str("".join(c.sign * c.mult for c in clusters))
+
     words: list[BinaryWord] = []
     sections: list[Template] = []
-    current_word = EMPTY
-    current_section: list[Cluster] = []
-    for i, c in enumerate(t.clusters):
-        if is_flange[i]:
-            if current_section:
-                sections.append(Template(tuple(current_section)))
-                current_section = []
-            current_word = current_word.concat(BinaryWord.from_str(c.sign * c.mult))
-        else:
-            if not current_section:
-                words.append(current_word)
-                current_word = EMPTY
-            current_section.append(c)
-    if current_section:
-        sections.append(Template(tuple(current_section)))
-    words.append(current_word)
+    start = 0
+    for lo, hi in _section_spans(t):
+        words.append(flange_word(t.clusters[start:lo]))
+        sections.append(Template(t.clusters[lo:hi]))
+        start = hi
+    words.append(flange_word(t.clusters[start:]))
     return FlangeDecomposition(tuple(words), tuple(sections))
 
 
@@ -302,16 +346,16 @@ def inject(t: Template, w: BinaryWord) -> tuple[BinaryWord, ...]:
     splitting of the word as a_0 . s_1 . a_1 ... s_k . a_k with s_i
     fitting section i exists and is unique, and taking coordinates is
     an edge-preserving embedding whose image is upward closed.  The
-    first decomposition found is returned; uniqueness is asserted by
-    :func:`inject_all` in the test suite.
+    coordinates are read off the greedy pass of :func:`member` by
+    :func:`section_coordinates`; the test suite checks them against
+    :func:`inject_all`, the search over every splitting.
     """
-    if not member(t, w):
+    coords = section_coordinates(t, w)
+    if coords is None:
         raise ValueError(f"{w} does not fit {t}")
     if member_J(t, w):
         raise ValueError(f"{w} fits a reduced template of {t}")
-    for dec in flange_and_sections(t).splittings(w):
-        return dec
-    raise RuntimeError(f"no decomposition found for {w} in {t}")
+    return coords
 
 
 def inject_all(t: Template, w: BinaryWord) -> list[tuple[BinaryWord, ...]]:

@@ -40,8 +40,8 @@ from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
                        eval_F_levels, template_of_paintbox)
 from .qsym import DEGREE_CAP, pieri_check
 from .semifinite import (ExtValue, GrowthModel, check_approx_sequence,
-                         check_limit_formula, check_ring_identity, cover_sum,
-                         phi_tw)
+                         check_limit_formula, cover_sum, phi_tw,
+                         ring_identity_failures)
 from .templates import (flange_and_sections, inject_all, member, member_J,
                         minimal_maxblock_word, parse_template, reduced_templates)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex, dim,
@@ -259,10 +259,21 @@ def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
     g1, g2 = W("-+-+-+-+"), W("-++-++-+")
     minimal: list[BinaryWord] = []
     # every check below holds trivially outside the union of the three
-    # coideals; the section's own is in it so that leaving capped shows
-    in_any = lambda w: member(capped, w) or member(section, w) or member(bracketed, w)
+    # coideals; the section's own is in it so that leaving capped shows.
+    # The walk's predicate keeps its three answers for each word it
+    # accepts, and the body takes them back, so each membership is
+    # asked once per word
+    fits = {}
+
+    def in_any(w: BinaryWord) -> bool:
+        answers = (member(capped, w), member(section, w), member(bracketed, w))
+        if not any(answers):
+            return False
+        fits[w] = answers
+        return True
+
     for w in words_below(max_symbols + 1, in_any):
-        in_capped, in_section = member(capped, w), member(section, w)
+        in_capped, in_section, in_b = fits.pop(w)
         above_gen = in_capped and is_subword(gen, w)
         if in_capped != (in_section or above_gen):
             failures.append(f"capped split fails at {w}")
@@ -271,7 +282,6 @@ def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
         if in_section and above_gen:
             failures.append(f"capped split overlaps at {w}")
 
-        in_b = member(bracketed, w)
         in_j = in_b and member_J(bracketed, w)
         above = in_b and (is_subword(g1, w) or is_subword(g2, w))
         if (in_b and not in_j) != above:
@@ -479,13 +489,9 @@ def suite_ring_identity(degree: int, _seed: Optional[int]) -> Checks:
         t = model.template
         rights = [w for w in words_below(degree - left_boxes, lambda v: member(t, v))
                   if not member_J(t, w)]
-        pairs = 0
-        for b in rights:
-            for a in lefts:
-                pairs += 1
-                if not check_ring_identity(model, a, b):
-                    failures.append(f"{name}: ring identity fails at ({a}, {b})")
-        lines.append(f"{name}: {pairs} pairs"
+        failures.extend(f"{name}: ring identity fails at ({a}, {b})"
+                        for a, b in ring_identity_failures(model, lefts, rights))
+        lines.append(f"{name}: {len(lefts) * len(rights)} pairs"
                      + (" (no finite vertices this low)" if not rights else ""))
     return lines, failures
 

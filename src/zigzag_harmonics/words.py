@@ -252,14 +252,20 @@ def dim(a: Vertex, b: Vertex) -> int:
 # ---------------------------------------------------------------------------
 
 class FormalCombination:
-    """Non-negative rational combination of vertices sharing one level."""
+    """Non-negative rational combination of vertices sharing one level.
+
+    Coefficients given as ``int`` or ``Fraction`` are kept as they are
+    (integer structure constants stay integers, and compare equal to
+    the same ``Fraction``); any other number is made a ``Fraction``.
+    """
 
     __slots__ = ("level", "coeffs")
 
-    def __init__(self, lvl: int, coeffs: dict[Vertex, Fraction]):
-        clean: dict[Vertex, Fraction] = {}
+    def __init__(self, lvl: int, coeffs: dict[Vertex, Union[int, Fraction]]):
+        clean: dict[Vertex, Union[int, Fraction]] = {}
         for v, c in coeffs.items():
-            c = Fraction(c)
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
             if c < 0:
                 raise ValueError(f"negative coefficient {c} at {v}")
             if level(v) != lvl:
@@ -269,7 +275,7 @@ class FormalCombination:
         self.level = lvl
         self.coeffs = clean
 
-    def coefficient(self, v: Vertex) -> Fraction:
+    def coefficient(self, v: Vertex) -> Union[int, Fraction]:
         return self.coeffs.get(v, Fraction(0))
 
     def total_mass(self) -> Fraction:

@@ -16,8 +16,9 @@ import pytest
 
 from word_oracle import enumerate_level
 from zigzag_harmonics import (ROOT, BinaryWord, level, member, member_J,
-                              parse_template, parse_vertex, upper_covers)
-from zigzag_harmonics import verify
+                              parse_template, parse_vertex, upper_covers,
+                              words_below)
+from zigzag_harmonics import cli, verify
 from zigzag_harmonics.cli import main
 from zigzag_harmonics.qsym import DEGREE_CAP, fexpansion_from_json
 from zigzag_harmonics.verify import SUITES, SuiteReport
@@ -190,6 +191,20 @@ def test_inject(capsys):
     code, out, _ = run(capsys, "inject", "--template", "+* -1 +1 -*",
                        "--word=-+")
     assert (code, out.strip()) == (0, "(one box) | (one box)")
+
+
+def test_inject_exits_0_or_2_on_every_word_to_10_symbols(capsys, monkeypatch):
+    # one parser serves every call: building it is most of a call's time
+    parser = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    for text in ("+* -1 +1 -*", "+1 -* +* -1 +*", "-1 +* -* +1 -* +* -* +1",
+                 "-2 +* -* +1 -* +* -1 +2"):
+        t = parse_template(text)
+        for w in words_below(11):
+            code, out, err = run(capsys, "inject", "--template", text, f"--word={w}")
+            finite = member(t, w) and not member_J(t, w)
+            assert code == (0 if finite else 2), (text, w)
+            assert bool(out) == finite and bool(err) != finite, (text, w)
 
 
 def test_limit(capsys):

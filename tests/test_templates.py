@@ -10,6 +10,9 @@ Core claims:
       reduces to its bare section (so its blow-up locus is one coideal)
     - the injection decomposes uniquely, preserves edges, and its image
       matches the worked descriptions
+    - the section coordinates read off the greedy membership pass are the
+      one decomposition the splitting search finds, off the blow-up locus,
+      exhaustively to 14 symbols and by property test on random templates
     - the candidate generator word and its sufficiency flag behave as
       documented, including the exhaustive identity when the flag holds
     - the max-block ideal has Pascal-graph level counts
@@ -30,8 +33,8 @@ from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, Template, build_w_eps,
                               is_subword, lower_covers, maxblock_member,
                               member, member_J, minimal_maxblock_word,
                               parse_template, reduced_templates,
-                              single_generator_word, template_of_intervals,
-                              upper_covers, words_below)
+                              section_coordinates, single_generator_word,
+                              template_of_intervals, upper_covers, words_below)
 from zigzag_harmonics.verify import DISTINCT_PAIRS, EXAMPLE_MODELS
 
 W = BinaryWord.from_str
@@ -39,6 +42,7 @@ W = BinaryWord.from_str
 STEP = parse_template("+* -1 +1 -*")
 CAPPED = parse_template("+1 -* +* -1 +*")
 BRACKETED = parse_template("-1 +* -* +1 -* +* -* +1")
+TWO_FLANGE = parse_template("-2 +* -* +1 -* +* -1 +2")
 FIGURE = parse_template("-1 +* -* +1 -1 +* -2 +* -1 +1 -2 +* -* +1 -*")
 
 
@@ -241,11 +245,36 @@ def test_inject_preconditions():
 
 
 def test_inject_unique_on_small_levels():
-    for t in (STEP, CAPPED, BRACKETED):
-        for length in range(10):
-            for w in enumerate_level(length):
-                if member(t, w) and not member_J(t, w):
-                    assert len(inject_all(t, w)) == 1, (t, w)
+    # every finite-value word of up to 14 symbols: the greedy coordinates
+    # are the one decomposition that the splitting search finds
+    for t in (STEP, CAPPED, BRACKETED, TWO_FLANGE):
+        checked = 0
+        for w in words_below(15, lambda v: member(t, v)):
+            if not member_J(t, w):
+                coords = section_coordinates(t, w)
+                assert inject_all(t, w) == [coords] and inject(t, w) == coords, (t, w)
+                checked += 1
+        assert checked > 50, t
+
+
+def _filled(t, sizes):
+    """Finite clusters at their full multiplicity, infinite ones at the drawn sizes."""
+    return W("".join(c.sign * (k if c.is_infinite else c.mult)
+                     for c, k in zip(t.clusters, sizes)))
+
+
+# filled words fit t with every flange cluster full, so many of them lie
+# off the blow-up locus, where the coordinates mean something
+@settings(max_examples=300)
+@given(alternating_templates().filter(is_semifinite_template), st.data())
+def test_greedy_coordinates_on_random_semifinite_templates(t, data):
+    sizes = st.tuples(*(st.integers(0, 4) for _ in t.clusters), st.integers(-1, 13))
+    w = data.draw(st.one_of(sizes.map(lambda s: _filled(t, s)),
+                            sizes.map(lambda s: _near_fit(t, s))))
+    coords = section_coordinates(t, w)
+    assert (coords is not None) == member(t, w), (t, w)
+    if coords is not None and not member_J(t, w):
+        assert inject_all(t, w) == [coords], (t, w)
 
 
 def test_capped_image_is_generated_by_two_minuses():

@@ -9,15 +9,21 @@ Core claims:
     - semifinite reads phi_tw from one table per model whose values and
       cover sums are those of the point API, and reports a wrong finite
       value as a harmonicity failure and a wrong kind as a trichotomy one
+    - ring-identity reports a wrong value at one product word at the one
+      pair whose product holds it, and pieri reports one extra shuffle
+      count; ring-identity at degree 12 checks all three models
+    - the ring identity fails on a mixture of two growth models with the
+      same template, and holds for each of them alone
 
-Each negative control swaps a name inside ``verify`` or ``semifinite``
-for a wrapper that spoils one value, so it shows that the exact checks
-can fail.
+Each negative control swaps a name inside ``verify``, ``semifinite`` or
+``qsym`` for a wrapper that spoils one value, so it shows that the exact
+checks can fail.
 """
 
 from word_oracle import enumerate_level
-from zigzag_harmonics import (ROOT, BinaryWord, ExtValue, check_harmonic_at,
-                              cover_sum, member, phi_tw, semifinite,
+from zigzag_harmonics import (ROOT, BinaryWord, ExtValue, GrowthModel,
+                              check_harmonic_at, cover_sum, member, member_J,
+                              phi_tw, product_F, qsym, semifinite,
                               upper_covers, verify, words_below)
 from zigzag_harmonics.verify import (EXAMPLE_MODELS, STEP_MODEL, run_suite,
                                      semifinite_table)
@@ -165,3 +171,77 @@ def test_a_wrong_kind_breaks_the_semifinite_trichotomy(monkeypatch):
     assert not report.ok
     assert "step: -+- is infinite, expected finite" in report.lines
     assert sum(" expected " in line for line in report.lines) == 1
+
+
+def test_a_wrong_value_at_one_product_word_fails_ring_identity_at_its_pair(monkeypatch):
+    # at degree 6 the step model's one right factor is -+, and among the
+    # products F_a * F_{-+} only a = + reaches ++-+ (value 2/81)
+    real = semifinite.phi_tw
+
+    def value(model, v):
+        val = real(model, v)
+        if model is STEP_MODEL and v == W("++-+"):
+            return ExtValue.finite(2 * val.value)
+        return val
+
+    monkeypatch.setattr(semifinite, "phi_tw", value)
+    report = run_suite("ring-identity", degree=6)
+    assert not report.ok
+    assert [line for line in report.lines if " fails at " in line] == [
+        "step: ring identity fails at (+, -+)"]
+
+
+def test_one_extra_shuffle_count_fails_pieri(monkeypatch):
+    real = qsym.shuffle_counts
+
+    def counts(a, b, degree_cap=qsym.DEGREE_CAP):
+        n, found = real(a, b, degree_cap)
+        if b == W("+-"):
+            found = dict(found)
+            found[W("+-+").bits] = found.get(W("+-+").bits, 0) + 1
+        return n, found
+
+    monkeypatch.setattr(qsym, "shuffle_counts", counts)
+    report = run_suite("pieri", level=4)
+    assert not report.ok
+    assert report.lines[1:] == ["one-box product wrong at +-"]
+
+
+def test_ring_identity_at_degree_12_reaches_the_bracketed_model():
+    # the first degree at which the bracketed model has finite right factors
+    report = run_suite("ring-identity", degree=12)
+    assert report.ok
+    assert report.lines == ["step: 224 pairs", "capped: 448 pairs", "bracketed: 16 pairs"]
+
+
+def test_the_ring_identity_fails_on_a_mixture_of_two_models():
+    # phi = (phi_1 + phi_2) / 2 is harmonic but not indecomposable: the
+    # ratio phi(F_a F_b) / phi(b) moves with b, while each model alone
+    # gives the one value phi_paintbox(a)
+    models = (GrowthModel.parse("+* -1 +1 -* | w=1/3,2/3"),
+              GrowthModel.parse("+* -1 +1 -* | w=1/2,1/2"))
+    t = models[0].template
+    rights = [w for w in words_below(8, lambda v: member(t, v)) if not member_J(t, w)]
+    assert len(rights) == 21
+
+    def value(model, v):
+        val = phi_tw(model, v)
+        assert not val.is_infinite, (model, v)
+        return val.value if val.is_finite else 0
+
+    moving = []
+    for a in words_below(3):
+        alone = [set(), set()]
+        mixed = set()
+        for b in rights:
+            product = product_F(a, b).coeffs
+            lhs = [sum(c * value(m, v) for v, c in product.items()) for m in models]
+            rhs = [value(m, b) for m in models]
+            for ratios, l, r in zip(alone, lhs, rhs):
+                ratios.add(l / r)
+            mixed.add(sum(lhs) / sum(rhs))
+        assert all(len(ratios) == 1 for ratios in alone), a
+        if len(mixed) > 1:
+            assert len(mixed) == len(rights), a
+            moving.append(str(a))
+    assert moving == ["+", "-", "++", "+-", "--"]
