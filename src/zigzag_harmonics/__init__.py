@@ -1,7 +1,7 @@
 """Exact arithmetic on the zigzag graph and its harmonic functions."""
 
 from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
-                       eval_F_levels, eval_F_maxblock, eval_F_numerator, phi_w,
+                       eval_F_levels, eval_F_numerator, phi_w,
                        template_of_intervals, template_of_paintbox)
 from .qsym import pieri_check, product_F, shuffle_counts
 from .semifinite import (ApproxReport, ExtValue, GrowthModel,
@@ -13,13 +13,11 @@ from .semifinite import (ApproxReport, ExtValue, GrowthModel,
 from .templates import (Cluster, FlangeDecomposition, Template,
                         flange_and_sections, inject, inject_all,
                         is_finite_template, is_semifinite_template,
-                        maxblock_member, member, member_J,
-                        minimal_maxblock_word, parse_template,
-                        reduced_templates, section_coordinates,
-                        single_generator_word)
+                        member, member_J, minimal_maxblock_word,
+                        parse_template, place, single_generator_word)
 from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
-                    composition_of_word, dim, dominates_at, dominates_search,
-                    expand, is_subword, level, lower_covers, parse_vertex,
+                    composition_of_word, dim, dominates_search,
+                    is_subword, level, lower_covers, parse_vertex,
                     upper_cover_bits, upper_covers, word_of_composition,
                     words_below)
 

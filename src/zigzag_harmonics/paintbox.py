@@ -53,7 +53,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Optional, Union
 
-from .templates import Cluster, Template, maxblock_member
+from .templates import Cluster, Template
 from .words import (LEVEL_CAP, MINUS, PLUS, ROOT, BinaryWord, Vertex,
                     composition_of_word)
 
@@ -266,40 +266,6 @@ def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
         return total
 
     return Fraction(go(comp, 0), denominator ** (v.n + 1))
-
-
-# ---------------------------------------------------------------------------
-# Closed form on max-block words
-# ---------------------------------------------------------------------------
-
-def eval_F_maxblock(w: BinaryWord, u: IntervalTuple) -> Fraction:
-    """Product formula for words with the most blocks the template allows.
-
-    Blocks line up with the intervals (separator blocks in between);
-    interval i contributes its length to the power of its block size
-    adjusted by 1 - (#neighbours) + (#equally oriented neighbours),
-    and each orientation change between consecutive intervals
-    contributes a factor (length_i + length_{i+1}), which is the sum
-    over the two ways the corner box between them can fall.
-    """
-    t_u = template_of_intervals(u)
-    if not maxblock_member(t_u, w):
-        raise ValueError(f"{w} is not a maximal-block word for {u}")
-    blocks = w.blocks()
-    block_sizes = [length for (_, length), c in zip(blocks, t_u.clusters) if c.is_infinite]
-    m = len(u)
-    signs, lengths = u.signs, u.lengths
-    value = Fraction(1)
-    for i in range(m):
-        neighbours = (1 if i > 0 else 0) + (1 if i < m - 1 else 0)
-        same = ((1 if i > 0 and signs[i - 1] == signs[i] else 0)
-                + (1 if i < m - 1 and signs[i + 1] == signs[i] else 0))
-        exponent = block_sizes[i] + same - neighbours + 1
-        value = value * lengths[i] ** exponent
-    for i in range(m - 1):
-        if signs[i] != signs[i + 1]:
-            value = value * (lengths[i] + lengths[i + 1])
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_numerator,
 from .qsym import shuffle_counts
 from .templates import (FlangeDecomposition, Template, flange_and_sections,
                         is_finite_template, member, member_J, minimal_maxblock_word,
-                        parse_template, section_coordinates)
+                        parse_template, place)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
                     dominates_search, is_subword, level, upper_covers,
                     words_below)
@@ -149,24 +149,24 @@ def phi_tw(model: GrowthModel, v: Vertex) -> ExtValue:
 
     Zero off the coideal, infinite on every vertex fitting a reduced
     template (the root included), and otherwise the product of section
-    coordinates against the section interval tuples.  The coordinates
-    are those of :func:`~zigzag_harmonics.templates.inject`, read off
-    the greedy membership pass once v is known to be a finite point
-    (the early exit of ``member`` keeps the zeros, most of a level,
-    cheap).  Each section is valued on integer numerators, and the
-    value is one ``Fraction`` of their products.
+    coordinates against the section interval tuples.  One
+    :func:`~zigzag_harmonics.templates.place` call decides the three
+    cases and gives the coordinates of
+    :func:`~zigzag_harmonics.templates.inject`.  Each section is valued
+    on integer numerators, and the value is one ``Fraction`` of their
+    products.
     """
-    t = model.template
     if v is ROOT:
         return ExtValue.infinite()
-    if not member(t, v):
+    fits, cuts = place(model.template, v)
+    if not fits:
         return ExtValue.zero()
-    if member_J(t, v):
+    if cuts is None:
         return ExtValue.infinite()
     numerator = denominator = 1
-    for part, intervals in zip(section_coordinates(t, v), _parts(model)[1]):
-        numerator *= eval_F_numerator(part, intervals)
-        denominator *= intervals.denominator ** (part.n + 1)
+    for (start, stop), intervals in zip(cuts, _parts(model)[1]):
+        numerator *= eval_F_numerator(v.sub(start, stop), intervals)
+        denominator *= intervals.denominator ** (stop - start + 1)
     return ExtValue.finite(Fraction(numerator, denominator))
 
 
@@ -397,7 +397,7 @@ def check_approx_sequence(model: GrowthModel, target: BinaryWord,
     "not certified at this cap", not a disproof of dominance.
     """
     t = model.template
-    if not member(t, target) or not member_J(t, target):
+    if not member_J(t, target):
         raise ValueError(f"target {target} is not an infinite-value word of {t}")
     within = lambda w: member(t, w)
     levels: list[Optional[int]] = []

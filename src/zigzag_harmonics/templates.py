@@ -14,12 +14,21 @@ Maximal runs of flange clusters give the flange words a_0 .. a_k and
 cut the template into sections t_1 .. t_k, each of which is a template
 whose only finite clusters are separating ("finite" templates).
 Removing one symbol from a flange cluster and merging any same-sign
-neighbours that this exposes yields the reduced templates; the union
-of their coideals is the locus where the semifinite evaluations of
-:mod:`zigzag_harmonics.semifinite` blow up.  Off that locus a fitting
-word fills every flange cluster exactly, so the greedy pass of
-:func:`member` also gives its section coordinates; the search over
-every splitting is left to :func:`inject_all`, the uniqueness oracle.
+neighbours that this exposes yields a reduced template; the union of
+the reduced coideals is the blow-up locus, where the semifinite
+evaluations of :mod:`zigzag_harmonics.semifinite` are infinite.
+
+A reduced template fits exactly the words that fit t with that flange
+cluster's multiplicity lowered by one (merged neighbours change no
+coideal), so :func:`place` decides the locus without building one.
+Its greedy pass gives where each cluster's chunk starts, and the
+mirror-image pass from the end gives the least position from which
+the later clusters fit; a flange cluster can be left one symbol short
+exactly when that position lies less than its multiplicity past the
+start of its chunk.  Off the locus every flange chunk is full, so the
+greedy chunks, joined per section, are the section coordinates; the
+search over every splitting is left to :func:`inject_all`, the
+uniqueness oracle.
 
 Grammar: whitespace-separated tokens, each a sign followed by a
 positive integer or '*' for an infinite multiplicity, e.g.
@@ -59,12 +68,9 @@ class Template:
     # (sign bit, multiplicity or None) per cluster, read by member
     _runs: tuple[tuple[int, Optional[int]], ...] = field(
         init=False, repr=False, compare=False)
-    # per section, its first and one past its last cluster index; filled
-    # by _section_spans on first use
-    _spans: Optional[tuple[tuple[int, int], ...]] = field(
-        default=None, init=False, repr=False, compare=False)
-    # filled by reduced_templates on first use
-    _reduced: Optional[tuple["Template", ...]] = field(
+    # per section, its first and one past its last cluster index, and the
+    # flange cluster indices; filled by _layout on first use
+    _layout: Optional[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -124,24 +130,28 @@ def _is_separating(t: Template, i: int) -> bool:
     return t.clusters[i - 1].is_infinite and t.clusters[i + 1].is_infinite
 
 
-def _section_spans(t: Template) -> tuple[tuple[int, int], ...]:
-    """Cluster index ranges of the sections: maximal runs of infinite
-    and separating clusters.  Computed on first use and stored on t."""
-    if t._spans is None:
+def _layout(t: Template) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The cluster index ranges of the sections (maximal runs of infinite
+    and separating clusters) and the indices of the flange clusters, in
+    one pass.  Computed on first use and stored on t."""
+    if t._layout is None:
         spans: list[tuple[int, int]] = []
+        flange: list[int] = []
         for i, c in enumerate(t.clusters):
             if c.is_infinite or _is_separating(t, i):
                 if spans and spans[-1][1] == i:
                     spans[-1] = (spans[-1][0], i + 1)
                 else:
                     spans.append((i, i + 1))
-        object.__setattr__(t, "_spans", tuple(spans))
-    return t._spans
+            else:
+                flange.append(i)
+        object.__setattr__(t, "_layout", (tuple(spans), tuple(flange)))
+    return t._layout
 
 
 def is_finite_template(t: Template) -> bool:
     """True iff every finite cluster is separating."""
-    return all(c.is_infinite or _is_separating(t, i) for i, c in enumerate(t.clusters))
+    return not _layout(t)[1]
 
 
 def is_semifinite_template(t: Template) -> bool:
@@ -149,7 +159,7 @@ def is_semifinite_template(t: Template) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Membership
+# Membership and placement
 # ---------------------------------------------------------------------------
 
 def member(t: Template, w: BinaryWord) -> bool:
@@ -180,23 +190,33 @@ def member(t: Template, w: BinaryWord) -> bool:
     return False
 
 
-def section_coordinates(t: Template, w: BinaryWord) -> Optional[tuple[BinaryWord, ...]]:
-    """The chunks of member's greedy pass, joined per section; None when w does not fit.
+def place(t: Template, w: BinaryWord) -> tuple[bool, Optional[list[tuple[int, int]]]]:
+    """Where w sits in t's coideal: ``(fits, cuts)``.
 
-    Off the blow-up locus these are the coordinates of :func:`inject`:
-    there every fitting splitting fills each flange cluster exactly
-    (one that leaves a flange cluster short fits the reduced template
-    that cuts that cluster down), so the greedy flange chunks are the
-    flange words and the section chunks between them are the unique
-    section coordinates.  On the locus they mean nothing.
+    ``fits`` is :func:`member`'s answer.  ``cuts`` is None off the
+    coideal and on the blow-up locus; elsewhere it holds, per section,
+    the start and stop in w of that section's coordinate.
+
+    The forward pass is member's greedy loop run to the last cluster,
+    noting where each chunk starts.  The mirror-image pass then runs
+    from the end down to the first flange cluster: before it reads
+    cluster i, ``pos`` is the least position from which the rest of w
+    fits clusters i + 1, i + 2, ...  Flange cluster i can be left one
+    symbol short, so w fits a reduced template, exactly when ``pos``
+    lies less than the cluster's multiplicity past the greedy start of
+    its chunk: ``pos`` is at most where that chunk ends, so every symbol
+    between the two carries the cluster's sign.  Off the locus every
+    flange chunk is full, and the greedy chunks, joined per section,
+    are the section coordinates.
     """
-    # member's loop, run to the last cluster to note where each chunk
-    # ends; member keeps its own copy with the early exit, as the scans'
-    # hot path
+    # member's loop, run to the last cluster; member keeps its own copy
+    # with the early exit, as the scans' hot path
     bits, n = w.bits, w.n
+    runs = t._runs
+    starts = []  # starts[i]: where cluster i's greedy chunk starts
     pos = 0
-    ends = [0]  # ends[i + 1]: where cluster i's chunk ends
-    for bit, mult in t._runs:
+    for bit, mult in runs:
+        starts.append(pos)
         rest = bits >> pos
         if bit:
             run = (~rest & (rest + 1)).bit_length() - 1
@@ -205,10 +225,26 @@ def section_coordinates(t: Template, w: BinaryWord) -> Optional[tuple[BinaryWord
         if mult is not None and run > mult:
             run = mult
         pos += run
-        ends.append(pos)
     if pos != n:
-        return None
-    return tuple(w.sub(ends[lo], ends[hi]) for lo, hi in _section_spans(t))
+        return False, None
+    starts.append(n)
+    spans, flange = _layout(t)
+    if flange:
+        for i in range(len(runs) - 1, flange[0] - 1, -1):
+            bit, mult = runs[i]
+            if mult is not None and pos - starts[i] < mult and i in flange:
+                return True, None
+            # the symbols of the other sign before pos: the run of
+            # cluster i's sign that ends at pos starts after the last one
+            other = (~bits if bit else bits) & ((1 << pos) - 1)
+            pos = other.bit_length() if mult is None else max(other.bit_length(), pos - mult)
+    return True, [(starts[lo], starts[hi]) for lo, hi in spans]
+
+
+def member_J(t: Template, w: BinaryWord) -> bool:
+    """True iff w fits some reduced template (always False for finite t)."""
+    fits, cuts = place(t, w)
+    return fits and cuts is None
 
 
 # ---------------------------------------------------------------------------
@@ -274,65 +310,12 @@ def flange_and_sections(t: Template) -> FlangeDecomposition:
     words: list[BinaryWord] = []
     sections: list[Template] = []
     start = 0
-    for lo, hi in _section_spans(t):
+    for lo, hi in _layout(t)[0]:
         words.append(flange_word(t.clusters[start:lo]))
         sections.append(Template(t.clusters[lo:hi]))
         start = hi
     words.append(flange_word(t.clusters[start:]))
     return FlangeDecomposition(tuple(words), tuple(sections))
-
-
-# ---------------------------------------------------------------------------
-# Reduced templates and the blow-up locus
-# ---------------------------------------------------------------------------
-
-def _normalized(clusters: list[Cluster]) -> Template:
-    """Merge adjacent same-sign clusters; infinity absorbs any length."""
-    merged: list[Cluster] = []
-    for c in clusters:
-        if merged and merged[-1].sign == c.sign:
-            prev = merged.pop()
-            if prev.is_infinite or c.is_infinite:
-                merged.append(Cluster(c.sign, None))
-            else:
-                merged.append(Cluster(c.sign, prev.mult + c.mult))
-        else:
-            merged.append(c)
-    return Template(tuple(merged))
-
-
-def reduced_templates(t: Template) -> tuple[Template, ...]:
-    """One symbol removed from each flange cluster, deduplicated.
-
-    Only flange clusters are eligible; separating clusters stay.  When
-    a one-symbol flange cluster disappears its two neighbours share a
-    sign and merge.  Computed on first use and stored on t.
-    """
-    if t._reduced is None:
-        object.__setattr__(t, "_reduced", _reduce(t))
-    return t._reduced
-
-
-def _reduce(t: Template) -> tuple[Template, ...]:
-    out: list[Template] = []
-    for i, c in enumerate(t.clusters):
-        if c.is_infinite or _is_separating(t, i):
-            continue
-        cs = list(t.clusters)
-        if c.mult > 1:
-            cs[i] = Cluster(c.sign, c.mult - 1)
-            reduced = Template(tuple(cs))
-        else:
-            del cs[i]
-            reduced = _normalized(cs)
-        if reduced not in out:
-            out.append(reduced)
-    return tuple(out)
-
-
-def member_J(t: Template, w: BinaryWord) -> bool:
-    """True iff w fits some reduced template (always False for finite t)."""
-    return any(member(r, w) for r in reduced_templates(t))
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +329,14 @@ def inject(t: Template, w: BinaryWord) -> tuple[BinaryWord, ...]:
     splitting of the word as a_0 . s_1 . a_1 ... s_k . a_k with s_i
     fitting section i exists and is unique, and taking coordinates is
     an edge-preserving embedding whose image is upward closed.  The
-    coordinates are read off the greedy pass of :func:`member` by
-    :func:`section_coordinates`; the test suite checks them against
-    :func:`inject_all`, the search over every splitting.
+    coordinates are read off :func:`place`; the test suite checks them
+    against :func:`inject_all`, the search over every splitting.
     """
-    coords = section_coordinates(t, w)
-    if coords is None:
-        raise ValueError(f"{w} does not fit {t}")
-    if member_J(t, w):
-        raise ValueError(f"{w} fits a reduced template of {t}")
-    return coords
+    fits, cuts = place(t, w)
+    if cuts is None:
+        raise ValueError(f"{w} fits a reduced template of {t}" if fits
+                         else f"{w} does not fit {t}")
+    return tuple(w.sub(start, stop) for start, stop in cuts)
 
 
 def inject_all(t: Template, w: BinaryWord) -> list[tuple[BinaryWord, ...]]:
@@ -428,25 +409,3 @@ def minimal_maxblock_word(t: Template) -> BinaryWord:
     """Word of t with every infinite cluster shrunk to one symbol."""
     return BinaryWord.from_str(
         "".join(c.sign * (1 if c.is_infinite else c.mult) for c in t.clusters))
-
-
-def maxblock_member(t: Template, w: BinaryWord) -> bool:
-    """Membership in the ideal of words with the most blocks possible.
-
-    One block per cluster, finite clusters filled to their exact
-    multiplicity; only the blocks at infinite clusters vary, which
-    makes the ideal a Pascal graph in as many dimensions as t has
-    infinite clusters.
-    """
-    blocks = w.blocks()
-    if len(blocks) != len(t.clusters):
-        return False
-    for (sign, length), c in zip(blocks, t.clusters):
-        if sign != c.sign:
-            return False
-        if c.is_infinite:
-            if length < 1:
-                return False
-        elif length != c.mult:
-            return False
-    return True

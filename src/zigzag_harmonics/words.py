@@ -72,19 +72,10 @@ class BinaryWord:
             raise IndexError(i)
         return MINUS if (self.bits >> i) & 1 else PLUS
 
-    def concat(self, other: "BinaryWord") -> "BinaryWord":
-        return BinaryWord(self.n + other.n, self.bits | (other.bits << self.n))
-
     def sub(self, start: int, stop: int) -> "BinaryWord":
         if not 0 <= start <= stop <= self.n:
             raise IndexError((start, stop))
         return BinaryWord(stop - start, (self.bits >> start) & ((1 << (stop - start)) - 1))
-
-    def insert(self, pos: int, symbol: str) -> "BinaryWord":
-        low = self.bits & ((1 << pos) - 1)
-        high = self.bits >> pos
-        bit = 1 if symbol == MINUS else 0
-        return BinaryWord(self.n + 1, low | (bit << pos) | (high << (pos + 1)))
 
     def delete(self, pos: int) -> "BinaryWord":
         low = self.bits & ((1 << pos) - 1)
@@ -161,12 +152,6 @@ def composition_of_word(w: BinaryWord) -> tuple[int, ...]:
         else:
             parts.append(1)
     return tuple(parts)
-
-
-def parse_composition(text: str) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in text.split(","))
-    word_of_composition(parts)  # validation only
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +263,6 @@ class FormalCombination:
     def coefficient(self, v: Vertex) -> Union[int, Fraction]:
         return self.coeffs.get(v, Fraction(0))
 
-    def total_mass(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FormalCombination)
                 and self.level == other.level and self.coeffs == other.coeffs)
@@ -293,47 +275,6 @@ class FormalCombination:
 Filter = Optional[Callable[[BinaryWord], bool]]
 
 
-def expand(v: Vertex, n: int, within: Filter = None) -> FormalCombination:
-    """Push v up to level n through the defining relations.
-
-    The coefficient at each level-n vertex equals the number of paths
-    from v inside the (optionally restricted) graph.  ``within`` keeps
-    only covers satisfying the predicate, which computes expansions
-    inside a coideal such as the words fitting a template.
-    """
-    if n < level(v):
-        raise ValueError(f"cannot expand level {level(v)} vertex down to level {n}")
-    layer: dict[Vertex, Fraction] = {v: Fraction(1)}
-    for _ in range(n - level(v)):
-        nxt: dict[Vertex, Fraction] = {}
-        for u, c in layer.items():
-            for w in upper_covers(u):
-                if within is None or within(w):
-                    nxt[w] = nxt.get(w, Fraction(0)) + c
-        layer = nxt
-    return FormalCombination(n, layer)
-
-
-def dominates_at(a: Vertex, comb: FormalCombination, at_level: Optional[int] = None,
-                 within: Filter = None) -> bool:
-    """Single-level cone certificate for a >=_K comb.
-
-    Compares the expansions of both sides at one level, coefficient by
-    coefficient.  Success is sufficient for cone dominance; failure at
-    one level decides nothing, so callers wanting the order itself
-    should use :func:`dominates_search`.
-    """
-    lvl = comb.level if at_level is None else at_level
-    if lvl < comb.level or lvl < level(a):
-        raise ValueError("comparison level below one of the sides")
-    lhs = expand(a, lvl, within).coeffs
-    rhs: dict[Vertex, Fraction] = {}
-    for v, c in comb.coeffs.items():
-        for u, d in expand(v, lvl, within).coeffs.items():
-            rhs[u] = rhs.get(u, Fraction(0)) + c * d
-    return all(lhs.get(u, Fraction(0)) >= c for u, c in rhs.items())
-
-
 def dominates_search(a: Vertex, comb: FormalCombination, max_level: int,
                      within: Filter = None) -> Optional[int]:
     """First level up to max_level at which the certificate holds, else None.
@@ -341,12 +282,12 @@ def dominates_search(a: Vertex, comb: FormalCombination, max_level: int,
     The certificate is monotone: once the level-L difference is a
     non-negative combination it stays one at every higher level.
 
-    Gives the first level at which :func:`dominates_at` holds, but
-    pushes both sides up one level at a time instead of expanding them
-    from the base at every level.  The layers hold integer path counts,
-    both sides scaled by the common denominator of the coefficients,
-    keyed by packed bits (the root by 0), and ``within`` is asked once
-    per word in one search.
+    The certificate at a level compares the path counts into each of
+    its vertices from a and from comb, coefficient by coefficient.
+    Both sides are pushed up one level at a time.  The layers hold
+    integer path counts, both sides scaled by the common denominator of
+    the coefficients, keyed by packed bits (the root by 0), and
+    ``within`` is asked once per word in one search.
     """
     start = max(comb.level, level(a))
     if max_level < start:

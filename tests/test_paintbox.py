@@ -27,11 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eps_oracle import brute_eval
+from maxblock_oracle import eval_F_maxblock, maxblock_member
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, IntervalTuple, Paintbox,
                               dim, eval_F, eval_F_coproduct, eval_F_levels,
-                              eval_F_maxblock, is_finite_template,
-                              maxblock_member, member, phi_w, product_F,
+                              is_finite_template, member, phi_w, product_F,
                               template_of_intervals,
                               template_of_paintbox, upper_covers)
 from zigzag_harmonics.verify import random_paintbox

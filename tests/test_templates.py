@@ -6,12 +6,18 @@ Core claims:
     - membership agrees with brute-force chunk assignment, exhaustively
       on small words and by property tests on random templates
     - flange words and sections reproduce the worked decompositions
-    - reductions come from flange clusters only; the capped template
-      reduces to its bare section (so its blow-up locus is one coideal)
+    - reductions (built by the test oracle) come from flange clusters
+      only; the capped template reduces to its bare section (so its
+      blow-up locus is one coideal)
+    - the placement pass decides the blow-up locus and the injection as
+      the reduced templates and the splitting search do: exhaustively on
+      every alternating template of up to 4 clusters and words of up to
+      8 symbols, by property test on random templates, and at flange
+      clusters on either end of a template
     - the injection decomposes uniquely, preserves edges, and its image
       matches the worked descriptions
-    - the section coordinates read off the greedy membership pass are the
-      one decomposition the splitting search finds, off the blow-up locus,
+    - the section coordinates read off the greedy pass are the one
+      decomposition the splitting search finds, off the blow-up locus,
       exhaustively to 14 symbols and by property test on random templates
     - the candidate generator word and its sufficiency flag behave as
       documented, including the exhaustive identity when the flag holds
@@ -20,21 +26,22 @@ Core claims:
       exactly the words of the filtered level scan, in the same order
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxblock_oracle import maxblock_member
+from template_oracle import inject_by_reduction, locus_by_reduction, reduced_templates
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, Template, build_w_eps,
                               flange_and_sections, inject, inject_all,
                               is_finite_template, is_semifinite_template,
-                              is_subword, lower_covers, maxblock_member,
-                              member, member_J, minimal_maxblock_word,
-                              parse_template, reduced_templates,
-                              section_coordinates, single_generator_word,
-                              template_of_intervals, upper_covers, words_below)
+                              is_subword, lower_covers, member, member_J,
+                              minimal_maxblock_word, parse_template, place,
+                              single_generator_word, template_of_intervals,
+                              upper_covers, words_below)
 from zigzag_harmonics.verify import DISTINCT_PAIRS, EXAMPLE_MODELS
 
 W = BinaryWord.from_str
@@ -147,6 +154,12 @@ def _near_fit(t, sizes):
     return W(text)
 
 
+def _filled(t, sizes):
+    """Finite clusters at their full multiplicity, infinite ones at the drawn sizes."""
+    return W("".join(c.sign * (k if c.is_infinite else c.mult)
+                     for c, k in zip(t.clusters, sizes)))
+
+
 def test_coideals_are_saturated():
     for t in (STEP, CAPPED, BRACKETED):
         for length in range(1, 11):
@@ -229,6 +242,61 @@ def test_blow_up_locus_is_saturated_coideal():
                            for c in upper_covers(w))
 
 
+def _agrees_with_reduction(t, w):
+    """member_J and inject against the reduced-template definition."""
+    assert member_J(t, w) == locus_by_reduction(t, w), (t, w)
+    def coordinates(injection):
+        try:
+            return injection(t, w)
+        except ValueError:
+            return None
+
+    assert coordinates(inject) == coordinates(inject_by_reduction), (t, w)
+
+
+def _alternating(first, mults):
+    other = "-" if first == "+" else "+"
+    return Template(tuple(Cluster(first if i % 2 == 0 else other, m)
+                          for i, m in enumerate(mults)))
+
+
+def test_placement_matches_reduced_templates_exhaustively():
+    # every alternating template of up to 4 clusters with multiplicities
+    # 1, 2 and infinity, and every word of up to 8 symbols
+    words = list(words_below(9))
+    templates = [_alternating(first, mults) for k in range(1, 5) for first in "+-"
+                 for mults in product((1, 2, None), repeat=k) if None in mults]
+    assert len(templates) == 180
+    for t in templates:
+        for w in words:
+            _agrees_with_reduction(t, w)
+
+
+@settings(max_examples=300)
+@given(alternating_templates(), st.data())
+def test_placement_matches_reduced_templates_on_random_templates(t, data):
+    sizes = st.tuples(*(st.integers(0, 4) for _ in t.clusters), st.integers(-1, 13))
+    w = data.draw(st.one_of(sizes.map(lambda s: _filled(t, s)),
+                            sizes.map(lambda s: _near_fit(t, s))))
+    _agrees_with_reduction(t, w)
+
+
+@pytest.mark.parametrize("text, locus, off, coords", [
+    ("+* -1", ["++", ""], "+-", ("+",)),
+    ("-2 +*", ["-++", "-+"], "--+", ("+",)),
+    ("-1 +* -1", ["+-", "-+"], "-+-", ("+",)),
+])
+def test_flange_clusters_at_the_ends(text, locus, off, coords):
+    # the mirror pass must check the first and the last cluster too
+    t = parse_template(text)
+    for w in locus:
+        assert member_J(t, W(w)), w
+        assert locus_by_reduction(t, W(w)), w
+    assert not member_J(t, W(off))
+    assert inject(t, W(off)) == tuple(W(c) for c in coords)
+    _agrees_with_reduction(t, W(off))
+
+
 # -- injection ----------------------------------------------------------------
 
 def test_inject_worked_examples():
@@ -251,16 +319,9 @@ def test_inject_unique_on_small_levels():
         checked = 0
         for w in words_below(15, lambda v: member(t, v)):
             if not member_J(t, w):
-                coords = section_coordinates(t, w)
-                assert inject_all(t, w) == [coords] and inject(t, w) == coords, (t, w)
+                assert inject_all(t, w) == [inject(t, w)], (t, w)
                 checked += 1
         assert checked > 50, t
-
-
-def _filled(t, sizes):
-    """Finite clusters at their full multiplicity, infinite ones at the drawn sizes."""
-    return W("".join(c.sign * (k if c.is_infinite else c.mult)
-                     for c, k in zip(t.clusters, sizes)))
 
 
 # filled words fit t with every flange cluster full, so many of them lie
@@ -271,10 +332,10 @@ def test_greedy_coordinates_on_random_semifinite_templates(t, data):
     sizes = st.tuples(*(st.integers(0, 4) for _ in t.clusters), st.integers(-1, 13))
     w = data.draw(st.one_of(sizes.map(lambda s: _filled(t, s)),
                             sizes.map(lambda s: _near_fit(t, s))))
-    coords = section_coordinates(t, w)
-    assert (coords is not None) == member(t, w), (t, w)
-    if coords is not None and not member_J(t, w):
-        assert inject_all(t, w) == [coords], (t, w)
+    fits, cuts = place(t, w)
+    assert fits == member(t, w), (t, w)
+    if cuts is not None:
+        assert inject_all(t, w) == [tuple(w.sub(a, b) for a, b in cuts)], (t, w)
 
 
 def test_capped_image_is_generated_by_two_minuses():
