@@ -229,6 +229,10 @@ _HANDLERS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # argparse before Python 3.13 reads the word of --word=-- as an empty list
+    for name in ("word", "upper", "right"):
+        if getattr(args, name, None) == []:
+            setattr(args, name, "--")
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:

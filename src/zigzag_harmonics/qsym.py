@@ -96,13 +96,13 @@ def product_F(a: Vertex, b: Vertex, degree_cap: int = DEGREE_CAP) -> FormalCombi
     return FormalCombination(n, {BinaryWord(n - 1, bits): c for bits, c in counts.items()})
 
 
-def pieri_check(a: Vertex, degree_cap: int = DEGREE_CAP) -> bool:
+def pieri_check(a: Vertex) -> bool:
     """Multiplying by the one-box function lists exactly the upward covers.
 
     Compares the shuffle counts themselves, packed bits to integers,
     with count 1 at each cover's bits.
     """
-    _, counts = shuffle_counts(EMPTY, a, degree_cap)
+    _, counts = shuffle_counts(EMPTY, a)
     covers = [EMPTY.bits] if a is ROOT else upper_cover_bits(a.n, a.bits)
     return counts == dict.fromkeys(covers, 1)
 

@@ -10,7 +10,7 @@ reduced template, so no normalization at the root is possible.
 :func:`phi_tw` and the ring identity work on integer numerators and
 divide once.
 
-The deformation machinery replaces each flange block by an interval of
+The deformation machinery replaces each flange cluster by an interval of
 length eps; evaluations are then polynomials in eps with non-negative
 rational coefficients, all read off one integer evaluation at a large
 eps, and the limiting statements become exact statements
@@ -26,9 +26,8 @@ from typing import Iterable, Optional, Sequence, Union
 from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_numerator,
                        template_of_intervals)
 from .qsym import shuffle_counts
-from .templates import (FlangeDecomposition, Template, flange_and_sections,
-                        is_finite_template, member, member_J, minimal_maxblock_word,
-                        parse_template, place)
+from .templates import (Template, _layout, is_finite_template, member, member_J,
+                        minimal_maxblock_word, parse_template, place)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
                     dominates_search, is_subword, level, upper_covers,
                     words_below)
@@ -90,8 +89,8 @@ class GrowthModel:
 
     template: Template
     weights: tuple[Fraction, ...]
-    # filled by _parts on first use
-    _stored: Optional[tuple[FlangeDecomposition, tuple[IntervalTuple, ...]]] = field(
+    # filled by section_interval_tuples on first use
+    _sections: Optional[tuple[IntervalTuple, ...]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -119,22 +118,20 @@ class GrowthModel:
         return f"{self.template} | w={','.join(str(w) for w in self.weights)}"
 
 
-def _parts(model: GrowthModel) -> tuple[FlangeDecomposition, tuple[IntervalTuple, ...]]:
-    """The template's flange decomposition and the section interval
-    tuples, built on first use and stored on the model."""
-    if model._stored is None:
-        fd = flange_and_sections(model.template)
-        weights = iter(model.weights)
-        tuples = tuple(IntervalTuple(tuple((c.sign, next(weights))
-                                           for c in section if c.is_infinite))
-                       for section in fd.sections)
-        object.__setattr__(model, "_stored", (fd, tuples))
-    return model._stored
-
-
 def section_interval_tuples(model: GrowthModel) -> tuple[IntervalTuple, ...]:
-    """Weighted intervals per section, weights following the infinite clusters."""
-    return _parts(model)[1]
+    """Weighted intervals per section, weights following the infinite clusters.
+
+    Read off the template's section spans on first use and stored on
+    the model.
+    """
+    if model._sections is None:
+        clusters = model.template.clusters
+        weights = iter(model.weights)
+        object.__setattr__(model, "_sections", tuple(
+            IntervalTuple(tuple((c.sign, next(weights))
+                                for c in clusters[lo:hi] if c.is_infinite))
+            for lo, hi in _layout(model.template)[0]))
+    return model._sections
 
 
 def model_paintbox(model: GrowthModel) -> Paintbox:
@@ -164,7 +161,7 @@ def phi_tw(model: GrowthModel, v: Vertex) -> ExtValue:
     if cuts is None:
         return ExtValue.infinite()
     numerator = denominator = 1
-    for (start, stop), intervals in zip(cuts, _parts(model)[1]):
+    for (start, stop), intervals in zip(cuts, section_interval_tuples(model)):
         numerator *= eval_F_numerator(v.sub(start, stop), intervals)
         denominator *= intervals.denominator ** (stop - start + 1)
     return ExtValue.finite(Fraction(numerator, denominator))
@@ -204,22 +201,21 @@ def check_harmonic_at(model: GrowthModel, v: Vertex) -> bool:
 # ---------------------------------------------------------------------------
 
 def build_w_eps(model: GrowthModel, eps: Union[int, Fraction]) -> IntervalTuple:
-    """Flange blocks become eps-intervals between the weighted sections.
+    """Flange clusters become eps-intervals between the weighted sections.
 
-    One interval of length eps per block of each flange word,
-    oriented by the block, interleaved with the section intervals in
-    template order.  A semifinite template has a non-empty flange, so
-    at least one eps-interval always appears.
+    One pass over the clusters, in template order: a flange cluster
+    gives an interval of length eps and an infinite cluster one of its
+    weight, each oriented by the cluster's sign; a separating cluster
+    gives none.  Clusters alternate in sign, so each flange cluster is
+    one block of its flange word.  A semifinite template has a
+    non-empty flange, so at least one eps-interval always appears.
     """
-    fd, tuples = _parts(model)
-    sections = iter(tuples)
-    intervals: list[tuple[str, Fraction]] = []
-    for i, word in enumerate(fd.flange_words):
-        for sign, _length in word.blocks():
-            intervals.append((sign, eps))
-        if i < len(fd.sections):
-            intervals.extend(next(sections).intervals)
-    return IntervalTuple(tuple(intervals))
+    t = model.template
+    flange = _layout(t)[1]
+    weights = iter(model.weights)
+    return IntervalTuple(tuple((c.sign, eps if i in flange else next(weights))
+                               for i, c in enumerate(t.clusters)
+                               if c.is_infinite or i in flange))
 
 
 def eps_expansion(v: Vertex, w_x: IntervalTuple) -> tuple[Fraction, ...]:
@@ -269,9 +265,12 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     if level_cap - 1 > LEVEL_CAP:
         raise ValueError(f"level cap {level_cap} above the enumeration cap {LEVEL_CAP + 1}")
     t = model.template
+    # the marker word's level, worked out before the word is built: a
+    # large multiplicity makes it long
+    marker_level = 1 + sum(c.mult or 1 for c in t.clusters)
+    if marker_level > level_cap:
+        raise ValueError(f"level cap {level_cap} below the marker level {marker_level}")
     nu = minimal_maxblock_word(t)
-    if level(nu) > level_cap:
-        raise ValueError(f"level cap {level_cap} below the marker level {level(nu)}")
     unit = build_w_eps(model, 1)
     x = 1 << (int(unit.denominator * sum(unit.lengths)) ** level_cap).bit_length()
     w_eps = build_w_eps(model, x)

@@ -123,22 +123,19 @@ def parse_template(text: str) -> Template:
 # Cluster classification
 # ---------------------------------------------------------------------------
 
-def _is_separating(t: Template, i: int) -> bool:
-    c = t.clusters[i]
-    if c.is_infinite or c.mult != 1 or i in (0, len(t) - 1):
-        return False
-    return t.clusters[i - 1].is_infinite and t.clusters[i + 1].is_infinite
-
-
 def _layout(t: Template) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """The cluster index ranges of the sections (maximal runs of infinite
     and separating clusters) and the indices of the flange clusters, in
-    one pass.  Computed on first use and stored on t."""
+    one pass.  Computed on first use and stored on t; everything that
+    needs the flange or the sections reads it from here."""
     if t._layout is None:
+        cs = t.clusters
         spans: list[tuple[int, int]] = []
         flange: list[int] = []
-        for i, c in enumerate(t.clusters):
-            if c.is_infinite or _is_separating(t, i):
+        for i, c in enumerate(cs):
+            # separating: one symbol strictly inside, between two infinite clusters
+            if c.is_infinite or (c.mult == 1 and 0 < i < len(cs) - 1
+                                 and cs[i - 1].is_infinite and cs[i + 1].is_infinite):
                 if spans and spans[-1][1] == i:
                     spans[-1] = (spans[-1][0], i + 1)
                 else:
@@ -253,49 +250,15 @@ def member_J(t: Template, w: BinaryWord) -> bool:
 
 @dataclass(frozen=True)
 class FlangeDecomposition:
-    """Interleaving a_0, t_1, a_1, ..., t_k, a_k; outer words may be empty."""
+    """The flange words a_0, ..., a_k and the sections t_1, ..., t_k of a
+    template, as words and templates; outer flange words may be empty.
+
+    A record of :func:`_layout` for the injection suite and the tests;
+    the library's own paths read the layout itself.
+    """
 
     flange_words: tuple[BinaryWord, ...]
     sections: tuple[Template, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.flange_words) != len(self.sections) + 1:
-            raise ValueError("need exactly one more flange word than sections")
-
-    def splittings(self, w: BinaryWord) -> Iterator[tuple[BinaryWord, ...]]:
-        """Every a_0 . s_1 . a_1 ... s_k . a_k = w with s_i fitting section i,
-        as the tuple (s_1, ..., s_k)."""
-        segments: list[tuple[str, object]] = []
-        for i, section in enumerate(self.sections):
-            if len(self.flange_words[i]):
-                segments.append(("lit", self.flange_words[i]))
-            segments.append(("sec", section))
-        if len(self.flange_words[-1]):
-            segments.append(("lit", self.flange_words[-1]))
-
-        n = len(w)
-        acc: list[BinaryWord] = []
-
-        def rec(pos: int, si: int) -> Iterator[tuple[BinaryWord, ...]]:
-            if si == len(segments):
-                if pos == n:
-                    yield tuple(acc)
-                return
-            kind, payload = segments[si]
-            if kind == "lit":
-                lit: BinaryWord = payload  # type: ignore[assignment]
-                if pos + len(lit) <= n and w.sub(pos, pos + len(lit)) == lit:
-                    yield from rec(pos + len(lit), si + 1)
-            else:
-                section: Template = payload  # type: ignore[assignment]
-                for end in range(pos, n + 1):
-                    piece = w.sub(pos, end)
-                    if member(section, piece):
-                        acc.append(piece)
-                        yield from rec(end, si + 1)
-                        acc.pop()
-
-        return rec(0, 0)
 
 
 def flange_and_sections(t: Template) -> FlangeDecomposition:
@@ -340,8 +303,30 @@ def inject(t: Template, w: BinaryWord) -> tuple[BinaryWord, ...]:
 
 
 def inject_all(t: Template, w: BinaryWord) -> list[tuple[BinaryWord, ...]]:
-    """Every decomposition; used to check the uniqueness claim."""
-    return list(flange_and_sections(t).splittings(w))
+    """Every a_0 . s_1 . a_1 ... s_k . a_k = w with s_i fitting section i,
+    as the tuple (s_1, ..., s_k); used to check the uniqueness claim."""
+    fd = flange_and_sections(t)
+    pairs = tuple(zip(fd.flange_words, fd.sections))
+    n = len(w)
+    found: list[tuple[BinaryWord, ...]] = []
+
+    def search(pos: int, i: int, coords: tuple[BinaryWord, ...]) -> None:
+        if i == len(pairs):
+            if w.sub(pos, n) == fd.flange_words[-1]:
+                found.append(coords)
+            return
+        word, section = pairs[i]
+        start = pos + len(word)
+        if start > n or w.sub(pos, start) != word:
+            return
+        for stop in range(start, n + 1):
+            piece = w.sub(start, stop)
+            if not member(section, piece):
+                break  # every longer piece has this one as a prefix
+            search(stop, i + 1, coords + (piece,))
+
+    search(0, 0, ())
+    return found
 
 
 # ---------------------------------------------------------------------------

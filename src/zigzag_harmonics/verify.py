@@ -157,8 +157,12 @@ def suite_path_counts(cap: int, _seed: Optional[int]) -> Checks:
 # Suite 3: the two evaluators agree
 # ---------------------------------------------------------------------------
 
-def _random_interval_tuple(rng: random.Random, max_intervals: int = 4) -> IntervalTuple:
-    m = rng.randint(1, max_intervals)
+#: the most intervals a random interval tuple or paintbox has
+MAX_RANDOM_INTERVALS = 4
+
+
+def _random_interval_tuple(rng: random.Random) -> IntervalTuple:
+    m = rng.randint(1, MAX_RANDOM_INTERVALS)
     intervals = tuple(
         (rng.choice("+-"), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         for _ in range(m))
@@ -189,8 +193,8 @@ def suite_kerov_oracle(max_symbols: int, seed: Optional[int]) -> Checks:
 # Suite 4: paintbox harmonicity and support
 # ---------------------------------------------------------------------------
 
-def random_paintbox(rng: random.Random, max_intervals: int = 4) -> Paintbox:
-    m = rng.randint(1, max_intervals)
+def random_paintbox(rng: random.Random) -> Paintbox:
+    m = rng.randint(1, MAX_RANDOM_INTERVALS)
     raw = [rng.randint(1, 9) for _ in range(m)]
     total = sum(raw)
     signs = [rng.choice("+-") for _ in range(m)]

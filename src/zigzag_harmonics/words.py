@@ -28,8 +28,9 @@ MINUS = "-"
 #: words_below refuses word lengths above this
 LEVEL_CAP = 20
 
-# binary digits to symbols, for BinaryWord.__str__
+# binary digits to symbols and back, for BinaryWord.__str__ and from_str
 _SYMBOLS = str.maketrans("01", PLUS + MINUS)
+_DIGITS = str.maketrans(PLUS + MINUS, "01")
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,13 +46,12 @@ class BinaryWord:
 
     @staticmethod
     def from_str(text: str) -> "BinaryWord":
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == MINUS:
-                bits |= 1 << i
-            elif ch != PLUS:
-                raise ValueError(f"bad word symbol {ch!r} in {text!r}")
-        return BinaryWord(len(text), bits)
+        # stripping the symbols from both ends leaves the first bad one
+        bad = text.strip(PLUS + MINUS)
+        if bad:
+            raise ValueError(f"bad word symbol {bad[0]!r} in {text!r}")
+        # one conversion, linear in the length; setting bits one by one is quadratic
+        return BinaryWord(len(text), int(text[::-1].translate(_DIGITS) or "0", 2))
 
     def __len__(self) -> int:
         return self.n
@@ -64,8 +64,8 @@ class BinaryWord:
         return f"BinaryWord({str(self)!r})"
 
     def __iter__(self) -> Iterator[str]:
-        for i in range(self.n):
-            yield MINUS if (self.bits >> i) & 1 else PLUS
+        # one conversion, linear in n; shifting bits per symbol is quadratic
+        return iter(str(self))
 
     def symbol(self, i: int) -> str:
         if not 0 <= i < self.n:
@@ -195,13 +195,12 @@ def lower_covers(v: Vertex) -> set[BinaryWord]:
 
 def is_subword(a: BinaryWord, b: BinaryWord) -> bool:
     """True iff a is a subsequence of b."""
+    if not a.n:
+        return True  # dim(@, w) asks this of every word below w
     if a.n > b.n:
         return False
-    i = 0
-    for s in b:
-        if i < a.n and a.symbol(i) == s:
-            i += 1
-    return i == a.n
+    rest = iter(str(b))  # each test consumes b up to the symbol it finds
+    return all(s in rest for s in str(a))
 
 
 # ---------------------------------------------------------------------------

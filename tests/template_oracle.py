@@ -18,7 +18,7 @@ from zigzag_harmonics.templates import Cluster, Template, inject_all, member
 from zigzag_harmonics.words import BinaryWord
 
 
-def _is_flange(t: Template, i: int) -> bool:
+def is_flange(t: Template, i: int) -> bool:
     """Finite and not a one-symbol cluster strictly inside between two infinite ones."""
     c = t.clusters[i]
     if c.is_infinite:
@@ -50,7 +50,7 @@ def reduced_templates(t: Template) -> tuple[Template, ...]:
     Kept per template, since the tests ask it of every word in turn."""
     out: list[Template] = []
     for i, c in enumerate(t.clusters):
-        if not _is_flange(t, i):
+        if not is_flange(t, i):
             continue
         cs = list(t.clusters)
         if c.mult > 1:

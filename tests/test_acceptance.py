@@ -16,7 +16,7 @@ ROMAN_BUDGETS_SECONDS = {
     2: 1,     # closed-form path counts
     3: 120,   # evaluator agreement, 20 random interval tuples
     4: 300,   # paintbox harmonicity and support, 10 random paintboxes
-    5: 120,   # coideal identities to level 12
+    5: 120,   # coideal identities to level 11
     6: 120,   # injection embedding to level 10
     7: 300,   # semifinite trichotomy and harmonicity to level 10
     8: 60,    # approximating sequence certificates

@@ -162,6 +162,18 @@ def test_covers(capsys):
     assert code == 0 and out.split() == ["+"]
 
 
+def test_the_word_of_two_minuses_is_read_as_given(capsys):
+    # argparse before Python 3.13 reads --word=-- as an empty list, which
+    # answered for the one-box word instead
+    code, out, _ = run(capsys, "covers", "--word=--")
+    assert code == 0 and out.split() == sorted(str(c) for c in upper_covers(W("--")))
+    for lower, upper in (("--", "+--"), ("-", "--")):
+        code, out, _ = run(capsys, "dim", f"--word={lower}", f"--to={upper}")
+        assert (code, out.strip()) == (0, "1")
+    code, out, _ = run(capsys, "product", "--word=+", "--with=--")
+    assert code == 0 and all(len(line.split()[1]) == 4 for line in out.splitlines())
+
+
 def test_dim(capsys):
     code, out, _ = run(capsys, "dim", "--word", "@", "--to", "+-")
     assert (code, out.strip()) == (0, "2")
@@ -219,6 +231,16 @@ def test_limit_level_above_enumeration_cap_exits_2_before_scanning(capsys):
     code, _, err = run(capsys, "limit", "--model", "+* -1 +1 -* | w=1/2,1/2",
                        "--level", "30")
     assert code == 2 and "enumeration cap" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_limit_level_below_a_huge_marker_word_exits_2_before_building_it(capsys):
+    # the marker word would have 10^8 symbols; its level is read off the
+    # multiplicities
+    started = time.perf_counter()
+    code, _, err = run(capsys, "limit", "--model",
+                       "+100000000 -* +* -1 +* | w=1/2,1/3,1/6", "--level", "9")
+    assert code == 2 and "below the marker level 100000005" in err
     assert time.perf_counter() - started < 1.0
 
 

@@ -7,7 +7,7 @@ Core claims:
       part / on the blow-up locus (root included)
     - the harmonicity identity holds with extended arithmetic
     - model weights are exact rationals; floats are refused
-    - the eps deformation has one interval per flange block; the
+    - the eps deformation has one interval per flange cluster; the
       expansion read off one integer evaluation equals the splitting
       sum over formal eps polynomials, and interpolates the rational
       evaluations at n + 2 values of eps
@@ -146,7 +146,7 @@ def test_build_w_eps_step():
 
 
 def test_build_w_eps_figure_model():
-    # one interval per flange block plus one per infinite cluster: 14
+    # one interval per flange cluster plus one per infinite cluster: 14
     model = GrowthModel.parse(
         "-1 +* -* +1 -1 +* -2 +* -1 +1 -2 +* -* +1 -* | "
         "w=1/7,1/7,1/7,1/7,1/7,1/7,1/7")

@@ -19,6 +19,9 @@ Core claims:
     - the section coordinates read off the greedy pass are the one
       decomposition the splitting search finds, off the blow-up locus,
       exhaustively to 14 symbols and by property test on random templates
+    - a growth model's eps-deformed intervals and section intervals are
+      those built from the oracle's own flange test, by property test on
+      random semifinite templates and weights
     - the candidate generator word and its sufficiency flag behave as
       documented, including the exhaustive identity when the flag holds
     - the max-block ideal has Pascal-graph level counts
@@ -26,22 +29,24 @@ Core claims:
       exactly the words of the filtered level scan, in the same order
 """
 
-from itertools import combinations_with_replacement, product
+from fractions import Fraction
+from itertools import combinations_with_replacement, groupby, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxblock_oracle import maxblock_member
-from template_oracle import inject_by_reduction, locus_by_reduction, reduced_templates
+from template_oracle import (inject_by_reduction, is_flange, locus_by_reduction,
+                             reduced_templates)
 from word_oracle import enumerate_level
-from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, Template, build_w_eps,
-                              flange_and_sections, inject, inject_all,
+from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, GrowthModel, Template,
+                              build_w_eps, flange_and_sections, inject, inject_all,
                               is_finite_template, is_semifinite_template,
                               is_subword, lower_covers, member, member_J,
                               minimal_maxblock_word, parse_template, place,
-                              single_generator_word, template_of_intervals,
-                              upper_covers, words_below)
+                              section_interval_tuples, single_generator_word,
+                              template_of_intervals, upper_covers, words_below)
 from zigzag_harmonics.verify import DISTINCT_PAIRS, EXAMPLE_MODELS
 
 W = BinaryWord.from_str
@@ -336,6 +341,36 @@ def test_greedy_coordinates_on_random_semifinite_templates(t, data):
     assert fits == member(t, w), (t, w)
     if cuts is not None:
         assert inject_all(t, w) == [tuple(w.sub(a, b) for a, b in cuts)], (t, w)
+
+
+def _by_flange_test(t, weights, eps):
+    """The eps-deformed intervals and the section intervals, built from the
+    oracle's flange test: maximal runs of flange clusters are the flange
+    words, one eps-interval per block, and the runs between them the
+    sections, one weighted interval per infinite cluster."""
+    weights = iter(weights)
+    deformed, sections = [], []
+    for flange, run in groupby(range(len(t)), key=lambda i: is_flange(t, i)):
+        clusters = [t.clusters[i] for i in run]
+        if flange:
+            word = W("".join(c.sign * c.mult for c in clusters))
+            deformed.extend((sign, eps) for sign, _ in word.blocks())
+        else:
+            sections.append(tuple((c.sign, next(weights)) for c in clusters if c.is_infinite))
+            deformed.extend(sections[-1])
+    return tuple(deformed), tuple(sections)
+
+
+@settings(max_examples=300)
+@given(alternating_templates().filter(is_semifinite_template), st.data())
+def test_eps_deformation_and_sections_follow_the_flange_test(t, data):
+    raw = data.draw(st.lists(st.integers(1, 9), min_size=t.infinite_count,
+                             max_size=t.infinite_count))
+    model = GrowthModel(t, tuple(Fraction(r, sum(raw)) for r in raw))
+    eps = data.draw(st.integers(1, 9).map(lambda k: Fraction(1, k)))
+    deformed, sections = _by_flange_test(t, model.weights, eps)
+    assert build_w_eps(model, eps).intervals == deformed, t
+    assert tuple(u.intervals for u in section_interval_tuples(model)) == sections, t
 
 
 def test_capped_image_is_generated_by_two_minuses():

@@ -11,11 +11,13 @@ Core claims:
     - the level-by-level cone search gives the first level at which the
       single-level certificate holds, exhaustively on small targets and
       as a property test
-    - a word prints as its symbols and parses back from them
+    - a word prints as its symbols and parses back from them, in time
+      linear in its length
     - subword order is a partial order
 """
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -363,6 +365,19 @@ def test_str_round_trips_every_word_to_12_symbols():
             assert len(text) == length
             assert all(w.symbol(i) == s for i, s in enumerate(text))
             assert BinaryWord.from_str(text) == w
+
+
+def test_words_of_a_million_symbols_convert_in_linear_time():
+    # setting or reading packed bits one symbol at a time is quadratic:
+    # seconds, not a fraction of one, at this length
+    started = time.perf_counter()
+    text = "+-" * 250_000 + "-" * 500_000
+    w = W(text)
+    assert str(w) == text and "".join(w) == text
+    parts = composition_of_word(w)
+    assert parts[:2] == (2, 2) and len(parts) == 750_001
+    assert is_subword(W("+-" * 10), w) and not is_subword(W("-+" * 260_000), w)
+    assert time.perf_counter() - started < 2.0
 
 
 def test_vertex_serialization():
