@@ -12,9 +12,9 @@ from .semifinite import (ApproxReport, ExtValue, GrowthModel,
                          section_interval_tuples)
 from .templates import (Cluster, FlangeDecomposition, Template,
                         flange_and_sections, inject, inject_all,
-                        is_finite_template, is_semifinite_template,
-                        member, member_J, minimal_maxblock_word,
-                        parse_template, place, single_generator_word)
+                        is_finite_template, member, member_J,
+                        minimal_maxblock_word, parse_template, place,
+                        single_generator_word)
 from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
                     composition_of_word, dim, dominates_search,
                     is_subword, level, lower_covers, parse_vertex,

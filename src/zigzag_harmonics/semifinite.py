@@ -187,13 +187,13 @@ def check_harmonic_at(model: GrowthModel, v: Vertex) -> bool:
 
     Any infinite cover makes the sum infinite; on the blow-up locus the
     identity therefore reduces to the existence of an infinite cover,
-    which is the saturation of that locus.
+    which is the saturation of that locus.  The value is zero exactly
+    off the coideal: there v raises ``ValueError``, and covers add 0.
     """
-    t = model.template
-    if v is not ROOT and not member(t, v):
-        raise ValueError(f"{v} is outside the coideal of {t}")
-    return phi_tw(model, v) == cover_sum(
-        phi_tw(model, c) for c in upper_covers(v) if member(t, c))
+    value = phi_tw(model, v)
+    if value.is_zero:
+        raise ValueError(f"{v} is outside the coideal of {model.template}")
+    return value == cover_sum(phi_tw(model, c) for c in upper_covers(v))
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +402,13 @@ def check_approx_sequence(model: GrowthModel, target: BinaryWord,
     levels: list[Optional[int]] = []
     values: list[Fraction] = []
     for comb in seq:
+        total = Fraction(0)
         for v, c in comb.coeffs.items():
             val = phi_tw(model, v)
             if not val.is_finite:
                 raise ValueError(f"combination touches non-finite vertex {v}")
+            total += c * val.value
         levels.append(dominates_search(target, comb, search_cap, within=within))
-        total = Fraction(0)
-        for v, c in comb.coeffs.items():
-            total += c * phi_tw(model, v).value
         values.append(total)
     increasing = all(x < y for x, y in zip(values, values[1:]))
     ok = (all(lvl is not None for lvl in levels) and increasing

@@ -21,14 +21,16 @@ evaluations of :mod:`zigzag_harmonics.semifinite` are infinite.
 A reduced template fits exactly the words that fit t with that flange
 cluster's multiplicity lowered by one (merged neighbours change no
 coideal), so :func:`place` decides the locus without building one.
-Its greedy pass gives where each cluster's chunk starts, and the
-mirror-image pass from the end gives the least position from which
-the later clusters fit; a flange cluster can be left one symbol short
-exactly when that position lies less than its multiplicity past the
-start of its chunk.  Off the locus every flange chunk is full, so the
-greedy chunks, joined per section, are the section coordinates; the
-search over every splitting is left to :func:`inject_all`, the
-uniqueness oracle.
+One greedy forward loop, :func:`_greedy`, decides membership; run by
+:func:`place` it also gives where each cluster's chunk starts, so
+:func:`member`, :func:`member_J`, :func:`inject` and the semifinite
+evaluation all run the same code.  The mirror-image pass from the end
+gives the least position from which the later clusters fit; a flange
+cluster can be left one symbol short exactly when that position lies
+less than its multiplicity past the start of its chunk.  Off the locus
+every flange chunk is full, so the greedy chunks, joined per section,
+are the section coordinates; the search over every splitting is left
+to :func:`inject_all`, the uniqueness oracle.
 
 Grammar: whitespace-separated tokens, each a sign followed by a
 positive integer or '*' for an infinite multiplicity, e.g.
@@ -65,7 +67,7 @@ class Cluster:
 @dataclass(frozen=True, slots=True)
 class Template:
     clusters: tuple[Cluster, ...]
-    # (sign bit, multiplicity or None) per cluster, read by member
+    # (sign bit, multiplicity or None) per cluster, read by _greedy
     _runs: tuple[tuple[int, Optional[int]], ...] = field(
         init=False, repr=False, compare=False)
     # per section, its first and one past its last cluster index, and the
@@ -151,29 +153,28 @@ def is_finite_template(t: Template) -> bool:
     return not _layout(t)[1]
 
 
-def is_semifinite_template(t: Template) -> bool:
-    return not is_finite_template(t)
-
-
 # ---------------------------------------------------------------------------
 # Membership and placement
 # ---------------------------------------------------------------------------
 
-def member(t: Template, w: BinaryWord) -> bool:
-    """True iff w splits into chunks fitting t's clusters in order.
+def _greedy(t: Template, w: BinaryWord, starts: Optional[list[int]] = None) -> int:
+    """How far into w t's clusters reach, each in turn taking the longest
+    run of its sign that its multiplicity allows, read off ``w.bits``;
+    the loop stops once all of w is taken.  When ``starts`` is a list,
+    the start of each chunk taken is appended to it.
 
-    Greedy: each cluster in turn takes the longest run of its sign that
-    its multiplicity allows, read off ``w.bits``, and w fits once the
-    clusters have consumed all of it.  This is exact because the
-    coideal is closed under deletion: if some splitting fits, every
-    suffix of the remainder it leaves after a cluster fits the
-    remaining clusters, so taking more symbols never hurts.  (By
-    induction, the greedy position after each cluster is at least that
-    of any fitting splitting.)  Linear in len(w) + len(t).
+    The greedy reach is exact because the coideal is closed under
+    deletion: if some splitting fits, every suffix of the remainder it
+    leaves after a cluster fits the remaining clusters, so taking more
+    symbols never hurts.  (By induction, the greedy position after each
+    cluster is at least that of any fitting splitting.)  A constant
+    number of integer operations per cluster, whatever the length of w.
     """
     bits, n = w.bits, w.n
     pos = 0
     for bit, mult in t._runs:
+        if starts is not None:
+            starts.append(pos)
         rest = bits >> pos
         if bit:
             run = (~rest & (rest + 1)).bit_length() - 1   # trailing ones
@@ -183,8 +184,14 @@ def member(t: Template, w: BinaryWord) -> bool:
             run = mult
         pos += run
         if pos == n:
-            return True
-    return False
+            break
+    return pos
+
+
+def member(t: Template, w: BinaryWord) -> bool:
+    """True iff w splits into chunks fitting t's clusters in order: the
+    greedy pass takes all of it."""
+    return _greedy(t, w) == w.n
 
 
 def place(t: Template, w: BinaryWord) -> tuple[bool, Optional[list[tuple[int, int]]]]:
@@ -194,9 +201,10 @@ def place(t: Template, w: BinaryWord) -> tuple[bool, Optional[list[tuple[int, in
     coideal and on the blow-up locus; elsewhere it holds, per section,
     the start and stop in w of that section's coordinate.
 
-    The forward pass is member's greedy loop run to the last cluster,
-    noting where each chunk starts.  The mirror-image pass then runs
-    from the end down to the first flange cluster: before it reads
+    The forward pass is :func:`_greedy`, the loop behind :func:`member`,
+    noting where each chunk starts; the clusters after the one that
+    takes w's last symbol start at its end.  The mirror-image pass then
+    runs from the end down to the first flange cluster: before it reads
     cluster i, ``pos`` is the least position from which the rest of w
     fits clusters i + 1, i + 2, ...  Flange cluster i can be left one
     symbol short, so w fits a reduced template, exactly when ``pos``
@@ -206,25 +214,13 @@ def place(t: Template, w: BinaryWord) -> tuple[bool, Optional[list[tuple[int, in
     flange chunk is full, and the greedy chunks, joined per section,
     are the section coordinates.
     """
-    # member's loop, run to the last cluster; member keeps its own copy
-    # with the early exit, as the scans' hot path
     bits, n = w.bits, w.n
-    runs = t._runs
-    starts = []  # starts[i]: where cluster i's greedy chunk starts
-    pos = 0
-    for bit, mult in runs:
-        starts.append(pos)
-        rest = bits >> pos
-        if bit:
-            run = (~rest & (rest + 1)).bit_length() - 1
-        else:
-            run = (rest & -rest).bit_length() - 1 if rest else n - pos
-        if mult is not None and run > mult:
-            run = mult
-        pos += run
+    starts: list[int] = []  # starts[i]: where cluster i's greedy chunk starts
+    pos = _greedy(t, w, starts)
     if pos != n:
         return False, None
-    starts.append(n)
+    runs = t._runs
+    starts += [n] * (len(runs) + 1 - len(starts))
     spans, flange = _layout(t)
     if flange:
         for i in range(len(runs) - 1, flange[0] - 1, -1):

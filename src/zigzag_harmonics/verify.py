@@ -51,10 +51,6 @@ from .words import level as vertex_level
 
 W = BinaryWord.from_str
 
-STEP_TEMPLATE = parse_template("+* -1 +1 -*")
-CAPPED_TEMPLATE = parse_template("+1 -* +* -1 +*")
-BRACKETED_TEMPLATE = parse_template("-1 +* -* +1 -* +* -* +1")
-
 STEP_MODEL = GrowthModel.parse("+* -1 +1 -* | w=1/3,2/3")
 CAPPED_MODEL = GrowthModel.parse("+1 -* +* -1 +* | w=1/2,1/3,1/6")
 BRACKETED_MODEL = GrowthModel.parse("-1 +* -* +1 -* +* -* +1 | w=1/3,1/4,1/6,1/8,1/8")
@@ -254,10 +250,10 @@ def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
 def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
     failures = []
 
-    capped = CAPPED_TEMPLATE
+    capped = CAPPED_MODEL.template
     section = parse_template("-* +* -1 +*")
     gen = W("+--")
-    bracketed = BRACKETED_TEMPLATE
+    bracketed = BRACKETED_MODEL.template
     g1, g2 = W("-+-+-+-+"), W("-++-++-+")
     minimal: list[BinaryWord] = []
     # every check below holds trivially outside the union of the three
@@ -332,27 +328,28 @@ def suite_injection(cap: int, _seed: Optional[int]) -> Checks:
                     failures.append(f"{name}: image collision at {decs[0]}")
                 image[decs[0]] = w
         for w, tup in coords.items():
-            ups = [u for u in upper_covers(w) if u in coords]
-            for u in ups:
+            covers, pieces = upper_covers(w), [upper_covers(x) for x in tup]
+            for u in covers:
+                if u not in coords:
+                    continue
                 diff = [i for i in range(len(tup)) if coords[u][i] != tup[i]]
                 if len(diff) != 1:
                     failures.append(f"{name}: edge {w}->{u} moves {len(diff)} coordinates")
                     continue
                 i = diff[0]
-                if coords[u][i] not in upper_covers(tup[i]):
+                if coords[u][i] not in pieces[i]:
                     failures.append(f"{name}: edge {w}->{u} is not a coordinate cover")
-        for w, tup in coords.items():
             if vertex_level(w) >= cap:
                 continue  # the bumped preimage would fall outside the enumeration
             for i, section in enumerate(sections):
-                for c in upper_covers(tup[i]):
+                for c in pieces[i]:
                     if not member(section, c):
                         continue
                     bumped = tup[:i] + (c,) + tup[i + 1:]
                     pre = image.get(bumped)
                     if pre is None:
                         failures.append(f"{name}: image misses cover {bumped} of {tup}")
-                    elif pre not in upper_covers(w):
+                    elif pre not in covers:
                         failures.append(f"{name}: product edge at {tup} has no preimage edge")
         lines.append(f"{name}: {len(coords)} points embedded, edges and ideal image checked")
     return lines, failures

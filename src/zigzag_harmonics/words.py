@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -28,8 +29,7 @@ MINUS = "-"
 #: words_below refuses word lengths above this
 LEVEL_CAP = 20
 
-# binary digits to symbols and back, for BinaryWord.__str__ and from_str
-_SYMBOLS = str.maketrans("01", PLUS + MINUS)
+# symbols to binary digits, for BinaryWord.from_str
 _DIGITS = str.maketrans(PLUS + MINUS, "01")
 
 
@@ -57,8 +57,9 @@ class BinaryWord:
         return self.n
 
     def __str__(self) -> str:
-        # a leading 1 keeps the zeros of high '+' symbols; reversed, it is dropped
-        return format(self.bits | 1 << self.n, "b")[:0:-1].translate(_SYMBOLS)
+        # a leading 1 keeps the zeros of high '+' symbols; reversed, the
+        # slice drops it with the '0b' prefix
+        return bin(self.bits | 1 << self.n)[:2:-1].replace("0", PLUS).replace("1", MINUS)
 
     def __repr__(self) -> str:
         return f"BinaryWord({str(self)!r})"
@@ -84,13 +85,7 @@ class BinaryWord:
 
     def blocks(self) -> tuple[tuple[str, int], ...]:
         """Maximal runs of equal symbols, as (sign, length) pairs."""
-        out: list[tuple[str, int]] = []
-        for s in self:
-            if out and out[-1][0] == s:
-                out[-1] = (s, out[-1][1] + 1)
-            else:
-                out.append((s, 1))
-        return tuple(out)
+        return tuple((s, sum(1 for _ in run)) for s, run in groupby(str(self)))
 
 
 EMPTY = BinaryWord(0, 0)
@@ -136,22 +131,12 @@ def word_of_composition(parts: Iterable[int]) -> BinaryWord:
     parts = tuple(parts)
     if not parts or any(p < 1 for p in parts):
         raise ValueError(f"composition parts must be >= 1, got {parts}")
-    chunks = []
-    for i, p in enumerate(parts):
-        if i:
-            chunks.append(MINUS)
-        chunks.append(PLUS * (p - 1))
-    return BinaryWord.from_str("".join(chunks))
+    return BinaryWord.from_str(MINUS.join(PLUS * (p - 1) for p in parts))
 
 
 def composition_of_word(w: BinaryWord) -> tuple[int, ...]:
-    parts = [1]
-    for s in w:
-        if s == PLUS:
-            parts[-1] += 1
-        else:
-            parts.append(1)
-    return tuple(parts)
+    """Row lengths: each '-' starts a row, each '+' adds a box to one."""
+    return tuple(len(row) + 1 for row in str(w).split(MINUS))
 
 
 # ---------------------------------------------------------------------------

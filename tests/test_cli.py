@@ -7,6 +7,8 @@ Core claims:
       sorts each vertex's covers by their strings
     - exit codes are 0 on success, 1 on verification failure, 2 on
       usage and parse errors
+    - render works out the size of its picture exactly, before drawing
+      it, and refuses one above the cap with exit 2
 """
 
 import json
@@ -18,7 +20,7 @@ from word_oracle import enumerate_level
 from zigzag_harmonics import (ROOT, BinaryWord, level, member, member_J,
                               parse_template, parse_vertex, upper_covers,
                               words_below)
-from zigzag_harmonics import cli, verify
+from zigzag_harmonics import cli, render, verify
 from zigzag_harmonics.cli import main
 from zigzag_harmonics.qsym import DEGREE_CAP, fexpansion_from_json
 from zigzag_harmonics.verify import SUITES, SuiteReport
@@ -46,6 +48,48 @@ def test_render_template(capsys):
     assert code == 0
     lines = out.rstrip("\n").split("\n")
     assert lines == ["***", "  ##", "   *", "   *"]
+
+
+def test_render_size_check_counts_every_character(monkeypatch):
+    # the arithmetic size admits each picture at its own length, and
+    # refuses it one character below
+    pictures = [(render.render_vertex, w) for w in words_below(9)]
+    pictures += [(render.render_template, parse_template(text)) for text in
+                 ("+* -1 +1 -*", "-3 +* -2", "+1 -* +* -1 +*", "-* +4 -1 +* -2")]
+    for draw, item in pictures:
+        size = len(draw(item))
+        monkeypatch.setattr(render, "PICTURE_CAP", size)
+        draw(item)
+        monkeypatch.setattr(render, "PICTURE_CAP", size - 1)
+        with pytest.raises(ValueError, match="above cap"):
+            draw(item)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("template, size", [("+1000000 -*", 3_000_005),
+                                            ("-1000000 +*", 2_000_003)])
+def test_render_draws_large_pictures_within_the_cap(capsys, template, size):
+    code, out, _ = run(capsys, "render", "--template", template)
+    assert code == 0 and len(out) == size + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--template", "+20000 -20000 +*"),          # 400,060,003 characters
+    ("--template", "+99999999999999 -*"),
+    ("--word", "+" * 2100 + "-" * 2100),          # wide, then tall
+])
+def test_render_refuses_a_picture_above_the_cap_before_drawing_it(capsys, monkeypatch, argv):
+    check = render._check_size
+
+    def check_and_stop(runs):
+        check(runs)
+        raise AssertionError("an oversized picture passed the size check")
+
+    monkeypatch.setattr(render, "_check_size", check_and_stop)
+    started = time.perf_counter()
+    code, _, err = run(capsys, "render", *argv)
+    assert code == 2 and "above cap" in err and "Traceback" not in err
+    assert time.perf_counter() - started < 1.0
 
 
 def test_render_needs_exactly_one_input(capsys):

@@ -14,6 +14,9 @@ Core claims:
       every alternating template of up to 4 clusters and words of up to
       8 symbols, by property test on random templates, and at flange
       clusters on either end of a template
+    - on words of a million symbols, member, member_J, inject and phi_tw
+      make a few operations on the word's packed bits per cluster, never
+      one per symbol
     - the injection decomposes uniquely, preserves edges, and its image
       matches the worked descriptions
     - the section coordinates read off the greedy pass are the one
@@ -29,6 +32,7 @@ Core claims:
       exactly the words of the filtered level scan, in the same order
 """
 
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 
@@ -42,10 +46,9 @@ from template_oracle import (inject_by_reduction, is_flange, locus_by_reduction,
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, GrowthModel, Template,
                               build_w_eps, flange_and_sections, inject, inject_all,
-                              is_finite_template, is_semifinite_template,
-                              is_subword, lower_covers, member, member_J,
-                              minimal_maxblock_word, parse_template, place,
-                              section_interval_tuples, single_generator_word,
+                              is_finite_template, is_subword, lower_covers, member,
+                              member_J, minimal_maxblock_word, parse_template, phi_tw,
+                              place, section_interval_tuples, single_generator_word,
                               template_of_intervals, upper_covers, words_below)
 from zigzag_harmonics.verify import DISTINCT_PAIRS, EXAMPLE_MODELS
 
@@ -102,7 +105,7 @@ def test_finiteness_worked_pair():
     assert is_finite_template(parse_template("+* -* +* -1 +* -1 +* -* +1 -*"))
     assert not is_finite_template(FIGURE)
     assert is_finite_template(parse_template("+*"))
-    assert is_semifinite_template(STEP)
+    assert not is_finite_template(STEP)
 
 
 # -- membership ---------------------------------------------------------------
@@ -302,6 +305,64 @@ def test_flange_clusters_at_the_ends(text, locus, off, coords):
     _agrees_with_reduction(t, W(off))
 
 
+class _CountedBits(int):
+    """Packed bits that count the integer operations made on them."""
+
+    def __new__(cls, value):
+        bits = super().__new__(cls, value)
+        bits.ops = 0
+        return bits
+
+
+def _counted(name):
+    op = getattr(int, name)
+
+    def counted(self, *args):
+        self.ops += 1
+        return op(self, *args)
+    return counted
+
+
+for _name in ("__rshift__", "__lshift__", "__and__", "__rand__", "__or__", "__ror__",
+              "__xor__", "__rxor__", "__invert__", "__neg__", "__add__", "__radd__",
+              "__sub__", "__rsub__"):
+    setattr(_CountedBits, _name, _counted(_name))
+
+
+def test_placement_takes_a_few_integer_steps_per_cluster_on_long_words():
+    # words of 10^6 symbols: a step per symbol would be a million
+    # operations on the word's bits, each on a million-bit integer
+    n, half = 10 ** 6, 10 ** 6 // 2
+    long_flange = GrowthModel.parse("+100000000 -* +* -1 +* | w=1/2,1/3,1/6")
+    step = EXAMPLE_MODELS["step"]
+    tail = (1 << (n - half - 2)) - 1
+    cases = [  # model, packed bits, member, member_J, phi_tw kind, inject
+        (long_flange, 0, True, True, "infinite", None),                 # +^n
+        (long_flange, 0b01101 << (n - 5), False, False, "zero", None),  # +^(n-5) -+--+
+        (step, 0, True, True, "infinite", None),                        # +^n
+        (step, 0b0101 << (n - 4), False, False, "zero", None),          # +^(n-4) -+-+
+        (step, 1 << half | tail << (half + 2), True, False, None,       # +^h -+ -^(n-h-2)
+         (BinaryWord(half, 0), BinaryWord(n - half - 2, tail))),
+    ]
+    started = time.perf_counter()
+    for model, bits, fits, blown, kind, coords in cases:
+        t = model.template
+        w = BinaryWord(n, _CountedBits(bits))
+        calls = [(lambda: member(t, w), fits), (lambda: member_J(t, w), blown),
+                 (lambda: inject(t, w), coords)]
+        if kind is not None:
+            calls.append((lambda: phi_tw(model, w).kind, kind))
+        for call, expected in calls:
+            before = w.bits.ops
+            try:
+                result = call()
+            except ValueError:
+                result = None
+            assert result == expected, (t, expected)
+            assert w.bits.ops - before <= 3 * len(t), (t, expected)
+    assert time.perf_counter() - started < 1.0
+
+
 # -- injection ----------------------------------------------------------------
 
 def test_inject_worked_examples():
@@ -332,7 +393,7 @@ def test_inject_unique_on_small_levels():
 # filled words fit t with every flange cluster full, so many of them lie
 # off the blow-up locus, where the coordinates mean something
 @settings(max_examples=300)
-@given(alternating_templates().filter(is_semifinite_template), st.data())
+@given(alternating_templates().filter(lambda t: not is_finite_template(t)), st.data())
 def test_greedy_coordinates_on_random_semifinite_templates(t, data):
     sizes = st.tuples(*(st.integers(0, 4) for _ in t.clusters), st.integers(-1, 13))
     w = data.draw(st.one_of(sizes.map(lambda s: _filled(t, s)),
@@ -362,7 +423,7 @@ def _by_flange_test(t, weights, eps):
 
 
 @settings(max_examples=300)
-@given(alternating_templates().filter(is_semifinite_template), st.data())
+@given(alternating_templates().filter(lambda t: not is_finite_template(t)), st.data())
 def test_eps_deformation_and_sections_follow_the_flange_test(t, data):
     raw = data.draw(st.lists(st.integers(1, 9), min_size=t.infinite_count,
                              max_size=t.infinite_count))
