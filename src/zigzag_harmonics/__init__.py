@@ -6,19 +6,16 @@ from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
 from .qsym import pieri_check, product_F, shuffle_counts
 from .semifinite import (ApproxReport, ExtValue, GrowthModel,
                          LimitReport, build_w_eps, check_approx_sequence,
-                         check_harmonic_at, check_limit_formula,
-                         check_ring_identity, cover_sum, eps_expansion,
+                         check_limit_formula, cover_sum, eps_expansion,
                          model_paintbox, phi_tw, ring_identity_failures,
                          section_interval_tuples)
 from .templates import (Cluster, FlangeDecomposition, Template,
                         flange_and_sections, inject, inject_all,
                         is_finite_template, member, member_J,
-                        minimal_maxblock_word, parse_template, place,
-                        single_generator_word)
+                        minimal_maxblock_word, parse_template, place)
 from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
                     composition_of_word, dim, dominates_search,
                     is_subword, level, lower_covers, parse_vertex,
-                    upper_cover_bits, upper_covers, word_of_composition,
-                    words_below)
+                    upper_cover_bits, upper_covers, words_below)
 
 __version__ = "0.1.0"

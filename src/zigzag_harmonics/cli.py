@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(set(SUITES)))
+    p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--level", type=int,
                    help="size of the check; read by every suite but ring-identity")
     p.add_argument("--degree", type=int,
@@ -70,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="product of two fundamental functions")
     p.add_argument("--word", required=True, help="left factor (word or '@')")
     p.add_argument("--with", dest="right", required=True, help="right factor")
-    p.add_argument("--degree", type=int, default=DEGREE_CAP)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("inject", help="section coordinates of a word")
@@ -184,10 +183,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    if not 2 <= args.degree <= DEGREE_CAP:
-        raise ValueError(f"product degree cap must stay within 2..{DEGREE_CAP}")
-    expansion = product_F(parse_vertex(args.word), parse_vertex(args.right),
-                          degree_cap=args.degree)
+    expansion = product_F(parse_vertex(args.word), parse_vertex(args.right))
     if args.format == "json":
         print(json.dumps(fexpansion_to_json(expansion), indent=2))
     else:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .words import (EMPTY, ROOT, BinaryWord, FormalCombination, Vertex, level,
                     upper_cover_bits)
 
-#: largest |a| + |b| accepted by product_F
+#: largest |a| + |b| accepted by shuffle_counts and product_F
 DEGREE_CAP = 16
 
 
@@ -35,8 +35,7 @@ def _place(into: dict[int, int], prefixes: dict[int, int], bit: int) -> None:
         into[key] = into.get(key, 0) + count
 
 
-def shuffle_counts(a: Vertex, b: Vertex,
-                   degree_cap: int = DEGREE_CAP) -> tuple[int, dict[int, int]]:
+def shuffle_counts(a: Vertex, b: Vertex) -> tuple[int, dict[int, int]]:
     """Structure constants of F_a * F_b as the level n and {packed bits: count}.
 
     The keys are the packed bits of the words of n - 1 symbols that
@@ -61,8 +60,8 @@ def shuffle_counts(a: Vertex, b: Vertex,
         return level(other), {0 if other is ROOT else other.bits: 1}
     la, lb = level(a), level(b)
     n = la + lb
-    if n > degree_cap:
-        raise ValueError(f"combined degree {n} above cap {degree_cap}")
+    if n > DEGREE_CAP:
+        raise ValueError(f"combined degree {n} above cap {DEGREE_CAP}")
     # (letters of a placed, last letter from a) -> {prefix bits: count};
     # the other letters placed so far are b's
     layer: dict[tuple[int, bool], dict[int, int]] = {(1, True): {0: 1}, (0, False): {0: 1}}
@@ -84,13 +83,13 @@ def shuffle_counts(a: Vertex, b: Vertex,
     return n, counts
 
 
-def product_F(a: Vertex, b: Vertex, degree_cap: int = DEGREE_CAP) -> FormalCombination:
+def product_F(a: Vertex, b: Vertex) -> FormalCombination:
     """F_a * F_b as a combination of vertices with integer coefficients.
 
     The counts of :func:`shuffle_counts`, each packed word made a
     vertex; the empty diagram is the unit.
     """
-    n, counts = shuffle_counts(a, b, degree_cap)
+    n, counts = shuffle_counts(a, b)
     if not n:
         return FormalCombination(0, {ROOT: 1})
     return FormalCombination(n, {BinaryWord(n - 1, bits): c for bits, c in counts.items()})

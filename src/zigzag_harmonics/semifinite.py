@@ -29,8 +29,7 @@ from .qsym import shuffle_counts
 from .templates import (Template, _layout, is_finite_template, member, member_J,
                         minimal_maxblock_word, parse_template, place)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
-                    dominates_search, is_subword, level, upper_covers,
-                    words_below)
+                    dominates_search, is_subword, level, words_below)
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +181,6 @@ def cover_sum(values: Iterable[ExtValue]) -> ExtValue:
     return ExtValue.finite(total) if total else ExtValue.zero()
 
 
-def check_harmonic_at(model: GrowthModel, v: Vertex) -> bool:
-    """Value at v equals the sum over its covers inside the coideal.
-
-    Any infinite cover makes the sum infinite; on the blow-up locus the
-    identity therefore reduces to the existence of an infinite cover,
-    which is the saturation of that locus.  The value is zero exactly
-    off the coideal: there v raises ``ValueError``, and covers add 0.
-    """
-    value = phi_tw(model, v)
-    if value.is_zero:
-        raise ValueError(f"{v} is outside the coideal of {model.template}")
-    return value == cover_sum(phi_tw(model, c) for c in upper_covers(v))
-
-
 # ---------------------------------------------------------------------------
 # The eps deformation
 # ---------------------------------------------------------------------------
@@ -225,14 +210,15 @@ def eps_expansion(v: Vertex, w_x: IntervalTuple) -> tuple[Fraction, ...]:
     are positive, so for a word of n symbols the coefficients times
     D^(n+1) are integers c_k with 0 <= c_k <= (D * L)^(n+1), L the total
     length at eps = 1.  An x above that bound has the c_k as the base-x
-    digits of eval_F(v, w_x) * D^(n+1) (Kronecker substitution); a
-    smaller or fractional x raises ``ValueError``.
+    digits of eval_F(v, w_x) * D^(n+1) (Kronecker substitution), the
+    integer that :func:`~zigzag_harmonics.paintbox.eval_F_numerator`
+    returns; a smaller or fractional x raises ``ValueError``.
     """
     x, scale = max(w_x.lengths), w_x.denominator ** level(v)
     unit_total = sum(1 if l == x else l for l in w_x.lengths)
     if x.denominator != 1 or x <= (w_x.denominator * unit_total) ** level(v):
         raise ValueError(f"eps = {x} is no integer above the coefficients at {v}")
-    rest, coeffs = (eval_F(v, w_x) * scale).numerator, []
+    rest, coeffs = 1 if v is ROOT else eval_F_numerator(v, w_x), []
     while rest:
         rest, digit = divmod(rest, int(x))
         coeffs.append(Fraction(digit, scale))
@@ -316,14 +302,6 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
 # ---------------------------------------------------------------------------
 # Ring identity and approximating sequences
 # ---------------------------------------------------------------------------
-
-def check_ring_identity(model: GrowthModel, a: Vertex, b: Vertex) -> bool:
-    """phi(F_a F_b) = phi_paintbox(a) * phi(b) for b of finite value.
-
-    The one pair (a, b) of :func:`ring_identity_failures`.
-    """
-    return not ring_identity_failures(model, (a,), (b,))
-
 
 def ring_identity_failures(model: GrowthModel, lefts: Sequence[Vertex],
                            rights: Sequence[Vertex]) -> list[tuple[Vertex, BinaryWord]]:

@@ -538,10 +538,6 @@ def suite_distinctness(cap: int, _seed: Optional[int]) -> Checks:
     return lines, failures
 
 
-#: alias kept because the identity is usually asked for by this name
-SUITES["harmonicity"] = suite_finite_harmonicity
-
-
 def run_suite(name: str, level: Optional[int] = None, degree: Optional[int] = None,
               seed: Optional[int] = None) -> SuiteReport:
     if name not in SUITES:

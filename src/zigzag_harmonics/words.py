@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import lcm
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 PLUS = "+"
 MINUS = "-"
@@ -126,14 +126,6 @@ def level(v: Vertex) -> int:
 # Compositions
 # ---------------------------------------------------------------------------
 
-def word_of_composition(parts: Iterable[int]) -> BinaryWord:
-    """Row lengths to word: lambda_i - 1 pluses per row, one minus between rows."""
-    parts = tuple(parts)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError(f"composition parts must be >= 1, got {parts}")
-    return BinaryWord.from_str(MINUS.join(PLUS * (p - 1) for p in parts))
-
-
 def composition_of_word(w: BinaryWord) -> tuple[int, ...]:
     """Row lengths: each '-' starts a row, each '+' adds a box to one."""
     return tuple(len(row) + 1 for row in str(w).split(MINUS))
@@ -223,9 +215,10 @@ def dim(a: Vertex, b: Vertex) -> int:
 class FormalCombination:
     """Non-negative rational combination of vertices sharing one level.
 
-    Coefficients given as ``int`` or ``Fraction`` are kept as they are
+    Coefficients are ``int`` or ``Fraction`` and are kept as they are
     (integer structure constants stay integers, and compare equal to
-    the same ``Fraction``); any other number is made a ``Fraction``.
+    the same ``Fraction``); any other type, a float or a ``bool``
+    included, raises ``ValueError``.
     """
 
     __slots__ = ("level", "coeffs")
@@ -234,7 +227,7 @@ class FormalCombination:
         clean: dict[Vertex, Union[int, Fraction]] = {}
         for v, c in coeffs.items():
             if type(c) is not int and type(c) is not Fraction:
-                c = Fraction(c)
+                raise ValueError(f"coefficient {c!r} at {v} is no int or Fraction")
             if c < 0:
                 raise ValueError(f"negative coefficient {c} at {v}")
             if level(v) != lvl:

@@ -21,8 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from word_oracle import word_of_composition
 from zigzag_harmonics.words import (MINUS, ROOT, BinaryWord, FormalCombination,
-                                    Vertex, level, word_of_composition)
+                                    Vertex, level)
 
 MonomialPoly = dict[tuple[int, ...], int]
 

@@ -8,14 +8,19 @@ the injection's coordinates are the one splitting that
 ``templates.inject_all`` finds.  ``templates.place`` decides both
 without building a reduced template; these functions build every one
 and ask ``member`` of each, so tests can compare the two routes.
+
+``single_generator_word`` proposes one word whose upper set inside the
+coideal is the complement of the blow-up locus, with a sufficient
+condition for that claim; the tests check it against ``member_J``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 from zigzag_harmonics.templates import Cluster, Template, inject_all, member
-from zigzag_harmonics.words import BinaryWord
+from zigzag_harmonics.words import MINUS, PLUS, BinaryWord
 
 
 def is_flange(t: Template, i: int) -> bool:
@@ -77,3 +82,55 @@ def inject_by_reduction(t: Template, w: BinaryWord) -> tuple[BinaryWord, ...]:
     (coords,) = inject_all(t, w)
     return coords
 
+
+def _matches(clusters: tuple[Cluster, ...], pattern: tuple[tuple[str, Optional[int]], ...]) -> bool:
+    return (len(clusters) == len(pattern)
+            and all(c.sign == s and c.mult == m for c, (s, m) in zip(clusters, pattern)))
+
+
+_INF = None
+_AVOID = (
+    ((PLUS, _INF), (MINUS, _INF), (PLUS, 1), (MINUS, _INF), (PLUS, _INF)),
+    ((MINUS, _INF), (PLUS, _INF), (MINUS, 1), (PLUS, _INF), (MINUS, _INF)),
+)
+_NO_PREFIX = (
+    ((PLUS, _INF), (MINUS, 1), (PLUS, _INF), (MINUS, _INF)),
+    ((MINUS, _INF), (PLUS, 1), (MINUS, _INF), (PLUS, _INF)),
+)
+_NO_SUFFIX = (
+    ((MINUS, _INF), (PLUS, _INF), (MINUS, 1), (PLUS, _INF)),
+    ((PLUS, _INF), (MINUS, _INF), (PLUS, 1), (MINUS, _INF)),
+)
+
+
+def single_generator_word(t: Template) -> tuple[BinaryWord, bool]:
+    """(a_t, flag): candidate generator word and a sufficient condition.
+
+    a_t drops outermost infinite clusters, shrinks internal infinite
+    clusters with an infinite neighbour to one symbol, drops internal
+    infinite clusters squeezed between finite ones, and keeps finite
+    clusters as they are.  When the flag is true (t avoids the listed
+    cluster patterns) the words above a_t inside the coideal are
+    exactly those outside every reduced template.  The condition is
+    sufficient only; templates failing it may still be generated by a
+    single word.
+    """
+    cs = t.clusters
+    last = len(cs) - 1
+    kept: list[str] = []
+    for i, c in enumerate(cs):
+        if c.is_infinite:
+            if i in (0, last):
+                continue
+            if cs[i - 1].is_infinite or cs[i + 1].is_infinite:
+                kept.append(c.sign)
+            # squeezed between two finite clusters: dropped entirely
+        else:
+            kept.append(c.sign * c.mult)
+    word = BinaryWord.from_str("".join(kept))
+
+    windows = [cs[i:i + 5] for i in range(len(cs) - 4)]
+    flag = (not any(_matches(win, pat) for win in windows for pat in _AVOID)
+            and not any(_matches(cs[:4], pat) for pat in _NO_PREFIX)
+            and not any(_matches(cs[-4:], pat) for pat in _NO_SUFFIX))
+    return word, flag

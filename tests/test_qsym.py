@@ -27,7 +27,7 @@ from polynomial_oracle import (monomial_expansion, poly_mul,
                                polynomial_product, reexpand)
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, is_subword, level,
-                              pieri_check, product_F)
+                              pieri_check, product_F, shuffle_counts)
 from zigzag_harmonics.qsym import DEGREE_CAP
 
 W = BinaryWord.from_str
@@ -60,10 +60,11 @@ def test_product_examples():
 
 
 def test_product_degree_cap():
-    with pytest.raises(ValueError):
-        product_F(W("+" * 6), W("-" * 6), degree_cap=12)
-    with pytest.raises(ValueError):
-        product_F(W("+" * 7), W("-" * 8))  # 8 + 9 boxes, one above the default
+    # 8 + 9 boxes, one above the cap, in the product and in its counts
+    with pytest.raises(ValueError, match=f"above cap {DEGREE_CAP}"):
+        product_F(W("+" * 7), W("-" * 8))
+    with pytest.raises(ValueError, match=f"above cap {DEGREE_CAP}"):
+        shuffle_counts(W("-" * 8), W("+" * 7))
 
 
 def test_pieri_exhaustive_small():

@@ -26,14 +26,14 @@ from eps_oracle import EPS, EpsPoly, brute_eval, eps_intervals
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, ExtValue,
                               FormalCombination, GrowthModel, build_w_eps,
-                              check_approx_sequence, check_harmonic_at,
-                              check_limit_formula, check_ring_identity,
+                              check_approx_sequence, check_limit_formula,
                               eps_expansion, eval_F, level, member,
                               model_paintbox, parse_template, phi_tw,
-                              section_interval_tuples, template_of_intervals,
-                              words_below)
+                              ring_identity_failures, section_interval_tuples,
+                              template_of_intervals, words_below)
 from zigzag_harmonics.verify import (BRACKETED_MODEL, CAPPED_MODEL,
-                                     EXAMPLE_MODELS, STEP_MODEL)
+                                     EXAMPLE_MODELS, STEP_MODEL,
+                                     semifinite_table)
 from zigzag_harmonics.words import LEVEL_CAP
 
 W = BinaryWord.from_str
@@ -109,21 +109,26 @@ def test_step_closed_form():
 
 
 def test_harmonicity_examples():
-    assert check_harmonic_at(STEP_MODEL, W("-+"))
-    assert check_harmonic_at(STEP_MODEL, W("++--"))  # via an infinite cover
-    assert check_harmonic_at(STEP_MODEL, ROOT)
-    with pytest.raises(ValueError):
-        check_harmonic_at(STEP_MODEL, W("-++"))
+    values, sums = semifinite_table(STEP_MODEL, 5)
+    assert sums[W("-+")] == values[W("-+")] == phi_tw(STEP_MODEL, W("-+"))
+    # via an infinite cover
+    assert sums[W("++--")] == values[W("++--")] == ExtValue.infinite()
+    assert sums[ROOT] == values[ROOT] == ExtValue.infinite()
+    # off the coideal: no value is kept and no sum is taken
+    assert W("-++") not in values and W("-++") not in sums
 
 
 def test_harmonicity_small_scan():
     for model in (STEP_MODEL, CAPPED_MODEL, BRACKETED_MODEL):
         t = model.template
-        assert check_harmonic_at(model, ROOT)
+        values, sums = semifinite_table(model, 7)
+        assert sums[ROOT] == values[ROOT]
         for length in range(7):
             for w in enumerate_level(length):
                 if member(t, w):
-                    assert check_harmonic_at(model, w), (model, w)
+                    assert sums[w] == values[w], (model, w)
+                else:
+                    assert w not in sums, (model, w)
 
 
 # -- deformation --------------------------------------------------------------
@@ -260,12 +265,12 @@ def test_limit_formula_vanishing_points_have_higher_valuation():
 # -- ring identity ------------------------------------------------------------
 
 def test_ring_identity_examples():
-    assert check_ring_identity(STEP_MODEL, EMPTY, W("-+"))
-    assert check_ring_identity(STEP_MODEL, W("+"), W("-+"))
-    assert check_ring_identity(STEP_MODEL, ROOT, W("+-+-"))
-    assert check_ring_identity(CAPPED_MODEL, W("-"), W("+--"))
+    assert ring_identity_failures(STEP_MODEL, (EMPTY,), (W("-+"),)) == []
+    assert ring_identity_failures(STEP_MODEL, (W("+"),), (W("-+"),)) == []
+    assert ring_identity_failures(STEP_MODEL, (ROOT,), (W("+-+-"),)) == []
+    assert ring_identity_failures(CAPPED_MODEL, (W("-"),), (W("+--"),)) == []
     with pytest.raises(ValueError):
-        check_ring_identity(STEP_MODEL, EMPTY, W("++--"))
+        ring_identity_failures(STEP_MODEL, (EMPTY,), (W("++--"),))
 
 
 def test_ring_identity_hand_worked_instance():
@@ -274,13 +279,12 @@ def test_ring_identity_hand_worked_instance():
     w1, w2 = STEP_MODEL.weights
     lhs = w1 ** 2 * w2 + w1 * w2 ** 2
     assert lhs == phi_tw(STEP_MODEL, W("-+")).value
-    assert check_ring_identity(STEP_MODEL, EMPTY, W("-+"))
+    assert ring_identity_failures(STEP_MODEL, (EMPTY,), (W("-+"),)) == []
 
 
 def test_ring_identity_bracketed_generators():
     g1 = W("-+-+-+-+")
-    assert check_ring_identity(BRACKETED_MODEL, EMPTY, g1)
-    assert check_ring_identity(BRACKETED_MODEL, W("+"), g1)
+    assert ring_identity_failures(BRACKETED_MODEL, (EMPTY, W("+")), (g1,)) == []
 
 
 # -- approximating sequences --------------------------------------------------

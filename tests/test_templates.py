@@ -42,14 +42,14 @@ from hypothesis import strategies as st
 
 from maxblock_oracle import maxblock_member
 from template_oracle import (inject_by_reduction, is_flange, locus_by_reduction,
-                             reduced_templates)
+                             reduced_templates, single_generator_word)
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, GrowthModel, Template,
                               build_w_eps, flange_and_sections, inject, inject_all,
                               is_finite_template, is_subword, lower_covers, member,
                               member_J, minimal_maxblock_word, parse_template, phi_tw,
-                              place, section_interval_tuples, single_generator_word,
-                              template_of_intervals, upper_covers, words_below)
+                              place, section_interval_tuples, template_of_intervals,
+                              upper_covers, words_below)
 from zigzag_harmonics.verify import DISTINCT_PAIRS, EXAMPLE_MODELS
 
 W = BinaryWord.from_str

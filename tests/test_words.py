@@ -6,6 +6,7 @@ Core claims:
     - dim agrees with brute-force chain enumeration and the bent-word
       closed form N * N! / (n1! m1!)
     - expansions carry dim as coefficients and have unit single steps
+    - formal combinations take int and Fraction coefficients only
     - the single-level cone certificate accepts and rejects correctly,
       in the full graph and restricted to a template's coideal
     - the level-by-level cone search gives the first level at which the
@@ -25,12 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from word_oracle import dominates_at, enumerate_level, expand, first_certified_level
+from word_oracle import (dominates_at, enumerate_level, expand, first_certified_level,
+                         word_of_composition)
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, FormalCombination, GrowthModel,
                               Paintbox, dim, dominates_search, is_subword, level,
                               lower_covers, member, member_J, parse_template,
-                              parse_vertex, phi_tw, phi_w, upper_covers,
-                              word_of_composition, words_below)
+                              parse_vertex, phi_tw, phi_w, upper_covers, words_below)
 from zigzag_harmonics.words import LEVEL_CAP, composition_of_word
 
 W = BinaryWord.from_str
@@ -311,6 +312,16 @@ def test_dominates_level_validation():
     c = FormalCombination(3, {W("++"): Fraction(1)})
     with pytest.raises(ValueError):
         dominates_at(W("+"), c, at_level=2)
+
+
+def test_formal_combination_takes_only_ints_and_fractions():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    for c in (0.1, 1.0, True):
+        with pytest.raises(ValueError, match="no int or Fraction"):
+            FormalCombination(2, {W("+"): c})
+    comb = FormalCombination(2, {W("+"): 3, W("-"): Fraction(1, 10)})
+    assert comb.coeffs == {W("+"): 3, W("-"): Fraction(1, 10)}
+    assert type(comb.coefficient(W("+"))) is int
 
 
 # -- enumeration and serialization --------------------------------------------

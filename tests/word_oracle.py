@@ -13,16 +13,20 @@ as a combination of ``BinaryWord`` keys with ``Fraction`` coefficients;
 the base each time.  Together they are the oracle of
 ``words.dominates_search``, which pushes packed integer layers up one
 level at a time.
+
+``word_of_composition`` builds a word from its row lengths, the
+inverse of ``words.composition_of_word``; the polynomial oracle names
+its product terms by compositions through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from zigzag_harmonics.words import (BinaryWord, FormalCombination, Vertex, level,
-                                    upper_covers)
+from zigzag_harmonics.words import (MINUS, PLUS, BinaryWord, FormalCombination,
+                                    Vertex, level, upper_covers)
 
 Filter = Optional[Callable[[BinaryWord], bool]]
 
@@ -31,6 +35,14 @@ def enumerate_level(nsymbols: int) -> list[BinaryWord]:
     """All 2^n words of the given length in lexicographic order ('+' < '-')."""
     return [BinaryWord.from_str("".join(symbols))
             for symbols in product("+-", repeat=nsymbols)]
+
+
+def word_of_composition(parts: Iterable[int]) -> BinaryWord:
+    """Row lengths to word: lambda_i - 1 pluses per row, one minus between rows."""
+    parts = tuple(parts)
+    if not parts or any(p < 1 for p in parts):
+        raise ValueError(f"composition parts must be >= 1, got {parts}")
+    return BinaryWord.from_str(MINUS.join(PLUS * (p - 1) for p in parts))
 
 
 def expand(v: Vertex, n: int, within: Filter = None) -> FormalCombination:
