@@ -72,7 +72,7 @@ class IntervalTuple:
         for sign, length in self.intervals:
             if sign not in (PLUS, MINUS):
                 raise ValueError(f"bad orientation {sign!r}")
-            if not isinstance(length, (int, Fraction)) or length <= 0:
+            if (type(length) is not int and type(length) is not Fraction) or length <= 0:
                 raise ValueError(f"length {length!r} is not a positive int or Fraction")
         denominator = lcm(*(l.denominator for l in self.lengths))
         lengths = tuple(int(l * denominator) for l in self.lengths)

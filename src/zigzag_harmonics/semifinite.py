@@ -98,7 +98,7 @@ class GrowthModel:
         if len(self.weights) != self.template.infinite_count:
             raise ValueError(
                 f"need {self.template.infinite_count} weights, got {len(self.weights)}")
-        if not all(isinstance(w, (int, Fraction)) and w > 0 for w in self.weights):
+        if not all((type(w) is int or type(w) is Fraction) and w > 0 for w in self.weights):
             raise ValueError("weights must be positive ints or Fractions")
         if sum(self.weights, Fraction(0)) != 1:
             raise ValueError("weights must sum to 1")

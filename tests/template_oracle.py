@@ -9,6 +9,10 @@ the injection's coordinates are the one splitting that
 without building a reduced template; these functions build every one
 and ask ``member`` of each, so tests can compare the two routes.
 
+``template_regex`` reads a coideal as a regular expression over the
+word's text, so membership can be checked without the greedy loop that
+``member``, ``place`` and ``phi_tw`` share.
+
 ``single_generator_word`` proposes one word whose upper set inside the
 coideal is the complement of the blow-up locus, with a sufficient
 condition for that claim; the tests check it against ``member_J``.
@@ -16,6 +20,7 @@ condition for that claim; the tests check it against ``member_J``.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Optional
 
@@ -81,6 +86,15 @@ def inject_by_reduction(t: Template, w: BinaryWord) -> tuple[BinaryWord, ...]:
         raise ValueError(f"{w} fits a reduced template of {t}")
     (coords,) = inject_all(t, w)
     return coords
+
+
+def template_regex(t: Template) -> re.Pattern:
+    """The words fitting t, as text: per cluster a run of its sign of at
+    most its multiplicity (``+3`` gives ``\\+{0,3}``, ``-*`` gives
+    ``\\-*``).  Match with ``fullmatch``."""
+    return re.compile("".join(
+        re.escape(c.sign) + ("*" if c.is_infinite else f"{{0,{c.mult}}}")
+        for c in t.clusters))
 
 
 def _matches(clusters: tuple[Cluster, ...], pattern: tuple[tuple[str, Optional[int]], ...]) -> bool:

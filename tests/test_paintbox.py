@@ -253,11 +253,12 @@ def test_maxblock_rejects_other_words():
 
 def test_interval_lengths_must_be_exact_rationals():
     for intervals in ((("+", 0.5), ("-", -0.25)), (("+", 0.5),), (("-", -0.25),),
-                      (("+", F(1, 2)), ("-", 0.5)), (("+", "1/2"),)):
+                      (("+", F(1, 2)), ("-", 0.5)), (("+", "1/2"),), (("+", True),)):
         with pytest.raises(ValueError, match="not a positive int or Fraction"):
             IntervalTuple(intervals)
-    with pytest.raises(ValueError):
-        Paintbox((("+", 0.5), ("-", 0.5)))
+    for intervals in ((("+", 0.5), ("-", 0.5)), (("+", True),)):
+        with pytest.raises(ValueError, match="not a positive int or Fraction"):
+            Paintbox(intervals)
     assert IntervalTuple((("+", 2), ("-", F(1, 3)))).denominator == 3
 
 

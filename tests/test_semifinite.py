@@ -6,7 +6,10 @@ Core claims:
       zero / finite / infinite exactly off the coideal / on its finite
       part / on the blow-up locus (root included)
     - the harmonicity identity holds with extended arithmetic
-    - model weights are exact rationals; floats are refused
+    - model weights are exact rationals; floats and bools are refused
+    - phi_tw is zero, finite or infinite exactly as the coideal and the
+      reduced coideals, read as regular expressions, say: on the root
+      and every word below 11 symbols, for four models
     - the eps deformation has one interval per flange cluster; the
       expansion read off one integer evaluation equals the splitting
       sum over formal eps polynomials, and interpolates the rational
@@ -23,6 +26,7 @@ from fractions import Fraction
 import pytest
 
 from eps_oracle import EPS, EpsPoly, brute_eval, eps_intervals
+from template_oracle import reduced_templates, template_regex
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, ExtValue,
                               FormalCombination, GrowthModel, build_w_eps,
@@ -78,10 +82,13 @@ def test_model_validation():
 
 
 def test_model_refuses_float_weights():
-    # 0.1 + 0.9 == 1.0 in floats, so only the type check catches these
+    # 0.1 + 0.9 == 1.0 in floats, so only the type check catches these;
+    # True is an int, but a model of weight True would print as w=True
     for weights in ((0.25, 0.75), (0.1, 0.9)):
         with pytest.raises(ValueError, match="positive ints or Fractions"):
             GrowthModel(parse_template("+* -1 +1 -*"), weights)
+    with pytest.raises(ValueError, match="positive ints or Fractions"):
+        GrowthModel(parse_template("+1 -*"), (True,))
     GrowthModel(parse_template("+* -1 +1 -*"), (F(1, 4), F(3, 4)))
 
 
@@ -106,6 +113,23 @@ def test_step_closed_form():
     assert phi_tw(STEP_MODEL, W("-++")) == ExtValue.zero()
     assert phi_tw(STEP_MODEL, ROOT) == ExtValue.infinite()
     assert phi_tw(STEP_MODEL, EMPTY) == ExtValue.infinite()
+
+
+def test_phi_tw_kind_matches_the_regex_oracle():
+    # member, place and phi_tw run one greedy loop, so the semifinite
+    # suite cannot check the zero branch; this oracle shares none of it
+    models = [*EXAMPLE_MODELS.values(),
+              GrowthModel.parse("-2 +* -* +1 -* +* -1 +2 | w=1/5,3/10,1/4,1/4")]
+    for model in models:
+        t = model.template
+        fits = template_regex(t)
+        blown = [template_regex(r) for r in reduced_templates(t)]
+        assert phi_tw(model, ROOT).is_infinite
+        for w in words_below(11):
+            text = str(w)
+            kind = ("zero" if not fits.fullmatch(text) else
+                    "infinite" if any(r.fullmatch(text) for r in blown) else "finite")
+            assert phi_tw(model, w).kind == kind, (model, w)
 
 
 def test_harmonicity_examples():

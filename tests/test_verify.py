@@ -8,7 +8,10 @@ Core claims:
       as a ratio failure, and a vanishing point of too low a valuation
     - semifinite reads phi_tw from one table per model whose values and
       cover sums are those of the point API, and reports a wrong finite
-      value as a harmonicity failure and a wrong kind as a trichotomy one
+      value as a harmonicity failure and a wrong kind as a trichotomy one;
+      a wrong zero in the coideal fails harmonicity at the word below it,
+      a non-zero on the coideal's boundary fails the trichotomy, and at
+      levels 0 and 1 the covers of cap symbols carry the whole check
     - ring-identity reports a wrong value at one product word at the one
       pair whose product holds it, and pieri reports one extra shuffle
       count; ring-identity at degree 12 checks all three models
@@ -21,7 +24,7 @@ checks can fail.
 """
 
 from word_oracle import enumerate_level
-from zigzag_harmonics import (ROOT, BinaryWord, ExtValue, GrowthModel, cover_sum,
+from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, ExtValue, GrowthModel, cover_sum,
                               member, member_J, phi_tw, product_F, qsym,
                               semifinite, upper_covers, verify, words_below)
 from zigzag_harmonics.verify import (EXAMPLE_MODELS, STEP_MODEL, run_suite,
@@ -170,6 +173,32 @@ def test_a_wrong_kind_breaks_the_semifinite_trichotomy(monkeypatch):
     assert not report.ok
     assert "step: -+- is infinite, expected finite" in report.lines
     assert sum(" expected " in line for line in report.lines) == 1
+
+
+def test_a_wrong_zero_in_the_coideal_breaks_harmonicity_below_it(monkeypatch):
+    # -+- is a finite point of the step model; valued zero, the walk
+    # drops it, and the cover sum at -+ misses its value
+    spoiled_phi_tw(monkeypatch, W("-+-"), lambda val: ExtValue.zero())
+    report = run_suite("semifinite", level=6)
+    assert not report.ok
+    assert "step: not harmonic at -+" in report.lines
+
+
+def test_a_non_zero_on_the_boundary_breaks_the_semifinite_trichotomy(monkeypatch):
+    # -++ lies off the step model's coideal, one symbol above -+
+    spoiled_phi_tw(monkeypatch, W("-++"), lambda val: ExtValue.finite(1))
+    report = run_suite("semifinite", level=6)
+    assert not report.ok
+    assert "step: -++ is finite, expected zero" in report.lines
+
+
+def test_semifinite_at_levels_0_and_1_reads_the_covers_of_cap_symbols(monkeypatch):
+    assert run_suite("semifinite", level=0).ok
+    assert run_suite("semifinite", level=1).ok
+    # at level 0 the root is the one checked vertex, and the empty word
+    # its one cover
+    spoiled_phi_tw(monkeypatch, EMPTY, lambda val: ExtValue.zero())
+    assert run_suite("semifinite", level=0).lines[1:] == ["step: not harmonic at @"]
 
 
 def test_a_wrong_value_at_one_product_word_fails_ring_identity_at_its_pair(monkeypatch):
