@@ -1,6 +1,7 @@
 """Exact arithmetic on the zigzag graph and its harmonic functions."""
 
 from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
+                       eval_F_coproduct_denominator, eval_F_coproduct_numerator,
                        eval_F_levels, eval_F_numerator, phi_w,
                        template_of_intervals, template_of_paintbox)
 from .qsym import pieri_check, product_F, shuffle_counts

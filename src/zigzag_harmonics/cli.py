@@ -18,8 +18,8 @@ from .render import render_template, render_vertex
 from .semifinite import GrowthModel, check_limit_formula, phi_tw
 from .templates import inject, member, member_J, parse_template
 from .verify import SUITES, run_suite
-from .words import (ROOT, BinaryWord, dim, level, lower_covers, parse_vertex,
-                    upper_covers, words_below)
+from .words import (ROOT, BinaryWord, dim, lower_covers, parse_vertex,
+                    upper_cover_bits, upper_covers, words_below)
 
 SCHEMA_GRAPH = "zigzag-graph/1"
 SCHEMA_VERIFY = "zigzag-verify/1"
@@ -108,20 +108,26 @@ def _cmd_eval(args) -> int:
 def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
     """Vertex names, with their levels, and edges as pairs of names.
 
-    Each vertex is turned into its string once; the edges out of a
-    vertex come sorted by those strings.
+    Names are keyed by packed bits under a leading 1, so the key's bit
+    length is the vertex's level, and the root, below the empty word,
+    is key 0.  Each vertex is turned into its string once; the edges
+    out of a vertex come from its cover bits, sorted by name.
     """
     template = parse_template(template_text) if template_text else None
     if ideal and template is None:
         raise ValueError("--ideal needs --template")
     within = None if template is None else (lambda w: member(template, w))
-    vertices = [] if ideal else [ROOT]
-    vertices.extend(w for w in words_below(max_level, within)
-                    if not (ideal and member_J(template, w)))
-    names = {v: str(v) for v in vertices}
-    edges = [(names[v], name) for v in vertices
-             for name in sorted(names[u] for u in upper_covers(v) if u in names)]
-    return [(level(v), names[v]) for v in vertices], edges
+    names = {} if ideal else {0: str(ROOT)}
+    for w in words_below(max_level, within):
+        if not (ideal and member_J(template, w)):
+            names[w.bits | 1 << w.n] = str(w)
+    edges = []
+    for key, name in names.items():
+        n = key.bit_length() - 1  # symbols of the word; -1 at the root
+        covers = (0,) if n < 0 else upper_cover_bits(n, key ^ 1 << n)
+        keys = (c | 1 << (n + 1) for c in covers)
+        edges.extend((name, up) for up in sorted(names[k] for k in keys if k in names))
+    return [(key.bit_length(), name) for key, name in names.items()], edges
 
 
 def _cmd_graph(args) -> int:

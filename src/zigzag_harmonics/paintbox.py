@@ -41,8 +41,14 @@ first part, and a column for '-', so a cut after a leading one-box part
 or one box into the part after them.  It also runs on integers, but
 scales the lengths by a common denominator it computes from the lengths
 itself, not from the compiled form, so it shares nothing with
-:func:`eval_F`.  Their agreement is checked by the test suite and pins
-down the corner-symbol convention above.
+:func:`eval_F`.  That set-up is made once per interval tuple and kept
+in the memo that the tuple's calls share, with the subproblems, and
+:func:`eval_F_coproduct_numerator` gives the integer numerator over it.
+The kerov-oracle suite compares three integer numerators per word over
+one D, the transfer vector's, the oracle's and the level walk's, after
+checking once per tuple that the oracle's D is the compiled one; only
+the root is compared as a ``Fraction``.  Their agreement pins down the
+corner-symbol convention above.
 """
 
 from __future__ import annotations
@@ -210,41 +216,42 @@ def _psi(comp: tuple[int, ...], sign: str) -> bool:
     return all(p == 1 for p in comp)
 
 
-def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
-                     memo: Optional[dict] = None) -> Fraction:
-    """Same value through iterated two-piece splittings of the composition.
+def _coproduct_setup(u: IntervalTuple,
+                     memo: dict) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
+    """The oracle's common denominator D, scaled lengths and signs.
 
-    Splits the diagram with the coproduct cut (inside a row or at a row
-    boundary), scales each tensor factor by its interval length, and
-    applies the row/column evaluations.  Shares no code with the
-    transfer vector; serves as its oracle.
-
-    Only the cuts whose left piece the interval can take are built: for
-    a '+' interval a row, so the cut falls inside or at the end of the
-    first part, and for a '-' interval a column, so the cut falls
-    after one of the leading one-box parts or after the first box of
-    the part that follows them.  The empty left piece fits both.  Every
-    other cut contributes zero to the sum.
-
-    Rational lengths are scaled to integers by the common denominator
-    of the lengths, computed here from ``u.lengths``, and the total is
-    divided by D^(number of boxes) once.  A subproblem (composition suffix,
-    interval index) does not depend on the word, so ``memo`` may be
-    shared by every call on the same interval tuple, never across
-    tuples; by default each call takes a fresh one.
+    Worked out from ``u.lengths``, not from the compiled form, once per
+    memo, and kept in it under the key ``None``.
     """
-    if v is ROOT:
-        return Fraction(1)
-    comp = composition_of_word(v)
-    m = len(u)
-    signs, lengths = u.signs, u.lengths
-    denominator = lcm(*(l.denominator for l in lengths))
-    lengths = tuple(l.numerator * (denominator // l.denominator) for l in lengths)
-    if memo is None:
-        memo = {}
+    setup = memo.get(None)
+    if setup is None:
+        lengths = u.lengths
+        denominator = lcm(*(l.denominator for l in lengths))
+        setup = memo[None] = (
+            denominator, tuple(l.numerator * (denominator // l.denominator) for l in lengths),
+            u.signs)
+    return setup
+
+
+def eval_F_coproduct_denominator(u: IntervalTuple, memo: dict) -> int:
+    """The common denominator D over which the oracle gives its numerators."""
+    return _coproduct_setup(u, memo)[0]
+
+
+def eval_F_coproduct_numerator(w: BinaryWord, u: IntervalTuple, memo: dict) -> int:
+    """``eval_F_coproduct(w, u) * D**(n+1)`` for a word of n symbols, in integers.
+
+    D is :func:`eval_F_coproduct_denominator`.  ``memo`` holds the
+    set-up and the subproblems; a subproblem (composition suffix,
+    interval index) does not depend on the word, so one memo may be
+    shared by every call on the same interval tuple, never across
+    tuples.
+    """
+    _, lengths, signs = _coproduct_setup(u, memo)
+    last = len(lengths) - 1
 
     def go(rest: tuple[int, ...], i: int) -> int:
-        if i == m - 1:
+        if i == last:
             return lengths[i] ** sum(rest) if _psi(rest, signs[i]) else 0
         key = (rest, i)
         if key in memo:
@@ -265,7 +272,36 @@ def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
         memo[key] = total
         return total
 
-    return Fraction(go(comp, 0), denominator ** (v.n + 1))
+    return go(composition_of_word(w), 0)
+
+
+def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
+                     memo: Optional[dict] = None) -> Fraction:
+    """Same value through iterated two-piece splittings of the composition.
+
+    Splits the diagram with the coproduct cut (inside a row or at a row
+    boundary), scales each tensor factor by its interval length, and
+    applies the row/column evaluations.  Shares no code with the
+    transfer vector; serves as its oracle.
+
+    Only the cuts whose left piece the interval can take are built: for
+    a '+' interval a row, so the cut falls inside or at the end of the
+    first part, and for a '-' interval a column, so the cut falls
+    after one of the leading one-box parts or after the first box of
+    the part that follows them.  The empty left piece fits both.  Every
+    other cut contributes zero to the sum.
+
+    The sum runs in integers, :func:`eval_F_coproduct_numerator`, and is
+    divided by D^(number of boxes) once.  ``memo`` may be shared by
+    every call on the same interval tuple, never across tuples; by
+    default each call takes a fresh one.
+    """
+    if v is ROOT:
+        return Fraction(1)
+    if memo is None:
+        memo = {}
+    return Fraction(eval_F_coproduct_numerator(v, u, memo),
+                    eval_F_coproduct_denominator(u, memo) ** (v.n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -190,13 +190,21 @@ def reference_graph(max_level, template_text, ideal, fmt):
 
 
 @pytest.mark.parametrize("restriction", [(), ("--template", "+1 -* +* -1 +*"),
-                                         ("--template", "+1 -* +* -1 +*", "--ideal")])
+                                         ("--template", "+1 -* +* -1 +*", "--ideal"),
+                                         ("--template", "+* -1 +1 -*"),
+                                         ("--template", "+* -1 +1 -*", "--ideal"),
+                                         ("--template", "-1 +* -* +1 -* +* -* +1"),
+                                         ("--template", "-1 +* -* +1 -* +* -* +1",
+                                          "--ideal")])
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 def test_graph_prints_the_reference_output(capsys, restriction, fmt):
-    code, out, _ = run(capsys, "graph", "--level", "9", *restriction, "--format", fmt)
-    assert code == 0
     template_text = restriction[1] if restriction else None
-    assert out == reference_graph(9, template_text, "--ideal" in restriction, fmt)
+    # the bracketed ideal starts at its two generators of 8 symbols
+    max_level = 11 if template_text == "-1 +* -* +1 -* +* -* +1" else 9
+    code, out, _ = run(capsys, "graph", "--level", str(max_level), *restriction,
+                       "--format", fmt)
+    assert code == 0
+    assert out == reference_graph(max_level, template_text, "--ideal" in restriction, fmt)
 
 
 def test_covers(capsys):

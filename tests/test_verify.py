@@ -3,7 +3,9 @@
 Core claims:
     - finite-harmonicity reports a wrong walk numerator as a harmonicity
       and a mass failure, and a wrong non-zero as a support failure
-    - kerov-oracle reports a wrong oracle value and a wrong walk numerator
+    - kerov-oracle reports a wrong oracle numerator, a wrong transfer
+      numerator against both other routes, a wrong walk numerator, and an
+      oracle denominator that is not the compiled one
     - eps-limit reports a wrong leading coefficient at one finite point
       as a ratio failure, and a vanishing point of too low a valuation
     - semifinite reads phi_tw from one table per model whose values and
@@ -12,6 +14,10 @@ Core claims:
       a wrong zero in the coideal fails harmonicity at the word below it,
       a non-zero on the coideal's boundary fails the trichotomy, and at
       levels 0 and 1 the covers of cap symbols carry the whole check
+    - path-counts, coideal-identities, injection, approx-sequence and
+      distinctness each report one planted fault: a wrong path count, a
+      wrong blow-up word, two decompositions or swapped coordinates at
+      one word, a wrong value at a base word, and a pair of equal models
     - ring-identity reports a wrong value at one product word at the one
       pair whose product holds it, and pieri reports one extra shuffle
       count; ring-identity at degree 12 checks all three models
@@ -27,7 +33,7 @@ from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, ExtValue, GrowthModel, cover_sum,
                               member, member_J, phi_tw, product_F, qsym,
                               semifinite, upper_covers, verify, words_below)
-from zigzag_harmonics.verify import (EXAMPLE_MODELS, STEP_MODEL, run_suite,
+from zigzag_harmonics.verify import (CAPPED_MODEL, EXAMPLE_MODELS, STEP_MODEL, run_suite,
                                      semifinite_table)
 
 W = BinaryWord.from_str
@@ -74,17 +80,45 @@ def test_a_non_zero_outside_the_coideal_breaks_support(monkeypatch):
 
 
 def test_a_wrong_oracle_value_fails_kerov_oracle(monkeypatch):
-    real = verify.eval_F_coproduct
+    real = verify.eval_F_coproduct_numerator
 
-    def oracle(v, u, memo=None):
-        value = real(v, u, memo)
-        return value + 1 if v == W("+-") else value
+    def oracle(w, u, memo):
+        numerator = real(w, u, memo)
+        return numerator + 1 if w == W("+-") else numerator
 
-    monkeypatch.setattr(verify, "eval_F_coproduct", oracle)
+    monkeypatch.setattr(verify, "eval_F_coproduct_numerator", oracle)
     report = run_suite("kerov-oracle", level=3)
     assert not report.ok
     assert sum(line.startswith("evaluator mismatch at +- against ")
                for line in report.lines) == 20
+    assert not any(line.startswith("level walk mismatch ") for line in report.lines)
+
+
+def test_a_wrong_transfer_numerator_fails_kerov_oracle(monkeypatch):
+    # the transfer vector's numerator is compared with both other routes
+    real = verify.eval_F_numerator
+
+    def transfer(w, u):
+        numerator = real(w, u)
+        return numerator + 1 if w == W("+-") else numerator
+
+    monkeypatch.setattr(verify, "eval_F_numerator", transfer)
+    report = run_suite("kerov-oracle", level=3)
+    assert not report.ok
+    for route in ("evaluator", "level walk"):
+        assert sum(line.startswith(f"{route} mismatch at +- against ")
+                   for line in report.lines) == 20
+    assert sum(" mismatch at " in line for line in report.lines) == 40
+
+
+def test_a_wrong_oracle_denominator_fails_kerov_oracle(monkeypatch):
+    real = verify.eval_F_coproduct_denominator
+    monkeypatch.setattr(verify, "eval_F_coproduct_denominator",
+                        lambda u, memo: 2 * real(u, memo))
+    report = run_suite("kerov-oracle", level=3)
+    assert not report.ok
+    assert sum(line.startswith("oracle denominator ") for line in report.lines) == 20
+    assert report.lines[0] == "compared 20 evaluations over 20 interval tuples"
 
 
 def test_a_wrong_walk_numerator_fails_kerov_oracle(monkeypatch):
@@ -96,6 +130,96 @@ def test_a_wrong_walk_numerator_fails_kerov_oracle(monkeypatch):
     assert not report.ok
     assert sum(line.startswith("level walk mismatch at +- against ")
                for line in report.lines) == 20
+
+
+def test_a_wrong_path_count_fails_path_counts(monkeypatch):
+    # ++-+- is the bent word N = 1 above ++--, one chain away
+    real = verify.dim
+
+    def count(a, b):
+        paths = real(a, b)
+        return paths + 1 if (a, b) == (W("++--"), W("++-+-")) else paths
+
+    monkeypatch.setattr(verify, "dim", count)
+    report = run_suite("path-counts", level=3)
+    assert not report.ok
+    assert report.lines[1:] == ["dim(++--,++-+-) = 2, expected 1"]
+
+
+def test_a_wrong_capped_blow_up_word_fails_coideal_identities(monkeypatch):
+    # +-- generates the capped coideal's finite part, off the blow-up locus
+    real = verify.member_J
+
+    def locus(t, w):
+        inside = real(t, w)
+        return not inside if t is CAPPED_MODEL.template and w == W("+--") else inside
+
+    monkeypatch.setattr(verify, "member_J", locus)
+    # level 8 reaches the bracketed generators, so that check passes
+    report = run_suite("coideal-identities", level=8)
+    assert not report.ok
+    assert report.lines[1:] == ["capped blow-up locus differs from the section at +--"]
+
+
+def test_two_decompositions_at_one_word_fail_injection(monkeypatch):
+    # -+- is a finite point of the step model
+    real = verify.inject_all
+
+    def decompositions(t, w):
+        decs = real(t, w)
+        return decs + decs if t is STEP_MODEL.template and w == W("-+-") else decs
+
+    monkeypatch.setattr(verify, "inject_all", decompositions)
+    report = run_suite("injection", level=6)
+    assert not report.ok
+    assert "step: 2 decompositions at -+-" in report.lines
+    assert sum(" decompositions at " in line for line in report.lines) == 1
+
+
+def test_swapped_coordinates_at_one_word_fail_injection(monkeypatch):
+    # +-+- has section coordinates (+, -); swapped, every edge at it
+    # moves both coordinates
+    real = verify.inject_all
+
+    def decompositions(t, w):
+        decs = real(t, w)
+        return [decs[0][::-1]] if t is STEP_MODEL.template and w == W("+-+-") else decs
+
+    monkeypatch.setattr(verify, "inject_all", decompositions)
+    report = run_suite("injection", level=6)
+    assert not report.ok
+    moved = [line for line in report.lines if line.endswith(" moves 2 coordinates")]
+    assert sorted(moved) == sorted(
+        f"step: edge {w}->{u} moves 2 coordinates"
+        for w, u in (("+-+", "+-+-"), ("-+-", "+-+-"), ("+-+-", "++-+-"), ("+-+-", "+-+--")))
+
+
+def test_a_wrong_value_at_a_base_word_fails_approx_sequence(monkeypatch):
+    # +-+- is the base word of the sequence under ++--
+    real = semifinite.phi_tw
+
+    def value(model, v):
+        val = real(model, v)
+        if model is STEP_MODEL and v == W("+-+-"):
+            return ExtValue.finite(2 * val.value)
+        return val
+
+    monkeypatch.setattr(semifinite, "phi_tw", value)
+    report = run_suite("approx-sequence", level=4)
+    assert not report.ok
+    assert [line for line in report.lines if line.startswith("values under ")] == [
+        "values under ++-- are " + str(tuple(2 * n * real(STEP_MODEL, W("+-+-")).value
+                                            for n in range(1, 5)))]
+
+
+def test_a_pair_of_equal_models_fails_distinctness(monkeypatch):
+    equal = (STEP_MODEL, GrowthModel.parse(str(STEP_MODEL)))
+    monkeypatch.setattr(verify, "DISTINCT_PAIRS", [*verify.DISTINCT_PAIRS, equal])
+    # level 9 separates every listed pair
+    report = run_suite("distinctness", level=9)
+    assert not report.ok
+    assert report.lines[-1] == f"pair {len(verify.DISTINCT_PAIRS) - 1} not separated up to level 9"
+    assert sum(" not separated " in line for line in report.lines) == 1
 
 
 def spoiled_expansion(monkeypatch, word, spoil):
