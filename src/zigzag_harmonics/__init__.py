@@ -13,10 +13,11 @@ from .semifinite import (ApproxReport, ExtValue, GrowthModel,
 from .templates import (Cluster, FlangeDecomposition, Template,
                         flange_and_sections, inject, inject_all,
                         is_finite_template, member, member_J,
-                        minimal_maxblock_word, parse_template, place)
+                        minimal_maxblock_word, on_locus, parse_template, place,
+                        placement)
 from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
                     composition_of_word, dim, dominates_search,
-                    is_subword, level, lower_covers, parse_vertex,
-                    upper_cover_bits, upper_covers, words_below)
+                    is_subword, level, lower_covers, parse_vertex, subword_step,
+                    upper_cover_bits, upper_covers, walk, words_below)
 
 __version__ = "0.1.0"

@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Subcommands: render, eval, graph, verify, covers, dim, product, inject,
-limit.  Exit codes: 0 on success, 1 when a verification suite fails,
-2 on usage or parse errors.
+limit.  Each works out its whole output and exit code first, and only
+then writes them.  Exit codes: 0 on success, 1 when a verification
+suite fails, 2 on usage or parse errors; a reader that closes the
+output early changes neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -16,10 +19,10 @@ from .paintbox import Paintbox, phi_w
 from .qsym import DEGREE_CAP, fexpansion_to_json, product_F
 from .render import render_template, render_vertex
 from .semifinite import GrowthModel, check_limit_formula, phi_tw
-from .templates import inject, member, member_J, parse_template
+from .templates import inject, on_locus, parse_template, placement
 from .verify import SUITES, run_suite
 from .words import (ROOT, BinaryWord, dim, lower_covers, parse_vertex,
-                    upper_cover_bits, upper_covers, words_below)
+                    upper_cover_bits, upper_covers, walk, words_below)
 
 SCHEMA_GRAPH = "zigzag-graph/1"
 SCHEMA_VERIFY = "zigzag-verify/1"
@@ -83,26 +86,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> tuple[int, list[str]]:
     if (args.word is None) == (args.template is None):
         raise ValueError("render needs exactly one of --word or --template")
     if args.word is not None:
-        print(render_vertex(parse_vertex(args.word)))
-    else:
-        print(render_template(parse_template(args.template)))
-    return 0
+        return 0, [render_vertex(parse_vertex(args.word))]
+    return 0, [render_template(parse_template(args.template))]
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, list[str]]:
     if (args.model is None) == (args.paintbox is None):
         raise ValueError("eval needs exactly one of --model or --paintbox")
     v = parse_vertex(args.word)
     if args.model is not None:
-        print(phi_tw(GrowthModel.parse(args.model), v))
-    else:
-        value = phi_w(v, Paintbox.parse(args.paintbox))
-        print(value)
-    return 0
+        return 0, [str(phi_tw(GrowthModel.parse(args.model), v))]
+    return 0, [str(phi_w(v, Paintbox.parse(args.paintbox)))]
 
 
 def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
@@ -111,16 +109,21 @@ def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
     Names are keyed by packed bits under a leading 1, so the key's bit
     length is the vertex's level, and the root, below the empty word,
     is key 0.  Each vertex is turned into its string once; the edges
-    out of a vertex come from its cover bits, sorted by name.
+    out of a vertex come from its cover bits, sorted by name.  With a
+    template, one walk of its coideal places each word once, and
+    ``ideal`` drops the words whose placement lies on the blow-up locus.
     """
     template = parse_template(template_text) if template_text else None
     if ideal and template is None:
         raise ValueError("--ideal needs --template")
-    within = None if template is None else (lambda w: member(template, w))
+    if template is None:
+        words = words_below(max_level)
+    else:
+        words = (w for w, state in walk(max_level, *placement(template))
+                 if not (ideal and on_locus(state)))
     names = {} if ideal else {0: str(ROOT)}
-    for w in words_below(max_level, within):
-        if not (ideal and member_J(template, w)):
-            names[w.bits | 1 << w.n] = str(w)
+    for w in words:
+        names[w.bits | 1 << w.n] = str(w)
     edges = []
     for key, name in names.items():
         n = key.bit_length() - 1  # symbols of the word; -1 at the root
@@ -130,89 +133,84 @@ def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
     return [(key.bit_length(), name) for key, name in names.items()], edges
 
 
-def _cmd_graph(args) -> int:
+def _graph_json(level: int, names: list[str], edges: list[tuple[str, str]]) -> str:
+    """``json.dumps(..., indent=2)`` of the graph document, byte for byte.
+
+    That call always runs the pure-Python encoder; here each string goes
+    through the C string encoder and the fixed layout is written around
+    it.
+    """
+    quote = json.encoder.encode_basestring_ascii
+
+    def items(texts: list[str]) -> str:
+        return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+
+    pairs = [f"[\n      {quote(a)},\n      {quote(b)}\n    ]" for a, b in edges]
+    return (f'{{\n  "schema": {quote(SCHEMA_GRAPH)},\n  "level": {level},\n'
+            f'  "vertices": {items([quote(name) for name in names])},\n'
+            f'  "edges": {items(pairs)}\n}}')
+
+
+def _cmd_graph(args) -> tuple[int, list[str]]:
     vertices, edges = _graph_data(args.level, args.template, args.ideal)
     if args.format == "json":
-        print(json.dumps({
-            "schema": SCHEMA_GRAPH,
-            "level": args.level,
-            "vertices": [name for _, name in vertices],
-            "edges": edges,
-        }, indent=2))
-    elif args.format == "dot":
-        print("digraph zigzag {")
-        print("  rankdir=BT;")
-        for _, name in vertices:
-            print(f'  "{name}";')
-        for a, b in edges:
-            print(f'  "{a}" -> "{b}";')
-        print("}")
-    else:
-        by_level: dict[int, list[str]] = {}
-        for lvl, name in vertices:
-            by_level.setdefault(lvl, []).append(name)
-        for lvl in sorted(by_level):
-            print(f"level {lvl}: {' '.join(by_level[lvl])}")
-        print(f"{len(vertices)} vertices, {len(edges)} edges")
-    return 0
+        return 0, [_graph_json(args.level, [name for _, name in vertices], edges)]
+    if args.format == "dot":
+        return 0, ["digraph zigzag {", "  rankdir=BT;",
+                   *(f'  "{name}";' for _, name in vertices),
+                   *(f'  "{a}" -> "{b}";' for a, b in edges), "}"]
+    by_level: dict[int, list[str]] = {}
+    for lvl, name in vertices:
+        by_level.setdefault(lvl, []).append(name)
+    return 0, [*(f"level {lvl}: {' '.join(by_level[lvl])}" for lvl in sorted(by_level)),
+               f"{len(vertices)} vertices, {len(edges)} edges"]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, list[str]]:
     report = run_suite(args.suite, level=args.level, degree=args.degree,
                        seed=args.seed)
+    code = 0 if report.ok else 1
     if args.format == "json":
-        print(json.dumps({
+        return code, [json.dumps({
             "schema": SCHEMA_VERIFY,
             "suite": report.suite,
             "ok": report.ok,
             "elapsed_seconds": round(report.elapsed, 3),
             "lines": report.lines,
-        }, indent=2))
-    else:
-        for line in report.lines:
-            print(f"  {line}")
-        print(report.summary())
-    return 0 if report.ok else 1
+        }, indent=2)]
+    return code, [*(f"  {line}" for line in report.lines), report.summary()]
 
 
-def _cmd_covers(args) -> int:
+def _cmd_covers(args) -> tuple[int, list[str]]:
     v = parse_vertex(args.word)
     covers = lower_covers(v) if args.down else upper_covers(v)
-    for w in sorted(covers, key=str):
-        print(w)
-    return 0
+    return 0, sorted(map(str, covers))
 
 
-def _cmd_dim(args) -> int:
-    print(dim(parse_vertex(args.word), parse_vertex(args.upper)))
-    return 0
+def _cmd_dim(args) -> tuple[int, list[str]]:
+    return 0, [str(dim(parse_vertex(args.word), parse_vertex(args.upper)))]
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args) -> tuple[int, list[str]]:
     expansion = product_F(parse_vertex(args.word), parse_vertex(args.right))
     if args.format == "json":
-        print(json.dumps(fexpansion_to_json(expansion), indent=2))
-    else:
-        for v, c in sorted(expansion.coeffs.items(), key=lambda t: str(t[0])):
-            print(f"{c}  {v}")
-    return 0
+        return 0, [json.dumps(fexpansion_to_json(expansion), indent=2)]
+    return 0, [f"{c}  {v}" for v, c in sorted(expansion.coeffs.items(), key=lambda t: str(t[0]))]
 
 
-def _cmd_inject(args) -> int:
+def _cmd_inject(args) -> tuple[int, list[str]]:
     t = parse_template(args.template)
     parts = inject(t, BinaryWord.from_str(args.word))
-    print(" | ".join(str(p) if len(p) else "(one box)" for p in parts))
-    return 0
+    return 0, [" | ".join(str(p) if len(p) else "(one box)" for p in parts)]
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> tuple[int, list[str]]:
     model = GrowthModel.parse(args.model)
     report = check_limit_formula(model, args.level)
-    print(f"n={report.n} const={report.const} finite={report.finite_points} "
-          f"vanishing={report.vanishing_points} ok={report.ok}")
-    for line in report.failures:
-        print(f"  {line}")
-    return 0 if report.ok else 1
+    return 0 if report.ok else 1, [
+        f"n={report.n} const={report.const} finite={report.finite_points} "
+        f"vanishing={report.vanishing_points} ok={report.ok}",
+        *(f"  {line}" for line in report.failures)]
 
 
 _HANDLERS = {
@@ -236,10 +234,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, name, None) == []:
             setattr(args, name, "--")
     try:
-        return _HANDLERS[args.command](args)
+        code, lines = _HANDLERS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: the rest of the output goes to the null
+        # device, so the interpreter's last flush cannot fail again, and the
+        # command's own exit code stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -27,9 +27,9 @@ from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_numerator,
                        template_of_intervals)
 from .qsym import shuffle_counts
 from .templates import (Template, _layout, is_finite_template, member, member_J,
-                        minimal_maxblock_word, parse_template, place)
+                        minimal_maxblock_word, parse_template, place, placement)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
-                    dominates_search, is_subword, level, words_below)
+                    dominates_search, level, subword_step, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,9 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
 
     Walks the coideal of the deformed template up to the level cap and
     keeps the words above the template's minimal max-block word; that
-    set is closed upward, not under prefixes, so it filters the walk
-    instead of pruning it.  Where the model evaluates finitely the
+    set is closed upward, not under prefixes, so the walk carries how
+    much of the marker word each word holds as a subword and filters on
+    it instead of pruning.  Where the model evaluates finitely the
     eps-valuation must be one number n and the ratio leading
     coefficient / value one constant; where the model evaluates to zero
     (the word fits the deformed template but not the original one) the
@@ -260,15 +261,20 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     unit = build_w_eps(model, 1)
     x = 1 << (int(unit.denominator * sum(unit.lengths)) ** level_cap).bit_length()
     w_eps = build_w_eps(model, x)
-    t_eps = template_of_intervals(w_eps)
+    start, t_step = placement(template_of_intervals(w_eps))
+
+    def step(state: tuple, bit: int) -> Optional[tuple]:
+        at, held = state
+        at = t_step(at, bit)
+        return None if at is None else (at, subword_step(nu, held, bit))
 
     n_seen: Optional[int] = None
     const_seen: Optional[Fraction] = None
     finite_points = 0
     vanishing: list[tuple[BinaryWord, int]] = []
     failures: list[str] = []
-    for w in words_below(level_cap, lambda v: member(t_eps, v)):
-        if not is_subword(nu, w):
+    for w, (_, held) in walk(level_cap, (start, 0), step):
+        if held < nu.n:
             continue
         coeffs = eps_expansion(w, w_eps)
         n_here = next((k for k, c in enumerate(coeffs) if c), None)

@@ -24,13 +24,15 @@ coideal), so :func:`place` decides the locus without building one.
 One greedy forward loop, :func:`_greedy`, decides membership; run by
 :func:`place` it also gives where each cluster's chunk starts, so
 :func:`member`, :func:`member_J`, :func:`inject` and the semifinite
-evaluation all run the same code.  The mirror-image pass from the end
-gives the least position from which the later clusters fit; a flange
-cluster can be left one symbol short exactly when that position lies
-less than its multiplicity past the start of its chunk.  Off the locus
-every flange chunk is full, so the greedy chunks, joined per section,
-are the section coordinates; the search over every splitting is left
-to :func:`inject_all`, the uniqueness oracle.
+evaluation all run the same code.  :func:`placement` compiles it into
+a one-symbol step, so a walk places each word from its parent's state,
+with the reduced templates' states alongside.  The mirror-image pass
+from the end gives the least position from which the later clusters
+fit; a flange cluster can be left one symbol short exactly when that
+position lies less than its multiplicity past the start of its chunk.
+Off the locus every flange chunk is full, so the greedy chunks, joined
+per section, are the section coordinates; the search over every
+splitting is left to :func:`inject_all`, the uniqueness oracle.
 
 Grammar: whitespace-separated tokens, each a sign followed by a
 positive integer or '*' for an infinite multiplicity, e.g.
@@ -40,7 +42,7 @@ positive integer or '*' for an infinite multiplicity, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .words import MINUS, PLUS, BinaryWord
 
@@ -73,6 +75,10 @@ class Template:
     # per section, its first and one past its last cluster index, and the
     # flange cluster indices; filled by _layout on first use
     _layout: Optional[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
+    # the placement tables of t and of each reduced template; filled by
+    # placement on first use
+    _placement: Optional[tuple["Table", ...]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -238,6 +244,67 @@ def member_J(t: Template, w: BinaryWord) -> bool:
     """True iff w fits some reduced template (always False for finite t)."""
     fits, cuts = place(t, w)
     return fits and cuts is None
+
+
+# ---------------------------------------------------------------------------
+# The placement step: the greedy pass one symbol at a time
+# ---------------------------------------------------------------------------
+
+#: the greedy position in t, then in each reduced template (None once the
+#: word leaves it); a position, c symbols taken by cluster i of k, is the
+#: code c * 2k + 2i, with c kept at 0 on an infinite cluster
+State = tuple[Optional[int], ...]
+Table = tuple[tuple[int, int, Optional[int]], ...]
+
+
+def _table(bits: list[int], mults: list[Optional[int]]) -> Table:
+    """Per cluster i and symbol bit b, row 2i + b: ``(bound, delta, jump)``.
+    Below ``bound`` the cluster takes the symbol and the code grows by
+    ``delta``; otherwise the symbol starts the next cluster of its sign
+    with room, at code ``jump`` (None: nothing fits).  Skipping a cluster
+    lowered to 0 is what merging its two neighbours does."""
+    size, rows = 2 * len(bits), []
+    for i, (own, mult) in enumerate(zip(bits, mults)):
+        for bit in (0, 1):
+            j = next((j for j in range(i + 1, len(bits)) if bits[j] == bit and mults[j] != 0),
+                     None)
+            jump = None if j is None else 2 * j + (0 if mults[j] is None else size)
+            if own != bit:
+                rows.append((0, 0, jump))
+            elif mult is None:
+                rows.append((2 * i + 1, 0, jump))  # code 2i stays
+            else:
+                rows.append((mult * size + 2 * i, size, jump))  # c < mult
+    return tuple(rows)
+
+
+def placement(t: Template) -> tuple[State, Callable[[State, int], Optional[State]]]:
+    """The empty word's :data:`State` in t, and the step that gives a word's
+    state from its parent's and its last symbol (None off t's coideal),
+    for :func:`~zigzag_harmonics.words.walk`.  A step makes O(1 + flange)
+    integer operations whatever the multiplicities.  The tables are
+    compiled on first use and stored on t."""
+    if t._placement is None:
+        bits, mults = [bit for bit, _ in t._runs], [mult for _, mult in t._runs]
+        object.__setattr__(t, "_placement", (_table(bits, mults), *(
+            _table(bits, mults[:f] + [mults[f] - 1] + mults[f + 1:]) for f in _layout(t)[1])))
+    tables, size = t._placement, 2 * len(t._runs)
+
+    def step(state: State, bit: int) -> Optional[State]:
+        out = []
+        for code, table in zip(state, tables):
+            if code is not None:
+                bound, delta, jump = table[code % size + bit]
+                code = code + delta if code < bound else jump
+            out.append(code)
+        return None if out[0] is None else tuple(out)  # reduced coideals lie in t's
+
+    return (0,) * len(tables), step
+
+
+def on_locus(state: State) -> bool:
+    """True iff the word with this placement state fits a reduced template."""
+    return state.count(None) < len(state) - 1
 
 
 # ---------------------------------------------------------------------------

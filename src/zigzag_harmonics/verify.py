@@ -43,10 +43,11 @@ from .semifinite import (ExtValue, GrowthModel, check_approx_sequence,
                          check_limit_formula, cover_sum, phi_tw,
                          ring_identity_failures)
 from .templates import (flange_and_sections, inject_all, member, member_J,
-                        minimal_maxblock_word, parse_template, place)
+                        minimal_maxblock_word, on_locus, parse_template, place,
+                        placement)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex, dim,
-                    is_subword, lower_covers, upper_cover_bits, upper_covers,
-                    words_below)
+                    lower_covers, subword_step, upper_cover_bits, upper_covers,
+                    walk, words_below)
 from .words import level as vertex_level
 
 W = BinaryWord.from_str
@@ -232,7 +233,9 @@ def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
         checked.append((w, array("q", covers), count))
     failures = []
     for idx, pb in enumerate(boxes):
-        t_w = template_of_paintbox(pb)
+        support = [set() for _ in range(cap)]  # packed bits per length
+        for w, _ in walk(cap, *placement(template_of_paintbox(pb))):
+            support[w.n].add(w.bits)
         denominator, numerators = eval_F_levels(pb, cap + 1)
         if denominator != numerators[0][0]:  # N(@) = 1, its one cover the empty word
             failures.append(f"paintbox {idx}: not harmonic at {ROOT}")
@@ -243,7 +246,7 @@ def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
             above = numerators[k + 1]
             if value * denominator != sum(above[c] for c in covers):
                 failures.append(f"paintbox {idx}: not harmonic at {w}")
-            if (value > 0) != member(t_w, w):
+            if (value > 0) != (bits in support[k]):
                 failures.append(f"paintbox {idx}: support wrong at {w}")
             mass[k] += count * value
         failures.extend(
@@ -268,24 +271,29 @@ def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
     minimal: list[BinaryWord] = []
     # every check below holds trivially outside the union of the three
     # coideals; the section's own is in it so that leaving capped shows.
-    # The walk's predicate keeps its three answers for each word it
-    # accepts, and the body takes them back, so each membership is
-    # asked once per word
-    fits = {}
+    # One walk carries each word's placements in the three templates (None
+    # off a coideal) and how much of gen, g1 and g2 it holds as a subword
+    (capped_start, capped_step), (section_start, section_step), (b_start, b_step) = (
+        placement(capped), placement(section), placement(bracketed))
 
-    def in_any(w: BinaryWord) -> bool:
-        answers = (member(capped, w), member(section, w), member(bracketed, w))
-        if not any(answers):
-            return False
-        fits[w] = answers
-        return True
+    def step(state: tuple, bit: int) -> Optional[tuple]:
+        at_capped, at_section, at_b, held, held1, held2 = state
+        at_capped = at_capped and capped_step(at_capped, bit)
+        at_section = at_section and section_step(at_section, bit)
+        at_b = at_b and b_step(at_b, bit)
+        if not (at_capped or at_section or at_b):
+            return None
+        return (at_capped, at_section, at_b, subword_step(gen, held, bit),
+                subword_step(g1, held1, bit), subword_step(g2, held2, bit))
 
-    for w in words_below(max_symbols + 1, in_any):
-        in_capped, in_section, in_b = fits.pop(w)
+    start = (capped_start, section_start, b_start, 0, 0, 0)
+    for w, (at_capped, at_section, at_b, held, held1, held2) in walk(
+            max_symbols + 1, start, step):
+        in_capped, in_section = at_capped is not None, at_section is not None
         # the capped blow-up locus is the bare section's coideal
-        if member_J(capped, w) != in_section:
+        if (in_capped and on_locus(at_capped)) != in_section:
             failures.append(f"capped blow-up locus differs from the section at {w}")
-        above_gen = in_capped and is_subword(gen, w)
+        above_gen = in_capped and held == gen.n
         if in_capped != (in_section or above_gen):
             failures.append(f"capped split fails at {w}")
         if in_section and not in_capped:
@@ -293,11 +301,10 @@ def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
         if in_section and above_gen:
             failures.append(f"capped split overlaps at {w}")
 
-        in_j = in_b and member_J(bracketed, w)
-        above = in_b and (is_subword(g1, w) or is_subword(g2, w))
-        if (in_b and not in_j) != above:
+        finite_b = at_b is not None and not on_locus(at_b)
+        if finite_b != (at_b is not None and (held1 == g1.n or held2 == g2.n)):
             failures.append(f"bracketed two-generator identity fails at {w}")
-        if in_b and not in_j and len(w) == len(g1):
+        if finite_b and len(w) == len(g1):
             minimal.append(w)
     if sorted(map(str, minimal)) != sorted([str(g1), str(g2)]):
         failures.append(f"bracketed minimal elements are {minimal}, expected two generators")
@@ -327,8 +334,8 @@ def suite_injection(cap: int, _seed: Optional[int]) -> Checks:
         sections = flange_and_sections(t).sections
         image: dict[tuple[BinaryWord, ...], BinaryWord] = {}
         coords: dict[BinaryWord, tuple[BinaryWord, ...]] = {}
-        for w in words_below(cap, lambda v: member(t, v)):
-            if not member_J(t, w):
+        for w, state in walk(cap, *placement(t)):
+            if not on_locus(state):
                 decs = inject_all(t, w)
                 if len(decs) != 1:
                     failures.append(f"{name}: {len(decs)} decompositions at {w}")
@@ -495,8 +502,8 @@ def suite_ring_identity(degree: int, _seed: Optional[int]) -> Checks:
     lefts: list[Vertex] = [ROOT, *words_below(left_boxes)]
     for name, model in EXAMPLE_MODELS.items():
         t = model.template
-        rights = [w for w in words_below(degree - left_boxes, lambda v: member(t, v))
-                  if not member_J(t, w)]
+        rights = [w for w, state in walk(degree - left_boxes, *placement(t))
+                  if not on_locus(state)]
         failures.extend(f"{name}: ring identity fails at ({a}, {b})"
                         for a, b in ring_identity_failures(model, lefts, rights))
         lines.append(f"{name}: {len(lefts) * len(rights)} pairs"
@@ -534,8 +541,14 @@ def suite_distinctness(cap: int, _seed: Optional[int]) -> Checks:
     failures, lines = [], []
     for idx, (m1, m2) in enumerate(DISTINCT_PAIRS):
         # both models vanish outside the union of their coideals
-        in_either = lambda w: member(m1.template, w) or member(m2.template, w)
-        witness = next((w for w in words_below(cap, in_either)
+        (start1, step1), (start2, step2) = placement(m1.template), placement(m2.template)
+
+        def in_either(state: tuple, bit: int) -> Optional[tuple]:
+            at1, at2 = state
+            at1, at2 = at1 and step1(at1, bit), at2 and step2(at2, bit)
+            return (at1, at2) if at1 or at2 else None
+
+        witness = next((w for w, _ in walk(cap, (start1, start2), in_either)
                         if phi_tw(m1, w) != phi_tw(m2, w)), None)
         if witness is None:
             failures.append(f"pair {idx} not separated up to level {cap}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import lcm
-from typing import Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 PLUS = "+"
 MINUS = "-"
@@ -305,30 +305,56 @@ def dominates_search(a: Vertex, comb: FormalCombination, max_level: int,
 # Prefix walk
 # ---------------------------------------------------------------------------
 
-def words_below(n: int, within: Filter = None) -> Iterator[BinaryWord]:
-    """Every word of fewer than n symbols, shortest first, lazily.
+def walk(n: int, start: Any, step: Callable[[Any, int], Any]
+         ) -> Iterator[tuple[BinaryWord, Any]]:
+    """Every word of fewer than n symbols with its state, shortest first, lazily.
 
-    Each length comes in lexicographic order ('+' < '-'): the next one
-    appends '+', then '-', to each word of the last.  ``within`` keeps
-    only the words it accepts and extends only those, so its set must
-    be prefix-closed, as every template coideal is; the walk then
-    visits that set and its one-symbol boundary, not whole levels.
-    The cap is checked here, before any word is made; the words come
-    one length at a time, so a search that stops early builds no more.
+    ``start`` is the empty word's state, and ``step(state, bit)`` builds
+    a word's state from its parent's and its last symbol (bit 1 for
+    '-'); ``None`` prunes the word, so the kept words must be
+    prefix-closed, as every template coideal is.  Each length appends
+    '+', then '-', to each word of the last, in lexicographic order ('+'
+    < '-'), so the walk visits the kept words and their one-symbol
+    boundary, each once.  The cap is checked here, before any word is
+    made, and a search that stops early builds no further length.
     """
     if n < 0:
         raise ValueError(f"negative word length bound {n}")
     if n - 1 > LEVEL_CAP:
         raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
-    return _prefix_walk(n, within)
+    return _walk(n, start, step)
 
 
-def _prefix_walk(n: int, within: Filter) -> Iterator[BinaryWord]:
-    layer = [EMPTY]
+def _walk(n: int, start: Any, step: Callable[[Any, int], Any]
+          ) -> Iterator[tuple[BinaryWord, Any]]:
+    layer = [] if start is None else [(EMPTY, start)]
     for length in range(n):
         if length:
             minus = 1 << (length - 1)
-            layer = [BinaryWord(length, w.bits | bit) for w in layer for bit in (0, minus)]
-        if within is not None:
-            layer = [w for w in layer if within(w)]
+            layer = [(BinaryWord(length, w.bits | symbol), child)
+                     for w, state in layer for symbol, bit in ((0, 0), (minus, 1))
+                     if (child := step(state, bit)) is not None]
         yield from layer
+
+
+def words_below(n: int, within: Filter = None) -> Iterator[BinaryWord]:
+    """Every word of fewer than n symbols, shortest first, lazily: :func:`walk`
+    with no state.  ``within``, asked once per word the walk reaches,
+    prunes the words it refuses, so its set must be prefix-closed."""
+    if within is None:
+        return (w for w, _ in walk(n, True, lambda keep, bit: keep))
+
+    def step(w: BinaryWord, bit: int) -> Optional[BinaryWord]:
+        child = BinaryWord(w.n + 1, w.bits | bit << w.n)
+        return child if within(child) else None
+
+    # a prefix-closed set without the empty word is empty: within then
+    # refuses the empty word's children as well
+    return (w for w, _ in walk(n, EMPTY, step) if w.n or within(w))
+
+
+def subword_step(a: BinaryWord, held: int, bit: int) -> int:
+    """How much of a, matched as early as possible, a word holds as a
+    subsequence once it gains symbol ``bit``, from ``held`` before; a is
+    a subword of w exactly when stepping along w ends at ``a.n``."""
+    return held + 1 if held < a.n and (a.bits >> held) & 1 == bit else held

@@ -4,7 +4,11 @@ Core claims:
     - every subcommand produces deterministic, parseable output
     - JSON output round-trips through the library parsers
     - graph prints the same text, json and dot as a reference that
-      sorts each vertex's covers by their strings
+      sorts each vertex's covers by their strings, empty ideals included,
+      and a planted fault in the placement step breaks that and the
+      coideal-identities suite
+    - a reader that closes the output early leaves the exit code as the
+      command decided it, with nothing on stderr
     - exit codes are 0 on success, 1 on verification failure, 2 on
       usage and parse errors
     - render works out the size of its picture exactly, before drawing
@@ -20,7 +24,7 @@ from word_oracle import enumerate_level
 from zigzag_harmonics import (ROOT, BinaryWord, level, member, member_J,
                               parse_template, parse_vertex, upper_covers,
                               words_below)
-from zigzag_harmonics import cli, render, verify
+from zigzag_harmonics import cli, render, templates, verify
 from zigzag_harmonics.cli import main
 from zigzag_harmonics.qsym import DEGREE_CAP, fexpansion_from_json
 from zigzag_harmonics.verify import SUITES, SuiteReport
@@ -207,6 +211,53 @@ def test_graph_prints_the_reference_output(capsys, restriction, fmt):
     assert out == reference_graph(max_level, template_text, "--ideal" in restriction, fmt)
 
 
+@pytest.mark.parametrize("template_text", ["+1 -* +* -1 +*", "+* -1 +1 -*",
+                                           "-1 +* -* +1 -* +* -* +1"])
+@pytest.mark.parametrize("max_level", [0, 1])
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_an_empty_ideal_prints_the_reference_output(capsys, template_text, max_level, fmt):
+    # the empty word lies on every blow-up locus, so both levels list nothing
+    code, out, _ = run(capsys, "graph", "--level", str(max_level), "--template",
+                       template_text, "--ideal", "--format", fmt)
+    assert code == 0
+    assert out == reference_graph(max_level, template_text, True, fmt)
+    if fmt == "json":
+        assert '"vertices": [],' in out and '"edges": []' in out
+
+
+@pytest.fixture
+def infinite_clusters_take_two(monkeypatch):
+    """A planted step fault: every infinite cluster refuses its third symbol.
+
+    The example templates keep their compiled steps, so they are dropped
+    before and after; a template parsed from text compiles afresh.
+    """
+    real = templates._table
+    monkeypatch.setattr(templates, "_table", lambda bits, mults: real(
+        bits, [2 if mult is None else mult for mult in mults]))
+    kept = [model.template for model in verify.EXAMPLE_MODELS.values()]
+
+    def forget():
+        for t in kept:
+            object.__setattr__(t, "_placement", None)
+
+    forget()
+    yield
+    forget()
+
+
+def test_a_planted_step_fault_fails_coideal_identities_and_the_graph(
+        capsys, infinite_clusters_take_two):
+    report = verify.run_suite("coideal-identities", level=6)
+    assert not report.ok
+    assert "capped split fails at +++-" in report.lines
+    text = "+* -1 +1 -*"
+    code, out, _ = run(capsys, "graph", "--level", "5", "--template", text, "--format", "text")
+    assert code == 0
+    assert out != reference_graph(5, text, False, "text")
+    assert "++++" not in out.split()  # +2 then +1 take three
+
+
 def test_covers(capsys):
     code, out, _ = run(capsys, "covers", "--word", "+")
     assert code == 0 and out.split() == ["++", "+-", "-+"]
@@ -369,6 +420,23 @@ def test_console_script_entry_point():
          "--model", "+* -1 +1 -* | w=1/2,1/2", "--word=-+"],
         capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "1/4"
+
+
+def test_a_reader_that_stops_early_leaves_exit_0_and_no_traceback():
+    import subprocess
+    import sys
+
+    # about 1.2 MB of output: far more than a pipe holds, so the writer
+    # is still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zigzag_harmonics.cli", "graph", "--level", "12",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert stderr == b""
 
 
 def test_verify_is_deterministic_for_a_fixed_seed(capsys):

@@ -30,8 +30,18 @@ Core claims:
     - the max-block ideal has Pascal-graph level counts
     - the prefix walk inside a coideal, or a union of coideals, lists
       exactly the words of the filtered level scan, in the same order
+    - the placement step walks each template's coideal and reads its
+      blow-up locus as member and member_J do, and as the regular
+      expressions of the template and its reduced templates do: on every
+      alternating template of up to 5 clusters with multiplicities 1, 2,
+      3 and * to 12 symbols, and by property test on random templates;
+      a multiplicity of 100000000 compiles to the table of a 1 and is
+      counted in one code; coideal-identities, finite-harmonicity and
+      graph --ideal run no greedy pass on a walked word
 """
 
+import pickle
+import re
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
@@ -42,14 +52,15 @@ from hypothesis import strategies as st
 
 from maxblock_oracle import maxblock_member
 from template_oracle import (inject_by_reduction, is_flange, locus_by_reduction,
-                             reduced_templates, single_generator_word)
+                             reduced_templates, single_generator_word, template_regex)
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, GrowthModel, Template,
                               build_w_eps, flange_and_sections, inject, inject_all,
                               is_finite_template, is_subword, lower_covers, member,
-                              member_J, minimal_maxblock_word, parse_template, phi_tw,
-                              place, section_interval_tuples, template_of_intervals,
-                              upper_covers, words_below)
+                              member_J, minimal_maxblock_word, on_locus, parse_template,
+                              phi_tw, place, placement, section_interval_tuples,
+                              template_of_intervals, upper_covers, walk, words_below)
+from zigzag_harmonics import cli, templates, verify
 from zigzag_harmonics.verify import DISTINCT_PAIRS, EXAMPLE_MODELS
 
 W = BinaryWord.from_str
@@ -550,3 +561,101 @@ def test_walk_matches_membership_on_random_templates(t, n, data):
     for w in data.draw(st.lists(st.one_of(random_word, near_fit), max_size=20)):
         if len(w) <= n:
             assert (w in seen) == member(t, w), (t, w)
+
+
+# -- the placement step -------------------------------------------------------
+
+def _every_template(most_clusters, first):
+    """Every alternating template of up to most_clusters clusters with
+    multiplicities 1, 2, 3 and *, starting with the sign first."""
+    other = "-" if first == "+" else "+"
+    for k in range(1, most_clusters + 1):
+        signs = [other if i % 2 else first for i in range(k)]
+        for mults in product((1, 2, 3, None), repeat=k):
+            if None in mults:
+                yield Template(tuple(map(Cluster, signs, mults)))
+
+
+def _walked(t, n):
+    return [(w, on_locus(state)) for w, state in walk(n + 1, *placement(t))]
+
+
+def _check_walk(t, n):
+    """The walk of t's placement step to n symbols against place, the pass
+    behind member and member_J, and against the regular expressions of t
+    and of its reduced templates, which share nothing with either.  Each
+    word the walk prunes below n symbols must fit neither."""
+    walked = _walked(t, n)
+    fits = template_regex(t).fullmatch
+    # the union of the reduced coideals; a finite template has none
+    blown = re.compile("|".join(template_regex(r).pattern for r in reduced_templates(t))
+                       or "(?!)").fullmatch
+    seen = {w for w, _ in walked}
+    assert walked[0][0] == EMPTY
+    for w, locus in walked:
+        text = str(w)
+        in_t, cuts = place(t, w)
+        assert in_t and fits(text) and locus == (cuts is None) == bool(blown(text)), (t, w)
+        if len(w) < n:
+            for c in (BinaryWord(len(w) + 1, w.bits | bit << len(w)) for bit in (0, 1)):
+                assert c in seen or not (member(t, c) or fits(str(c))), (t, c)
+    return walked
+
+
+def _mirror(t):
+    return Template(tuple(Cluster("-" if c.sign == "+" else "+", c.mult) for c in t.clusters))
+
+
+def test_the_walk_places_every_word_of_every_small_template():
+    # the templates that start with '-' are the mirror images of the rest:
+    # their walk is the other's with every symbol flipped
+    count = 0
+    for t in _every_template(5, "+"):
+        flipped = {BinaryWord(len(w), w.bits ^ ((1 << len(w)) - 1)): locus
+                   for w, locus in _check_walk(t, 12)}
+        assert dict(_walked(_mirror(t), 12)) == flipped, t
+        count += 2
+    assert count == 2002
+
+
+@settings(max_examples=100)
+@given(alternating_templates(), st.integers(0, 14))
+def test_the_walk_places_every_word_of_random_templates(t, n):
+    walked = _walked(t, n)
+    assert walked == [(w, member_J(t, w)) for w in words_below(n + 1, _in(t))]
+    _check_walk(t, n)
+
+
+def test_a_huge_multiplicity_keeps_the_step_state_small():
+    huge, one = parse_template("+100000000 -* +* -1 +*"), parse_template("+1 -* +* -1 +*")
+    start, step = placement(huge)
+    # one table row per cluster and symbol, one code per reduced template
+    assert len(start) == len(placement(one)[0]) == 2
+    assert [len(table) for table in huge._placement] == [10, 10]
+    assert pickle.loads(pickle.dumps(huge)) == huge  # the stored tables are data
+    state = start
+    for _ in range(1000):
+        state = step(state, 0)
+    # a thousand '+' taken by the first cluster, in t and in the template
+    # with that cluster lowered: one count in each code
+    assert state == (1000 * 10, 1000 * 10) and state[0].bit_length() < 15
+    for bit in (1, 1, 0, 1):
+        state = step(state, bit)
+    # a thousand '+' leave the first cluster short: the word is on the locus
+    assert state is not None and on_locus(state)
+    assert member_J(huge, BinaryWord.from_str("+" * 1000 + "--+-"))
+    assert _walked(huge, 12) == [(w, member_J(huge, w)) for w in words_below(13, _in(huge))]
+
+
+def test_the_walked_suites_place_no_walked_word(monkeypatch):
+    placed = []
+    real = templates._greedy
+    monkeypatch.setattr(templates, "_greedy",
+                        lambda t, w, *rest: placed.append(w) or real(t, w, *rest))
+    # member and member_J of the two common lower covers of g1 and g2
+    verify.run_suite("coideal-identities", level=11)
+    assert sorted(map(str, placed)) == ["-++-+-+", "-++-+-+", "-+-++-+", "-+-++-+"]
+    placed.clear()
+    verify.run_suite("finite-harmonicity", level=10)
+    cli._graph_data(10, str(BRACKETED), True)
+    assert placed == []

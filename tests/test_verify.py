@@ -16,8 +16,9 @@ Core claims:
       levels 0 and 1 the covers of cap symbols carry the whole check
     - path-counts, coideal-identities, injection, approx-sequence and
       distinctness each report one planted fault: a wrong path count, a
-      wrong blow-up word, two decompositions or swapped coordinates at
-      one word, a wrong value at a base word, and a pair of equal models
+      walk state wrongly on the blow-up locus, two decompositions or
+      swapped coordinates at one word, a wrong value at a base word, and
+      a pair of equal models
     - ring-identity reports a wrong value at one product word at the one
       pair whose product holds it, and pieri reports one extra shuffle
       count; ring-identity at degree 12 checks all three models
@@ -26,13 +27,14 @@ Core claims:
 
 Each negative control swaps a name inside ``verify``, ``semifinite`` or
 ``qsym`` for a wrapper that spoils one value, so it shows that the exact
-checks can fail.
+checks can fail.  A fault planted in the placement step itself is in
+``test_cli.py``, beside the graph reference it also breaks.
 """
 
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, ExtValue, GrowthModel, cover_sum,
-                              member, member_J, phi_tw, product_F, qsym,
-                              semifinite, upper_covers, verify, words_below)
+                              member, member_J, on_locus, phi_tw, placement, product_F,
+                              qsym, semifinite, upper_covers, verify, words_below)
 from zigzag_harmonics.verify import (CAPPED_MODEL, EXAMPLE_MODELS, STEP_MODEL, run_suite,
                                      semifinite_table)
 
@@ -147,14 +149,18 @@ def test_a_wrong_path_count_fails_path_counts(monkeypatch):
 
 
 def test_a_wrong_capped_blow_up_word_fails_coideal_identities(monkeypatch):
-    # +-- generates the capped coideal's finite part, off the blow-up locus
-    real = verify.member_J
+    # +-- generates the capped coideal's finite part, off the blow-up locus;
+    # the suite's walk state starts with the capped placement, and the empty
+    # word's placement lies on the locus
+    real = verify.walk
+    on_the_locus = placement(CAPPED_MODEL.template)[0]
+    assert on_locus(on_the_locus)
 
-    def locus(t, w):
-        inside = real(t, w)
-        return not inside if t is CAPPED_MODEL.template and w == W("+--") else inside
+    def walk(n, start, step):
+        for w, state in real(n, start, step):
+            yield w, (on_the_locus, *state[1:]) if w == W("+--") else state
 
-    monkeypatch.setattr(verify, "member_J", locus)
+    monkeypatch.setattr(verify, "walk", walk)
     # level 8 reaches the bracketed generators, so that check passes
     report = run_suite("coideal-identities", level=8)
     assert not report.ok
