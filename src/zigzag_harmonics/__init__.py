@@ -5,11 +5,11 @@ from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
                        eval_F_levels, eval_F_numerator, phi_w,
                        template_of_intervals, template_of_paintbox)
 from .qsym import pieri_check, product_F, shuffle_counts
-from .semifinite import (ApproxReport, ExtValue, GrowthModel,
-                         LimitReport, build_w_eps, check_approx_sequence,
-                         check_limit_formula, cover_sum, eps_expansion,
-                         model_paintbox, phi_tw, ring_identity_failures,
-                         section_interval_tuples)
+from .semifinite import (ApproxReport, Automaton, ExtValue, GrowthModel,
+                         LimitReport, automaton, automaton_numerator,
+                         automaton_step, build_w_eps, check_approx_sequence,
+                         check_limit_formula, eps_expansion, model_paintbox,
+                         phi_tw, ring_identity_failures, section_interval_tuples)
 from .templates import (Cluster, FlangeDecomposition, Template,
                         flange_and_sections, inject, inject_all,
                         is_finite_template, member, member_J,

@@ -8,7 +8,9 @@ coordinate evaluated against that section's weighted intervals.  The
 root always evaluates to infinity: the empty diagram fits every
 reduced template, so no normalization at the root is possible.
 :func:`phi_tw` and the ring identity work on integer numerators and
-divide once.
+divide once.  :func:`phi_tw` values one vertex; a walk values each
+word from its parent's state, through the model compiled once into a
+weighted automaton (:func:`automaton`).
 
 The deformation machinery replaces each flange cluster by an interval of
 length eps; evaluations are then polynomials in eps with non-negative
@@ -21,15 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from math import lcm, prod
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_numerator,
                        template_of_intervals)
 from .qsym import shuffle_counts
-from .templates import (Template, _layout, is_finite_template, member, member_J,
-                        minimal_maxblock_word, parse_template, place, placement)
-from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
-                    dominates_search, level, subword_step, walk)
+from .templates import (State, Table, Template, _layout, _placement_tables,
+                        is_finite_template, member, member_J, minimal_maxblock_word,
+                        on_locus, parse_template, place, placement, placement_step)
+from .words import (LEVEL_CAP, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
+                    Vertex, dominates_search, level, subword_step, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +94,9 @@ class GrowthModel:
     weights: tuple[Fraction, ...]
     # filled by section_interval_tuples on first use
     _sections: Optional[tuple[IntervalTuple, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+    # filled by automaton on first use
+    _automaton: Optional["Automaton"] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -166,19 +173,103 @@ def phi_tw(model: GrowthModel, v: Vertex) -> ExtValue:
     return ExtValue.finite(Fraction(numerator, denominator))
 
 
-def cover_sum(values: Iterable[ExtValue]) -> ExtValue:
-    """Sum in [0, +oo] of the values at the covers of a vertex.
+# ---------------------------------------------------------------------------
+# The weighted automaton
+# ---------------------------------------------------------------------------
 
-    Any infinite term absorbs the sum; zero terms add nothing, so the
-    covers off the coideal may be left out or summed alike.
+#: a word's placement state in the template, the index of the open
+#: section, that section's transfer vector and the product of the
+#: closed sections' numerators
+ModelState = tuple[State, int, tuple[int, ...], int]
+
+
+class Automaton(NamedTuple):
+    """A growth model compiled into one weighted automaton, as plain data.
+
+    Off the blow-up locus every flange cluster is full, so a word of n
+    symbols has n - F symbols in its k section coordinates, F the flange
+    multiplicities, and phi_tw is R / D^(n - F + k) with D the common
+    denominator of the weights and R, read off the state by
+    :func:`automaton_numerator`, the product of the section numerators.
+
+    The sections are numbered 1 to k.  Section 0 stands before the
+    first: no symbol enters it, and its one interval of length 1 closes
+    to 1, so that every section skipped whole, before the first entered
+    one, between two or after the last, is read off ``skipped``.
     """
-    total = Fraction(0)
-    for val in values:
-        if val.is_infinite:
-            return ExtValue.infinite()
-        if val.is_finite:
-            total += val.value
-    return ExtValue.finite(total) if total else ExtValue.zero()
+
+    start: ModelState
+    placement: tuple[Table, ...]
+    # per placement code modulo twice the cluster count: the section of
+    # the cluster that took the last symbol, 0 on the flange
+    sections: tuple[int, ...]
+    # per section, the intervals each symbol bit keeps and the lengths
+    # scaled by D, as in eval_F_numerator
+    keeps: tuple[tuple[tuple[bool, ...], tuple[bool, ...]], ...]
+    lengths: tuple[tuple[int, ...], ...]
+    # skipped[s][e]: the scaled totals of the sections strictly between s
+    # and e multiplied, e = k + 1 standing past the last section
+    skipped: tuple[tuple[int, ...], ...]
+    denominator: int
+    offset: int  # F - k
+
+
+def automaton(model: GrowthModel) -> Automaton:
+    """The model's weighted automaton, compiled on first use and stored on it.
+
+    Its step, :func:`automaton_step`, runs the template's placement step
+    and follows the cluster that takes each symbol.  A flange cluster
+    leaves the transfer vector alone.  A later section closes the open
+    one to its sum, multiplies in the total of each section skipped
+    whole, and opens with its own lengths; a section's symbol updates
+    the vector as :func:`~zigzag_harmonics.paintbox.eval_F_numerator` does.
+    """
+    if model._automaton is None:
+        t = model.template
+        spans, flange = _layout(t)
+        sections = section_interval_tuples(model)
+        denominator = lcm(*(w.denominator for w in model.weights))
+        lengths = ((1,), *(tuple(int(l * denominator) for l in u.lengths) for u in sections))
+        keeps = (((), ()), *(tuple(tuple(s == sign for s in u.signs) for sign in (PLUS, MINUS))
+                             for u in sections))
+        totals = [sum(scaled) for scaled in lengths]
+        skipped = tuple(tuple(prod(totals[s + 1:e]) for e in range(len(totals) + 1))
+                        for s in range(len(totals)))
+        section_of = [0] * (2 * len(t))
+        for s, (lo, hi) in enumerate(spans, 1):
+            for i in range(lo, hi):
+                section_of[2 * i] = s
+        object.__setattr__(model, "_automaton", Automaton(
+            (placement(t)[0], 0, lengths[0], 1), _placement_tables(t), tuple(section_of),
+            keeps, lengths, skipped, denominator,
+            sum(t.clusters[i].mult for i in flange) - len(spans)))
+    return model._automaton
+
+
+def automaton_step(a: Automaton, state: ModelState, bit: int) -> Optional[ModelState]:
+    """A word's state from its parent's and its last symbol; None off the coideal."""
+    codes, section, vec, closed = state
+    codes = placement_step(a.placement, codes, bit)
+    if codes is None:
+        return None
+    to = a.sections[codes[0] % len(a.sections)]
+    if not to:
+        return codes, section, vec, closed
+    if to != section:
+        closed *= sum(vec) * a.skipped[section][to]
+        section, vec = to, a.lengths[to]
+    before, out = 0, []  # sum of the entries before j, read before they change
+    for length, keep, x in zip(a.lengths[section], a.keeps[section][bit], vec):
+        out.append(length * (before + x) if keep else length * before)
+        before += x
+    return codes, section, tuple(out), closed
+
+
+def automaton_numerator(a: Automaton, state: ModelState) -> Optional[int]:
+    """R, with phi_tw = R / D^(n - F + k) at a word of n symbols in the
+    coideal; None on the blow-up locus."""
+    codes, section, vec, closed = state
+    return None if on_locus(codes) else closed * sum(vec) * a.skipped[section][-1]
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ positive integer or '*' for an infinite multiplicity, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .words import MINUS, PLUS, BinaryWord
@@ -278,28 +279,36 @@ def _table(bits: list[int], mults: list[Optional[int]]) -> Table:
     return tuple(rows)
 
 
+def _placement_tables(t: Template) -> tuple[Table, ...]:
+    """The placement tables of t and of each reduced template, compiled on
+    first use and stored on t."""
+    if t._placement is None:
+        bits, mults = [bit for bit, _ in t._runs], [mult for _, mult in t._runs]
+        object.__setattr__(t, "_placement", (_table(bits, mults), *(
+            _table(bits, mults[:f] + [mults[f] - 1] + mults[f + 1:]) for f in _layout(t)[1])))
+    return t._placement
+
+
+def placement_step(tables: tuple[Table, ...], state: State, bit: int) -> Optional[State]:
+    """A word's :data:`State` from its parent's and its last symbol, read
+    off t's placement tables; None off t's coideal."""
+    size, out = len(tables[0]), []  # two rows per cluster
+    for code, table in zip(state, tables):
+        if code is not None:
+            bound, delta, jump = table[code % size + bit]
+            code = code + delta if code < bound else jump
+        out.append(code)
+    return None if out[0] is None else tuple(out)  # reduced coideals lie in t's
+
+
 def placement(t: Template) -> tuple[State, Callable[[State, int], Optional[State]]]:
     """The empty word's :data:`State` in t, and the step that gives a word's
     state from its parent's and its last symbol (None off t's coideal),
     for :func:`~zigzag_harmonics.words.walk`.  A step makes O(1 + flange)
     integer operations whatever the multiplicities.  The tables are
     compiled on first use and stored on t."""
-    if t._placement is None:
-        bits, mults = [bit for bit, _ in t._runs], [mult for _, mult in t._runs]
-        object.__setattr__(t, "_placement", (_table(bits, mults), *(
-            _table(bits, mults[:f] + [mults[f] - 1] + mults[f + 1:]) for f in _layout(t)[1])))
-    tables, size = t._placement, 2 * len(t._runs)
-
-    def step(state: State, bit: int) -> Optional[State]:
-        out = []
-        for code, table in zip(state, tables):
-            if code is not None:
-                bound, delta, jump = table[code % size + bit]
-                code = code + delta if code < bound else jump
-            out.append(code)
-        return None if out[0] is None else tuple(out)  # reduced coideals lie in t's
-
-    return (0,) * len(tables), step
+    tables = _placement_tables(t)
+    return (0,) * len(tables), partial(placement_step, tables)
 
 
 def on_locus(state: State) -> bool:

@@ -39,9 +39,9 @@ from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
                        eval_F_coproduct_denominator, eval_F_coproduct_numerator,
                        eval_F_levels, eval_F_numerator, template_of_paintbox)
 from .qsym import DEGREE_CAP, pieri_check
-from .semifinite import (ExtValue, GrowthModel, check_approx_sequence,
-                         check_limit_formula, cover_sum, phi_tw,
-                         ring_identity_failures)
+from .semifinite import (Automaton, ExtValue, GrowthModel, ModelState, automaton,
+                         automaton_numerator, automaton_step, check_approx_sequence,
+                         check_limit_formula, phi_tw, ring_identity_failures)
 from .templates import (flange_and_sections, inject_all, member, member_J,
                         minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
@@ -377,48 +377,67 @@ def suite_injection(cap: int, _seed: Optional[int]) -> Checks:
 # ---------------------------------------------------------------------------
 
 def semifinite_table(model: GrowthModel, cap: int
-                     ) -> tuple[dict[Vertex, ExtValue], dict[Vertex, ExtValue]]:
-    """The values and cover sums that the semifinite suite compares.
+                     ) -> tuple[int, list[dict[int, Optional[int]]]]:
+    """The common denominator D and, per word length up to cap symbols,
+    the automaton numerator R of each word in the model's coideal by
+    packed bits, None on the blow-up locus
+    (:class:`~zigzag_harmonics.semifinite.Automaton`).
 
-    ``values`` holds the non-zero phi_tw at the root, at the words below
-    cap symbols and at those of cap symbols.  One ``words_below`` walk,
-    phi_tw its filter, values each word it reaches once and extends the
-    non-zero ones, so it covers the coideal and its one-symbol boundary;
-    the words of cap symbols, past the walk, are valued once as covers.
-    ``sums`` holds, at the root and at each walked non-zero word, the
-    :func:`~zigzag_harmonics.semifinite.cover_sum` of its covers.
+    One walk of the automaton values each word below cap symbols once.
+    The words of cap symbols, read only as covers, come from one more
+    step on each state of cap - 1 symbols, so no walk passes the cap; at
+    cap 0 the empty word, the root's one cover, is the start state.
     """
-    values: dict[Vertex, ExtValue] = {ROOT: phi_tw(model, ROOT)}
-
-    def valued(v: Vertex) -> bool:
-        value = phi_tw(model, v)
-        if value.is_zero:
-            return False
-        values[v] = value
-        return True
-
-    walked = [ROOT, *words_below(cap, valued)]
-    for c in {c for v in walked if vertex_level(v) == cap for c in upper_covers(v)}:
-        valued(c)
-    sums = {v: cover_sum(values[c] for c in upper_covers(v) if c in values) for v in walked}
-    return values, sums
+    a = automaton(model)
+    step = functools.partial(automaton_step, a)
+    levels: list[dict[int, Optional[int]]] = [{} for _ in range(cap + 1)]
+    top = levels[cap]
+    if not cap:
+        top[0] = automaton_numerator(a, a.start)
+    for w, state in walk(cap, a.start, step):
+        levels[w.n][w.bits] = automaton_numerator(a, state)
+        if w.n == cap - 1:
+            for bit in (0, 1):
+                child = step(state, bit)
+                if child is not None:
+                    top[w.bits | bit << w.n] = automaton_numerator(a, child)
+    return a.denominator, levels
 
 
 @_suite("semifinite", 10, 0, LEVEL_CAP + 1)
 def suite_semifinite(cap: int, _seed: Optional[int]) -> Checks:
-    # a word wrongly valued zero shows only in a finite cover sum below it;
-    # place shares phi_tw's greedy loop, so the tests check zeros by regex
-    failures = []
+    # The automaton's kind, read off its placement tables, is compared
+    # with place's greedy pass, independent code.  A word wrongly valued
+    # zero shows only in a cover sum below it; the tests check zeros by
+    # regex.  A cover's denominator has one more factor D, so harmonicity
+    # is D * R(v) == sum of R over the covers, an infinite one absorbing it.
+    failures, counts = [], []
     for name, model in EXAMPLE_MODELS.items():
-        values, sums = semifinite_table(model, cap)
-        for v, total in sums.items():
-            val = values[v]
-            fits, cuts = (True, None) if v is ROOT else place(model.template, v)
-            expected_kind = "zero" if not fits else ("infinite" if cuts is None else "finite")
-            if val.kind != expected_kind:
-                failures.append(f"{name}: {v} is {val.kind}, expected {expected_kind}")
-            if val != total:
-                failures.append(f"{name}: not harmonic at {v}")
+        t = model.template
+        denominator, levels = semifinite_table(model, cap)
+        if levels[0].get(0, 0) is not None:  # the root is infinite, as its one cover must be
+            failures.append(f"{name}: not harmonic at {ROOT}")
+        count = 0
+        for k in range(cap):
+            above = levels[k + 1]
+            for bits, value in levels[k].items():
+                count += 1
+                w = BinaryWord(k, bits)
+                fits, cuts = place(t, w)
+                kind = "infinite" if value is None else "finite" if value else "zero"
+                expected_kind = "zero" if not fits else ("infinite" if cuts is None else "finite")
+                if kind != expected_kind:
+                    failures.append(f"{name}: {w} is {kind}, expected {expected_kind}")
+                total: Optional[int] = 0
+                for c in upper_cover_bits(k, bits):
+                    covered = above.get(c, 0)
+                    if covered is None:
+                        total = None
+                        break
+                    total += covered
+                if total != (None if value is None else value * denominator):
+                    failures.append(f"{name}: not harmonic at {w}")
+        counts.append(f"{name} {count}")
     w1, w2 = STEP_MODEL.weights
     for n in range(0, 5):
         for m in range(0, 5):
@@ -426,8 +445,8 @@ def suite_semifinite(cap: int, _seed: Optional[int]) -> Checks:
             expected = ExtValue.finite(w1 ** (n + 1) * w2 ** (m + 1))
             if phi_tw(STEP_MODEL, v) != expected:
                 failures.append(f"step closed form fails at {v}")
-    return [f"three models, trichotomy and harmonicity to level {cap}; "
-            "step closed form n,m <= 4"], failures
+    return [f"three models, trichotomy and harmonicity to level {cap} "
+            f"({', '.join(counts)} words walked); step closed form n,m <= 4"], failures
 
 
 # ---------------------------------------------------------------------------
@@ -540,21 +559,35 @@ DISTINCT_PAIRS: list[tuple[GrowthModel, GrowthModel]] = [
 def suite_distinctness(cap: int, _seed: Optional[int]) -> Checks:
     failures, lines = [], []
     for idx, (m1, m2) in enumerate(DISTINCT_PAIRS):
-        # both models vanish outside the union of their coideals
-        (start1, step1), (start2, step2) = placement(m1.template), placement(m2.template)
+        # both models vanish outside the union of their coideals; the walk
+        # carries each model's automaton state, None off its coideal
+        a1, a2 = automaton(m1), automaton(m2)
 
         def in_either(state: tuple, bit: int) -> Optional[tuple]:
             at1, at2 = state
-            at1, at2 = at1 and step1(at1, bit), at2 and step2(at2, bit)
+            at1, at2 = at1 and automaton_step(a1, at1, bit), at2 and automaton_step(a2, at2, bit)
             return (at1, at2) if at1 or at2 else None
 
-        witness = next((w for w, _ in walk(cap, (start1, start2), in_either)
-                        if phi_tw(m1, w) != phi_tw(m2, w)), None)
+        witness = next((w for w, (at1, at2) in walk(cap, (a1.start, a2.start), in_either)
+                        if _values_differ(a1, at1, a2, at2, w.n)), None)
         if witness is None:
             failures.append(f"pair {idx} not separated up to level {cap}")
         else:
             lines.append(f"pair {idx} separated at {witness} (level {vertex_level(witness)})")
     return lines, failures
+
+
+def _values_differ(a1: Automaton, at1: Optional[ModelState], a2: Automaton,
+                   at2: Optional[ModelState], n: int) -> bool:
+    """Whether two models differ at a word of n symbols with these automaton
+    states, not both None (zero off a coideal); finite values
+    R1 / D1^e1 and R2 / D2^e2 compare as R1 * D2^e2 against R2 * D1^e1."""
+    if at1 is None or at2 is None:
+        return True
+    r1, r2 = automaton_numerator(a1, at1), automaton_numerator(a2, at2)
+    if r1 is None or r2 is None:
+        return r1 is not r2
+    return r1 * a2.denominator ** (n - a2.offset) != r2 * a1.denominator ** (n - a1.offset)
 
 
 def run_suite(name: str, level: Optional[int] = None, degree: Optional[int] = None,

@@ -127,8 +127,24 @@ def level(v: Vertex) -> int:
 # ---------------------------------------------------------------------------
 
 def composition_of_word(w: BinaryWord) -> tuple[int, ...]:
-    """Row lengths: each '-' starts a row, each '+' adds a box to one."""
-    return tuple(len(row) + 1 for row in str(w).split(MINUS))
+    """Row lengths: each '-' starts a row, each '+' adds a box to one.
+
+    With the '-' at positions p_1 < ... < p_r the parts are p_1 + 1,
+    p_2 - p_1, ..., n - p_r, read off ``w.bits`` lowest bit first.  Past
+    a machine word each bit operation costs time linear in n, so a long
+    word splits its binary digits instead, linear in all.
+    """
+    bits, parts, last = w.bits, [], -1
+    if w.n > 64:
+        digits = bin(bits)[:1:-1] if bits else ""  # symbol i is digit i, up to the last '-'
+        return (*(len(run) + 1 for run in digits.split("1")[:-1]), w.n + 1 - len(digits))
+    while bits:
+        low = bits & -bits
+        pos = low.bit_length() - 1
+        parts.append(pos - last)
+        last, bits = pos, bits ^ low
+    parts.append(w.n - last)
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +353,10 @@ def _walk(n: int, start: Any, step: Callable[[Any, int], Any]
         yield from layer
 
 
-def words_below(n: int, within: Filter = None) -> Iterator[BinaryWord]:
+def words_below(n: int) -> Iterator[BinaryWord]:
     """Every word of fewer than n symbols, shortest first, lazily: :func:`walk`
-    with no state.  ``within``, asked once per word the walk reaches,
-    prunes the words it refuses, so its set must be prefix-closed."""
-    if within is None:
-        return (w for w, _ in walk(n, True, lambda keep, bit: keep))
-
-    def step(w: BinaryWord, bit: int) -> Optional[BinaryWord]:
-        child = BinaryWord(w.n + 1, w.bits | bit << w.n)
-        return child if within(child) else None
-
-    # a prefix-closed set without the empty word is empty: within then
-    # refuses the empty word's children as well
-    return (w for w, _ in walk(n, EMPTY, step) if w.n or within(w))
+    with no state."""
+    return (w for w, _ in walk(n, True, lambda keep, bit: keep))
 
 
 def subword_step(a: BinaryWord, held: int, bit: int) -> int:

@@ -13,6 +13,10 @@ and ask ``member`` of each, so tests can compare the two routes.
 word's text, so membership can be checked without the greedy loop that
 ``member``, ``place`` and ``phi_tw`` share.
 
+``alternating_templates`` draws random templates for property tests:
+one to six alternating clusters of multiplicity 1, 2, 3 or *, at least
+one of them infinite.
+
 ``single_generator_word`` proposes one word whose upper set inside the
 coideal is the complement of the blow-up locus, with a sufficient
 condition for that claim; the tests check it against ``member_J``.
@@ -23,6 +27,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from typing import Optional
+
+from hypothesis import strategies as st
 
 from zigzag_harmonics.templates import Cluster, Template, inject_all, member
 from zigzag_harmonics.words import MINUS, PLUS, BinaryWord
@@ -95,6 +101,17 @@ def template_regex(t: Template) -> re.Pattern:
     return re.compile("".join(
         re.escape(c.sign) + ("*" if c.is_infinite else f"{{0,{c.mult}}}")
         for c in t.clusters))
+
+
+@st.composite
+def alternating_templates(draw) -> Template:
+    k = draw(st.integers(1, 6))
+    first = draw(st.sampled_from("+-"))
+    mults = draw(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=k, max_size=k))
+    if None not in mults:
+        mults[draw(st.integers(0, k - 1))] = None
+    signs = [first if i % 2 == 0 else ("-" if first == "+" else "+") for i in range(k)]
+    return Template(tuple(Cluster(s, m) for s, m in zip(signs, mults)))
 
 
 def _matches(clusters: tuple[Cluster, ...], pattern: tuple[tuple[str, Optional[int]], ...]) -> bool:

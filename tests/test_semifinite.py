@@ -5,7 +5,15 @@ Core claims:
     - evaluations follow the worked step-model closed form and are
       zero / finite / infinite exactly off the coideal / on its finite
       part / on the blow-up locus (root included)
-    - the harmonicity identity holds with extended arithmetic
+    - the harmonicity identity holds with extended arithmetic, at the
+      point values and on the integer numerators of the suite's table
+    - each model's automaton reads phi_tw's kind and value off every
+      word below 13 symbols of 26 models, among them two whose skipped
+      sections weigh other than one, and by property test on random
+      templates and weights; a planted fault that counts a skipped
+      section as one fails that comparison and passes the semifinite
+      suite; a multiplicity of 100000000 compiles to the state of a 1,
+      and a compiled model pickles
     - model weights are exact rationals; floats and bools are refused
     - phi_tw is zero, finite or infinite exactly as the coideal and the
       reduced coideals, read as regular expressions, say: on the root
@@ -21,23 +29,30 @@ Core claims:
       coideal's cone, with the expected values and sharp levels
 """
 
+import pickle
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from eps_oracle import EPS, EpsPoly, brute_eval, eps_intervals
-from template_oracle import reduced_templates, template_regex
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from model_oracle import automaton_mismatches, cover_sum
+from template_oracle import alternating_templates, reduced_templates, template_regex
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, ExtValue,
-                              FormalCombination, GrowthModel, build_w_eps,
+                              FormalCombination, GrowthModel, automaton,
+                              automaton_numerator, automaton_step, build_w_eps,
                               check_approx_sequence, check_limit_formula,
-                              eps_expansion, eval_F, level, member,
-                              model_paintbox, parse_template, phi_tw,
+                              eps_expansion, eval_F, is_finite_template, level, member,
+                              model_paintbox, parse_template, phi_tw, placement,
                               ring_identity_failures, section_interval_tuples,
-                              template_of_intervals, words_below)
-from zigzag_harmonics.verify import (BRACKETED_MODEL, CAPPED_MODEL,
-                                     EXAMPLE_MODELS, STEP_MODEL,
-                                     semifinite_table)
+                              semifinite, template_of_intervals, upper_covers, verify,
+                              walk, words_below)
+from zigzag_harmonics.verify import (BRACKETED_MODEL, CAPPED_MODEL, DISTINCT_PAIRS,
+                                     EXAMPLE_MODELS, STEP_MODEL, semifinite_table)
 from zigzag_harmonics.words import LEVEL_CAP
 
 W = BinaryWord.from_str
@@ -133,26 +148,117 @@ def test_phi_tw_kind_matches_the_regex_oracle():
 
 
 def test_harmonicity_examples():
-    values, sums = semifinite_table(STEP_MODEL, 5)
-    assert sums[W("-+")] == values[W("-+")] == phi_tw(STEP_MODEL, W("-+"))
+    denominator, levels = semifinite_table(STEP_MODEL, 5)
+
+    def cover_numerators(w):
+        return [levels[w.n + 1].get(c.bits, 0) for c in upper_covers(w)]
+
+    # phi_tw(-+) = 2/9 = R / 3^2, and so is the sum at its covers, whose
+    # numerators are over one more factor D = 3
+    assert levels[2][W("-+").bits] == 2
+    assert sum(cover_numerators(W("-+"))) == denominator * 2
     # via an infinite cover
-    assert sums[W("++--")] == values[W("++--")] == ExtValue.infinite()
-    assert sums[ROOT] == values[ROOT] == ExtValue.infinite()
-    # off the coideal: no value is kept and no sum is taken
-    assert W("-++") not in values and W("-++") not in sums
+    assert levels[4][W("++--").bits] is None and None in cover_numerators(W("++--"))
+    # the root's one cover, the empty word, is infinite
+    assert levels[0] == {0: None}
+    # off the coideal: nothing is walked
+    assert W("-++").bits not in levels[3]
 
 
 def test_harmonicity_small_scan():
+    # the point values, summed in [0, +oo] over the covers of every word
+    # of the coideal below 7 symbols, found by a level scan
     for model in (STEP_MODEL, CAPPED_MODEL, BRACKETED_MODEL):
         t = model.template
-        values, sums = semifinite_table(model, 7)
-        assert sums[ROOT] == values[ROOT]
+        assert cover_sum([phi_tw(model, EMPTY)]) == phi_tw(model, ROOT)
         for length in range(7):
             for w in enumerate_level(length):
                 if member(t, w):
-                    assert sums[w] == values[w], (model, w)
-                else:
-                    assert w not in sums, (model, w)
+                    total = cover_sum(phi_tw(model, c) for c in upper_covers(w))
+                    assert total == phi_tw(model, w), (model, w)
+
+
+# -- the weighted automaton ----------------------------------------------------
+
+# a section skipped whole between two others, and a first section of
+# scaled total 2 ahead of a two-symbol flange: the models on which a
+# skipped section counted as 1 shows
+THREE_SECTIONS = GrowthModel.parse("+* -1 +1 -* +1 -1 +* | w=2/7,3/7,2/7")
+HEAVY_FIRST = GrowthModel.parse("+* -1 +1 -* | w=2/3,1/3")
+ORACLE_MODELS = [*EXAMPLE_MODELS.values(), *(m for pair in DISTINCT_PAIRS for m in pair),
+                 GrowthModel.parse("-2 +* -* +1 -* +* -1 +2 | w=1/5,3/10,1/4,1/4"),
+                 THREE_SECTIONS, HEAVY_FIRST]
+
+
+def test_the_automaton_is_phi_tw_below_13_symbols():
+    assert len(ORACLE_MODELS) == 26
+    for model in ORACLE_MODELS:
+        assert automaton_mismatches(model, 13) == [], model
+
+
+def _count_skipped_as_one(monkeypatch):
+    """Plant a fault: a section skipped whole before the first entered
+    one or between two counts as a scaled total of 1.  Models compile
+    afresh under it."""
+    real = semifinite.automaton
+
+    def compiled(model):
+        a = real(model)
+        return a._replace(skipped=tuple((1,) * (len(row) - 1) + row[-1:] for row in a.skipped))
+
+    for name in (semifinite, verify):
+        monkeypatch.setattr(name, "automaton", compiled)
+
+
+def test_a_skipped_section_counted_as_one_fails_the_automaton_oracle(monkeypatch):
+    _count_skipped_as_one(monkeypatch)
+    wrong = {str(model): len(automaton_mismatches(model, 13)) for model in ORACLE_MODELS}
+    # the other models skip no section, or only sections of scaled total 1
+    # (HEAVY_FIRST is also one of the distinctness pairs)
+    assert {text: count for text, count in wrong.items() if count} == {
+        str(THREE_SECTIONS): 72, str(HEAVY_FIRST): 10}
+    # the suite's three models skip no section of scaled total other than 1
+    # ahead of another
+    assert verify.run_suite("semifinite", level=10).ok
+
+
+@settings(max_examples=100)
+@given(alternating_templates().filter(lambda t: not is_finite_template(t)), st.data())
+def test_the_automaton_is_phi_tw_on_random_models(t, data):
+    raw = data.draw(st.lists(st.integers(1, 9), min_size=t.infinite_count,
+                             max_size=t.infinite_count))
+    model = GrowthModel(t, tuple(F(r, sum(raw)) for r in raw))
+    assert automaton_mismatches(model, 10) == [], model
+
+
+def test_a_huge_multiplicity_keeps_the_automaton_state_small():
+    huge = GrowthModel.parse("+100000000 -* +* -1 +* | w=1/2,1/3,1/6")
+    one = GrowthModel.parse("+1 -* +* -1 +* | w=1/2,1/3,1/6")
+    a, b = automaton(huge), automaton(one)
+    assert a.start == b.start and a._replace(placement=None, offset=None) == b._replace(
+        placement=None, offset=None)
+    assert (a.offset, b.offset) == (10 ** 8 - 1, 0)  # F - k: one section
+    state = a.start
+    for _ in range(1000):
+        state = automaton_step(a, state, 0)
+    # a thousand '+' are counted in the placement codes, and the flange
+    # leaves the section's vector and product alone
+    codes, section, vec, closed = state
+    assert max(codes).bit_length() < 15 and (section, vec, closed) == a.start[1:]
+    assert automaton_numerator(a, state) is None  # still short of the flange
+    assert automaton_mismatches(huge, 13) == []
+
+
+def test_a_compiled_model_pickles():
+    model = GrowthModel.parse(str(THREE_SECTIONS))
+    a = automaton(model)
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model and copy._automaton == a  # the stored automaton is data
+    walked = [(w, automaton_numerator(a, state))
+              for w, state in walk(9, a.start, partial(automaton_step, a))]
+    b = automaton(copy)
+    assert walked == [(w, automaton_numerator(b, state))
+                      for w, state in walk(9, b.start, partial(automaton_step, b))]
 
 
 # -- deformation --------------------------------------------------------------
@@ -207,7 +313,7 @@ def test_eps_expansion_step_bent_words():
 def _t_eps_words(model, n):
     """The words of under n symbols in the coideal of the deformed template."""
     t_eps = template_of_intervals(build_w_eps(model, 1))
-    return words_below(n, lambda v: member(t_eps, v))
+    return (w for w, _ in walk(n, *placement(t_eps)))
 
 
 def test_eps_expansion_is_the_splitting_sum_over_eps_polynomials():

@@ -28,16 +28,17 @@ Core claims:
     - the candidate generator word and its sufficiency flag behave as
       documented, including the exhaustive identity when the flag holds
     - the max-block ideal has Pascal-graph level counts
-    - the prefix walk inside a coideal, or a union of coideals, lists
-      exactly the words of the filtered level scan, in the same order
+    - the placement walk inside a coideal lists exactly the words of
+      the filtered level scan, in the same order, on random templates
     - the placement step walks each template's coideal and reads its
       blow-up locus as member and member_J do, and as the regular
       expressions of the template and its reduced templates do: on every
       alternating template of up to 5 clusters with multiplicities 1, 2,
       3 and * to 12 symbols, and by property test on random templates;
       a multiplicity of 100000000 compiles to the table of a 1 and is
-      counted in one code; coideal-identities, finite-harmonicity and
-      graph --ideal run no greedy pass on a walked word
+      counted in one code; coideal-identities, finite-harmonicity,
+      distinctness and graph --ideal run no greedy pass on a walked
+      word, and semifinite one, the place call it compares with
 """
 
 import pickle
@@ -51,17 +52,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxblock_oracle import maxblock_member
-from template_oracle import (inject_by_reduction, is_flange, locus_by_reduction,
-                             reduced_templates, single_generator_word, template_regex)
+from template_oracle import (alternating_templates, inject_by_reduction, is_flange,
+                             locus_by_reduction, reduced_templates, single_generator_word,
+                             template_regex)
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, GrowthModel, Template,
                               build_w_eps, flange_and_sections, inject, inject_all,
                               is_finite_template, is_subword, lower_covers, member,
                               member_J, minimal_maxblock_word, on_locus, parse_template,
                               phi_tw, place, placement, section_interval_tuples,
-                              template_of_intervals, upper_covers, walk, words_below)
+                              upper_covers, walk, words_below)
 from zigzag_harmonics import cli, templates, verify
-from zigzag_harmonics.verify import DISTINCT_PAIRS, EXAMPLE_MODELS
+from zigzag_harmonics.verify import EXAMPLE_MODELS
 
 W = BinaryWord.from_str
 
@@ -138,17 +140,6 @@ def test_member_matches_brute_force():
         for length in range(8):
             for w in enumerate_level(length):
                 assert member(t, w) == brute_member(t, w), (t, w)
-
-
-@st.composite
-def alternating_templates(draw):
-    k = draw(st.integers(1, 6))
-    first = draw(st.sampled_from("+-"))
-    mults = draw(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=k, max_size=k))
-    if None not in mults:
-        mults[draw(st.integers(0, k - 1))] = None
-    signs = [first if i % 2 == 0 else ("-" if first == "+" else "+") for i in range(k)]
-    return Template(tuple(Cluster(s, m) for s, m in zip(signs, mults)))
 
 
 # half the words are cut from the template's own clusters, so that both
@@ -394,8 +385,8 @@ def test_inject_unique_on_small_levels():
     # are the one decomposition that the splitting search finds
     for t in (STEP, CAPPED, BRACKETED, TWO_FLANGE):
         checked = 0
-        for w in words_below(15, lambda v: member(t, v)):
-            if not member_J(t, w):
+        for w, state in walk(15, *placement(t)):
+            if not on_locus(state):
                 assert inject_all(t, w) == [inject(t, w)], (t, w)
                 checked += 1
         assert checked > 50, t
@@ -519,9 +510,6 @@ def test_maxblock_ideal_has_pascal_counts():
 
 # -- the coideal walk ---------------------------------------------------------
 
-SECTION = parse_template("-* +* -1 +*")
-
-
 def _scan(n, within):
     return [w for k in range(n) for w in enumerate_level(k) if within(w)]
 
@@ -530,24 +518,10 @@ def _in(t):
     return lambda w: member(t, w)
 
 
-def _walk_filters():
-    yield from (_in(t) for t in (STEP, CAPPED, BRACKETED, SECTION))
-    for model in EXAMPLE_MODELS.values():
-        yield _in(template_of_intervals(build_w_eps(model, 1)))
-    yield lambda w: member(CAPPED, w) or member(SECTION, w) or member(BRACKETED, w)
-    for t1, t2 in {(m1.template, m2.template) for m1, m2 in DISTINCT_PAIRS}:
-        yield lambda w, t1=t1, t2=t2: member(t1, w) or member(t2, w)
-
-
-def test_walk_inside_a_coideal_is_the_filtered_scan():
-    for within in _walk_filters():
-        assert list(words_below(13, within)) == _scan(13, within)
-
-
 @settings(max_examples=100)
 @given(alternating_templates(), st.integers(0, 16), st.data())
 def test_walk_matches_membership_on_random_templates(t, n, data):
-    walked = list(words_below(n + 1, _in(t)))
+    walked = [w for w, _ in walk(n + 1, *placement(t))]
     if n <= 10:
         assert walked == _scan(n + 1, _in(t))
     assert all(member(t, w) for w in walked)
@@ -621,8 +595,6 @@ def test_the_walk_places_every_word_of_every_small_template():
 @settings(max_examples=100)
 @given(alternating_templates(), st.integers(0, 14))
 def test_the_walk_places_every_word_of_random_templates(t, n):
-    walked = _walked(t, n)
-    assert walked == [(w, member_J(t, w)) for w in words_below(n + 1, _in(t))]
     _check_walk(t, n)
 
 
@@ -644,7 +616,8 @@ def test_a_huge_multiplicity_keeps_the_step_state_small():
     # a thousand '+' leave the first cluster short: the word is on the locus
     assert state is not None and on_locus(state)
     assert member_J(huge, BinaryWord.from_str("+" * 1000 + "--+-"))
-    assert _walked(huge, 12) == [(w, member_J(huge, w)) for w in words_below(13, _in(huge))]
+    assert _walked(huge, 12) == [(w, member_J(huge, w)) for w in words_below(13)
+                                 if member(huge, w)]
 
 
 def test_the_walked_suites_place_no_walked_word(monkeypatch):
@@ -657,5 +630,10 @@ def test_the_walked_suites_place_no_walked_word(monkeypatch):
     assert sorted(map(str, placed)) == ["-++-+-+", "-++-+-+", "-+-++-+", "-+-++-+"]
     placed.clear()
     verify.run_suite("finite-harmonicity", level=10)
+    verify.run_suite("distinctness", level=10)
     cli._graph_data(10, str(BRACKETED), True)
     assert placed == []
+    # semifinite: the place call its trichotomy compares with, once per
+    # walked word, and phi_tw at the 25 words of the step closed form
+    verify.run_suite("semifinite", level=10)
+    assert len(placed) == 91 + 259 + 875 + 25

@@ -8,12 +8,14 @@ Core claims:
       oracle denominator that is not the compiled one
     - eps-limit reports a wrong leading coefficient at one finite point
       as a ratio failure, and a vanishing point of too low a valuation
-    - semifinite reads phi_tw from one table per model whose values and
-      cover sums are those of the point API, and reports a wrong finite
-      value as a harmonicity failure and a wrong kind as a trichotomy one;
-      a wrong zero in the coideal fails harmonicity at the word below it,
-      a non-zero on the coideal's boundary fails the trichotomy, and at
-      levels 0 and 1 the covers of cap symbols carry the whole check
+    - semifinite reads one table of automaton numerators per model,
+      whose values and integer cover sums are those of the point API;
+      it reports a wrong finite value in the table as a harmonicity
+      failure and a wrong kind as a trichotomy one; a wrong zero in the
+      coideal fails harmonicity at the word below it, a non-zero on the
+      coideal's boundary fails the trichotomy, and at levels 0 and 1 the
+      covers of cap symbols carry the whole check; its report counts the
+      words walked per model, the coideal sizes at level 10
     - path-counts, coideal-identities, injection, approx-sequence and
       distinctness each report one planted fault: a wrong path count, a
       walk state wrongly on the blow-up locus, two decompositions or
@@ -27,14 +29,19 @@ Core claims:
 
 Each negative control swaps a name inside ``verify``, ``semifinite`` or
 ``qsym`` for a wrapper that spoils one value, so it shows that the exact
-checks can fail.  A fault planted in the placement step itself is in
+checks can fail.  A fault planted in the growth models' automaton is in
+``test_semifinite.py``, beside the oracle that catches it.  A fault planted in the placement step itself is in
 ``test_cli.py``, beside the graph reference it also breaks.
 """
 
+from fractions import Fraction
+
+from model_oracle import cover_sum
+from template_oracle import template_regex
 from word_oracle import enumerate_level
-from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, ExtValue, GrowthModel, cover_sum,
-                              member, member_J, on_locus, phi_tw, placement, product_F,
-                              qsym, semifinite, upper_covers, verify, words_below)
+from zigzag_harmonics import (BinaryWord, ExtValue, GrowthModel, member, on_locus,
+                              phi_tw, placement, product_F, qsym, semifinite,
+                              upper_covers, verify, walk, words_below)
 from zigzag_harmonics.verify import (CAPPED_MODEL, EXAMPLE_MODELS, STEP_MODEL, run_suite,
                                      semifinite_table)
 
@@ -261,19 +268,49 @@ def test_a_vanishing_point_of_low_valuation_breaks_the_limit(monkeypatch):
 
 def test_the_semifinite_table_is_the_point_api():
     # every word of up to 8 symbols, and the coideal words of 9 it reads
-    zero = ExtValue.zero()
     for model in EXAMPLE_MODELS.values():
         t = model.template
-        values, sums = semifinite_table(model, 9)
-        scanned = [ROOT, *words_below(9)]
-        for v in scanned:
-            assert values.get(v, zero) == phi_tw(model, v), (model, v)
-            assert (v in sums) == (v is ROOT or member(t, v)), (model, v)
-        assert set(values) - set(scanned) == {w for w in enumerate_level(9) if member(t, w)}
-        for v, total in sums.items():
-            assert total == cover_sum(phi_tw(model, c) for c in upper_covers(v)
-                                      if member(t, c)), (model, v)
-            assert values[v] == total, (model, v)
+        a = semifinite.automaton(model)
+        denominator, levels = semifinite_table(model, 9)
+        assert denominator == a.denominator
+
+        def value(w):
+            r = levels[w.n][w.bits]
+            return (ExtValue.infinite() if r is None
+                    else ExtValue.finite(Fraction(r, denominator ** (w.n - a.offset))))
+
+        for length in range(10):
+            assert sorted(levels[length]) == sorted(w.bits for w in enumerate_level(length)
+                                                    if member(t, w)), (model, length)
+            for bits in levels[length]:
+                w = BinaryWord(length, bits)
+                assert value(w) == phi_tw(model, w), (model, w)
+        # the integer cover sums, an infinite cover absorbing them, against
+        # the sums in [0, +oo] of the point values
+        for length in range(9):
+            for bits in levels[length]:
+                w = BinaryWord(length, bits)
+                covers = [c for c in upper_covers(w) if c.bits in levels[length + 1]]
+                numerators = [levels[length + 1][c.bits] for c in covers]
+                total = cover_sum(phi_tw(model, c) for c in upper_covers(w))
+                if None in numerators:
+                    assert total.is_infinite, (model, w)
+                else:
+                    assert total == ExtValue.finite(Fraction(
+                        sum(numerators), denominator ** (length + 1 - a.offset))), (model, w)
+
+
+def spoiled_table(monkeypatch, spoil):
+    """Let ``spoil(levels)`` change the step model's automaton numerators in place."""
+    real = verify.semifinite_table
+
+    def table(model, cap):
+        denominator, levels = real(model, cap)
+        if model is STEP_MODEL:
+            spoil(levels)
+        return denominator, levels
+
+    monkeypatch.setattr(verify, "semifinite_table", table)
 
 
 def spoiled_phi_tw(monkeypatch, word, spoil):
@@ -288,7 +325,11 @@ def spoiled_phi_tw(monkeypatch, word, spoil):
 
 
 def test_a_wrong_finite_value_breaks_semifinite_harmonicity(monkeypatch):
-    # -+- is a finite point of the step model, so its closed form fails too
+    # -+- is a finite point of the step model; the closed form reads phi_tw
+    def spoil(levels):
+        levels[3][W("-+-").bits] *= 2
+
+    spoiled_table(monkeypatch, spoil)
     spoiled_phi_tw(monkeypatch, W("-+-"), lambda val: ExtValue.finite(2 * val.value))
     report = run_suite("semifinite", level=6)
     assert not report.ok
@@ -298,7 +339,10 @@ def test_a_wrong_finite_value_breaks_semifinite_harmonicity(monkeypatch):
 
 
 def test_a_wrong_kind_breaks_the_semifinite_trichotomy(monkeypatch):
-    spoiled_phi_tw(monkeypatch, W("-+-"), lambda val: ExtValue.infinite())
+    def spoil(levels):
+        levels[3][W("-+-").bits] = None
+
+    spoiled_table(monkeypatch, spoil)
     report = run_suite("semifinite", level=6)
     assert not report.ok
     assert "step: -+- is infinite, expected finite" in report.lines
@@ -306,9 +350,12 @@ def test_a_wrong_kind_breaks_the_semifinite_trichotomy(monkeypatch):
 
 
 def test_a_wrong_zero_in_the_coideal_breaks_harmonicity_below_it(monkeypatch):
-    # -+- is a finite point of the step model; valued zero, the walk
-    # drops it, and the cover sum at -+ misses its value
-    spoiled_phi_tw(monkeypatch, W("-+-"), lambda val: ExtValue.zero())
+    # -+- is a finite point of the step model; left out of the table, it
+    # is unchecked, and the cover sum at -+ misses its value
+    def spoil(levels):
+        del levels[3][W("-+-").bits]
+
+    spoiled_table(monkeypatch, spoil)
     report = run_suite("semifinite", level=6)
     assert not report.ok
     assert "step: not harmonic at -+" in report.lines
@@ -316,7 +363,10 @@ def test_a_wrong_zero_in_the_coideal_breaks_harmonicity_below_it(monkeypatch):
 
 def test_a_non_zero_on_the_boundary_breaks_the_semifinite_trichotomy(monkeypatch):
     # -++ lies off the step model's coideal, one symbol above -+
-    spoiled_phi_tw(monkeypatch, W("-++"), lambda val: ExtValue.finite(1))
+    def spoil(levels):
+        levels[3][W("-++").bits] = 1
+
+    spoiled_table(monkeypatch, spoil)
     report = run_suite("semifinite", level=6)
     assert not report.ok
     assert "step: -++ is finite, expected zero" in report.lines
@@ -327,8 +377,22 @@ def test_semifinite_at_levels_0_and_1_reads_the_covers_of_cap_symbols(monkeypatc
     assert run_suite("semifinite", level=1).ok
     # at level 0 the root is the one checked vertex, and the empty word
     # its one cover
-    spoiled_phi_tw(monkeypatch, EMPTY, lambda val: ExtValue.zero())
+    spoiled_table(monkeypatch, lambda levels: levels[0].clear())
     assert run_suite("semifinite", level=0).lines[1:] == ["step: not harmonic at @"]
+
+
+def test_semifinite_reports_the_coideal_sizes_it_walked():
+    # the words below 10 symbols that each template's regular expression
+    # matches, counted without the walk
+    sizes = [sum(1 for n in range(10) for w in enumerate_level(n)
+                 if template_regex(model.template).fullmatch(str(w)))
+             for model in EXAMPLE_MODELS.values()]
+    assert sizes == [91, 259, 875]
+    report = run_suite("semifinite", level=10)
+    assert report.ok
+    assert report.lines == ["three models, trichotomy and harmonicity to level 10 "
+                            "(step 91, capped 259, bracketed 875 words walked); "
+                            "step closed form n,m <= 4"]
 
 
 def test_a_wrong_value_at_one_product_word_fails_ring_identity_at_its_pair(monkeypatch):
@@ -378,8 +442,7 @@ def test_the_ring_identity_fails_on_a_mixture_of_two_models():
     # gives the one value phi_paintbox(a)
     models = (GrowthModel.parse("+* -1 +1 -* | w=1/3,2/3"),
               GrowthModel.parse("+* -1 +1 -* | w=1/2,1/2"))
-    t = models[0].template
-    rights = [w for w in words_below(8, lambda v: member(t, v)) if not member_J(t, w)]
+    rights = [w for w, state in walk(8, *placement(models[0].template)) if not on_locus(state)]
     assert len(rights) == 21
 
     def value(model, v):

@@ -1,7 +1,8 @@
 """Word layer: bijection with compositions, covers, path counts, the cone.
 
 Core claims:
-    - words and compositions are mutually inverse encodings
+    - words and compositions are mutually inverse encodings, and the
+      composition read off the packed bits is the one read off the text
     - insertion and deletion are dual cover relations
     - dim agrees with brute-force chain enumeration and the bent-word
       closed form N * N! / (n1! m1!)
@@ -26,8 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from word_oracle import (dominates_at, enumerate_level, expand, first_certified_level,
-                         word_of_composition)
+from word_oracle import (composition_by_text, dominates_at, enumerate_level, expand,
+                         first_certified_level, word_of_composition)
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, FormalCombination, GrowthModel,
                               Paintbox, dim, dominates_search, is_subword, level,
                               lower_covers, member, member_J, parse_template,
@@ -74,6 +75,20 @@ def test_composition_of_word_examples():
     assert composition_of_word(W("++---+++")) == (3, 1, 1, 4)
     assert composition_of_word(EMPTY) == (1,)
     assert composition_of_word(W("+-")) == (2, 1)
+
+
+def test_composition_of_word_is_the_text_definition():
+    # every word of up to 14 symbols, read off the bits one '-' at a time,
+    # and words past 64 symbols, read off their binary digits
+    for length in range(15):
+        for bits in range(1 << length):
+            w = BinaryWord(length, bits)
+            assert composition_of_word(w) == composition_by_text(w), w
+    rng = random.Random(7)
+    for n in (63, 64, 65, 66, 127, 128, 129, 300):
+        for bits in (0, 1, 1 << (n - 1), (1 << n) - 1, *(rng.getrandbits(n) for _ in range(20))):
+            w = BinaryWord(n, bits)
+            assert composition_of_word(w) == composition_by_text(w), w
 
 
 def test_round_trip_all_small_compositions():

@@ -16,7 +16,9 @@ level at a time.
 
 ``word_of_composition`` builds a word from its row lengths, the
 inverse of ``words.composition_of_word``; the polynomial oracle names
-its product terms by compositions through it.
+its product terms by compositions through it.  ``composition_by_text``
+is the definition of ``words.composition_of_word`` on the word's text,
+which the packed version reads off the bits instead.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ def word_of_composition(parts: Iterable[int]) -> BinaryWord:
     if not parts or any(p < 1 for p in parts):
         raise ValueError(f"composition parts must be >= 1, got {parts}")
     return BinaryWord.from_str(MINUS.join(PLUS * (p - 1) for p in parts))
+
+
+def composition_by_text(w: BinaryWord) -> tuple[int, ...]:
+    """Row lengths: each '-' starts a row, each '+' adds a box to one."""
+    return tuple(len(row) + 1 for row in str(w).split(MINUS))
 
 
 def expand(v: Vertex, n: int, within: Filter = None) -> FormalCombination:
