@@ -32,7 +32,7 @@ from .qsym import shuffle_counts
 from .templates import (State, Table, Template, _layout, _placement_tables,
                         is_finite_template, member, member_J, minimal_maxblock_word,
                         on_locus, parse_template, place, placement, placement_step)
-from .words import (LEVEL_CAP, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
+from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination,
                     Vertex, dominates_search, level, subword_step, walk)
 
 
@@ -230,8 +230,7 @@ def automaton(model: GrowthModel) -> Automaton:
         sections = section_interval_tuples(model)
         denominator = lcm(*(w.denominator for w in model.weights))
         lengths = ((1,), *(tuple(int(l * denominator) for l in u.lengths) for u in sections))
-        keeps = (((), ()), *(tuple(tuple(s == sign for s in u.signs) for sign in (PLUS, MINUS))
-                             for u in sections))
+        keeps = (((), ()), *(u._transfer[0] for u in sections))
         totals = [sum(scaled) for scaled in lengths]
         skipped = tuple(tuple(prod(totals[s + 1:e]) for e in range(len(totals) + 1))
                         for s in range(len(totals)))

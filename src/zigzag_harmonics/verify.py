@@ -411,10 +411,10 @@ def suite_semifinite(cap: int, _seed: Optional[int]) -> Checks:
     # zero shows only in a cover sum below it; the tests check zeros by
     # regex.  A cover's denominator has one more factor D, so harmonicity
     # is D * R(v) == sum of R over the covers, an infinite one absorbing it.
-    failures, counts = [], []
+    failures, counts, tables = [], [], {}
     for name, model in EXAMPLE_MODELS.items():
         t = model.template
-        denominator, levels = semifinite_table(model, cap)
+        denominator, levels = tables[name] = semifinite_table(model, cap)
         if levels[0].get(0, 0) is not None:  # the root is infinite, as its one cover must be
             failures.append(f"{name}: not harmonic at {ROOT}")
         count = 0
@@ -438,13 +438,20 @@ def suite_semifinite(cap: int, _seed: Optional[int]) -> Checks:
                 if total != (None if value is None else value * denominator):
                     failures.append(f"{name}: not harmonic at {w}")
         counts.append(f"{name} {count}")
+    # the closed form checks both routes: phi_tw, and the walked table,
+    # whose numerators the checks above tie only to each other
     w1, w2 = STEP_MODEL.weights
+    denominator, levels = tables["step"]
+    offset = automaton(STEP_MODEL).offset
     for n in range(0, 5):
         for m in range(0, 5):
             v = W("+" * n + "-+" + "-" * m)
-            expected = ExtValue.finite(w1 ** (n + 1) * w2 ** (m + 1))
-            if phi_tw(STEP_MODEL, v) != expected:
+            expected = w1 ** (n + 1) * w2 ** (m + 1)
+            if phi_tw(STEP_MODEL, v) != ExtValue.finite(expected):
                 failures.append(f"step closed form fails at {v}")
+            if (v.n <= cap and levels[v.n].get(v.bits, 0)
+                    != expected * denominator ** (v.n - offset)):
+                failures.append(f"step closed form fails at {v} in the walk")
     return [f"three models, trichotomy and harmonicity to level {cap} "
             f"({', '.join(counts)} words walked); step closed form n,m <= 4"], failures
 

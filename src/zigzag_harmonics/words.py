@@ -130,21 +130,13 @@ def composition_of_word(w: BinaryWord) -> tuple[int, ...]:
     """Row lengths: each '-' starts a row, each '+' adds a box to one.
 
     With the '-' at positions p_1 < ... < p_r the parts are p_1 + 1,
-    p_2 - p_1, ..., n - p_r, read off ``w.bits`` lowest bit first.  Past
-    a machine word each bit operation costs time linear in n, so a long
-    word splits its binary digits instead, linear in all.
+    p_2 - p_1, ..., n - p_r: one more than the length of each run of 0
+    digits between the 1 digits of ``w.bits``, lowest bit first.  A bit
+    set at position n keeps the 0 digits of the word's last '+' symbols.
+    The split is linear at every length; clearing one bit at a time
+    would be quadratic past a machine word.
     """
-    bits, parts, last = w.bits, [], -1
-    if w.n > 64:
-        digits = bin(bits)[:1:-1] if bits else ""  # symbol i is digit i, up to the last '-'
-        return (*(len(run) + 1 for run in digits.split("1")[:-1]), w.n + 1 - len(digits))
-    while bits:
-        low = bits & -bits
-        pos = low.bit_length() - 1
-        parts.append(pos - last)
-        last, bits = pos, bits ^ low
-    parts.append(w.n - last)
-    return tuple(parts)
+    return tuple([len(run) + 1 for run in bin(w.bits | 1 << w.n)[:2:-1].split("1")])
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,22 @@ def test_a_wrong_finite_value_breaks_semifinite_harmonicity(monkeypatch):
     assert not report.ok
     assert "step: not harmonic at -+-" in report.lines
     assert "step closed form fails at -+-" in report.lines
+    assert "step closed form fails at -+- in the walk" in report.lines
     assert not any(" expected " in line for line in report.lines)
+
+
+def test_a_harmonic_wrong_value_fails_the_walked_closed_form(monkeypatch):
+    # doubling every finite numerator keeps the kinds and the cover sums;
+    # only the closed form ties the walked values to a formula
+    def spoil(levels):
+        for level in levels:
+            for bits, value in level.items():
+                level[bits] = value and 2 * value
+
+    spoiled_table(monkeypatch, spoil)
+    report = run_suite("semifinite", level=6)
+    assert report.lines[1:] == [f"step closed form fails at {'+' * n}-+{'-' * m} in the walk"
+                                for n in range(5) for m in range(5) if n + m <= 4]
 
 
 def test_a_wrong_kind_breaks_the_semifinite_trichotomy(monkeypatch):

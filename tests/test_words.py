@@ -78,8 +78,8 @@ def test_composition_of_word_examples():
 
 
 def test_composition_of_word_is_the_text_definition():
-    # every word of up to 14 symbols, read off the bits one '-' at a time,
-    # and words past 64 symbols, read off their binary digits
+    # every word of up to 14 symbols, and random words around and past
+    # one and two machine words
     for length in range(15):
         for bits in range(1 << length):
             w = BinaryWord(length, bits)
