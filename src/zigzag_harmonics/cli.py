@@ -17,7 +17,7 @@ from typing import Optional
 
 from .paintbox import Paintbox, phi_w
 from .qsym import DEGREE_CAP, fexpansion_to_json, product_F
-from .render import render_template, render_vertex
+from .render import PICTURE_CAP, render_template, render_vertex
 from .semifinite import GrowthModel, check_limit_formula, phi_tw
 from .templates import inject, on_locus, parse_template, placement
 from .verify import SUITES, run_suite
@@ -183,6 +183,12 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
 
 def _cmd_covers(args) -> tuple[int, list[str]]:
     v = parse_vertex(args.word)
+    if v is not ROOT:
+        # a line per cover, each one symbol longer or shorter than v, plus
+        # its newline: n + 2 insertions, or one deletion per run of v
+        size = len(v.blocks()) * v.n if args.down else (v.n + 2) ** 2
+        if size > PICTURE_CAP:
+            raise ValueError(f"listing of {size} characters above cap {PICTURE_CAP}")
     covers = lower_covers(v) if args.down else upper_covers(v)
     return 0, sorted(map(str, covers))
 

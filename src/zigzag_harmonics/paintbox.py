@@ -13,8 +13,11 @@ Read box by box, that sum is a product of m x m transfer matrices,
 e . M_{w_1} ... M_{w_n} . 1, whose state is the interval holding the
 last box placed: a symbol s keeps the next box in interval j only when
 s is j's sign, or moves it into j from any earlier interval, and both
-moves multiply by l_j.  :func:`eval_F_numerator` runs this as a vector
-with prefix sums, O(m) per symbol.  Each interval tuple is compiled
+moves multiply by l_j.  :func:`transfer` is that step on a vector,
+with prefix sums, O(m) per symbol, and the one place it is coded:
+:func:`eval_F_numerator` runs it along a word, :func:`eval_F_levels`
+along every word of a level, and the growth models' automaton along
+each section.  Each interval tuple is compiled
 once, when it is built: its lengths, positive ``int`` or ``Fraction``
 values and nothing else (never a float), become integer numerators
 over one common denominator D, so the whole product stays in integers,
@@ -47,17 +50,18 @@ in the memo that the tuple's calls share, with the subproblems, and
 The kerov-oracle suite compares three integer numerators per word over
 one D, the transfer vector's, the oracle's and the level walk's, after
 checking once per tuple that the oracle's D is the compiled one; only
-the root is compared as a ``Fraction``.  Their agreement pins down the
-corner-symbol convention above.
+the root is compared as a ``Fraction``.  The first and the last share
+:func:`transfer`, so a fault in the step shows against the oracle,
+and the level walk's comparison checks only its indexing.  Their
+agreement pins down the corner-symbol convention above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .templates import Cluster, Template
 from .words import (LEVEL_CAP, MINUS, PLUS, ROOT, BinaryWord, Vertex,
@@ -146,29 +150,39 @@ def eval_F(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Fraction:
     return Fraction(eval_F_numerator(v, u), u.denominator ** (v.n + 1))
 
 
-def eval_F_numerator(w: BinaryWord, u: IntervalTuple) -> int:
-    """``eval_F(w, u) * D**(n+1)`` for a word of n symbols, in integers.
+def transfer(keeps: tuple[tuple[bool, ...], tuple[bool, ...]], lengths: tuple[int, ...],
+             vec: Sequence[int], bits: int, n: int) -> list[int]:
+    """The transfer vector after the n symbols packed in ``bits``, lowest bit first.
 
-    Entry j of the vector sums the splittings of the boxes placed so
-    far whose last box lies in interval j; the first box starts it at
-    l_j.  Symbol s between two boxes maps it to l_j * (sum of entries
-    before j, plus entry j when s is interval j's sign), one pass of
-    prefix sums.  The vector holds integers, the lengths scaled by
-    their common denominator D, and the sum of its entries is the
-    numerator.
+    ``keeps[bit][j]`` says whether that symbol keeps the box in
+    interval j, and ``lengths`` are the scaled lengths.  Entry j of the
+    vector sums the splittings of the boxes placed so far whose last box
+    lies in interval j.  Symbol s between two boxes maps it to
+    l_j * (sum of entries before j, plus entry j when s keeps interval
+    j), one pass of prefix sums.  ``vec`` is not changed.
     """
-    keeps, lengths, _ = u._transfer
-    bits = w.bits
-    vec = list(lengths)
+    vec = list(vec)
     intervals = range(len(vec))
-    for k in range(w.n):
-        keep = keeps[(bits >> k) & 1]
+    for _ in range(n):
+        keep = keeps[bits & 1]
+        bits >>= 1
         before = 0  # sum of the entries before j, read before they change
         for j in intervals:
             x = vec[j]
             vec[j] = lengths[j] * (before + x) if keep[j] else lengths[j] * before
             before += x
-    return sum(vec)
+    return vec
+
+
+def eval_F_numerator(w: BinaryWord, u: IntervalTuple) -> int:
+    """``eval_F(w, u) * D**(n+1)`` for a word of n symbols, in integers.
+
+    The first box starts the transfer vector at the scaled lengths,
+    :func:`transfer` runs it along the word, and the sum of its entries
+    is the numerator.
+    """
+    keeps, lengths, _ = u._transfer
+    return sum(transfer(keeps, lengths, lengths, w.bits, w.n))
 
 
 def eval_F_levels(u: IntervalTuple, n: int) -> tuple[int, list[list[int]]]:
@@ -183,27 +197,21 @@ def eval_F_levels(u: IntervalTuple, n: int) -> tuple[int, list[list[int]]]:
     Appending symbol s to a word of k symbols sets bit k, so the
     '+' extensions of a length fill the first half of the next length
     and the '-' extensions the second half.  Each word's transfer
-    vector is made once from its parent's, and held as its prefix sums
-    (the last one is the numerator), so a word costs O(m) and only two
-    lengths of vectors are held at a time.  The cap is that of
-    ``words_below``, checked before any work.
+    vector is made once from its parent's by one :func:`transfer` step,
+    so a word costs O(m) and only two lengths of vectors are held at a
+    time.  The cap is that of ``words_below``, checked before any work.
     """
     if n < 0:
         raise ValueError(f"negative word length bound {n}")
     if n - 1 > LEVEL_CAP:
         raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
     keeps, lengths, denominator = u._transfer
-    # the prefix sum that entry j reads after each symbol: through j when
-    # the symbol keeps the box in interval j, else before it
-    reads = [[j + 1 if keep else j for j, keep in enumerate(kept)] for kept in keeps]
     levels: list[list[int]] = []
-    prefixes = [list(accumulate(lengths, initial=0))]
+    vecs = [lengths]
     for k in range(n):
         if k:
-            prefixes = [list(accumulate([l * prefix[r] for l, r in zip(lengths, read)],
-                                        initial=0))
-                        for read in reads for prefix in prefixes]
-        levels.append([prefix[-1] for prefix in prefixes])
+            vecs = [transfer(keeps, lengths, vec, bit, 1) for bit in (0, 1) for vec in vecs]
+        levels.append([sum(vec) for vec in vecs])
     return denominator, levels
 
 

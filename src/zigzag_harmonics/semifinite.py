@@ -7,10 +7,10 @@ coideals, and elsewhere the product over sections of the section
 coordinate evaluated against that section's weighted intervals.  The
 root always evaluates to infinity: the empty diagram fits every
 reduced template, so no normalization at the root is possible.
-:func:`phi_tw` and the ring identity work on integer numerators and
-divide once.  :func:`phi_tw` values one vertex; a walk values each
-word from its parent's state, through the model compiled once into a
-weighted automaton (:func:`automaton`).
+:func:`phi_tw` works on integer numerators and divides once; it values
+one vertex.  A walk values each word from its parent's state, through
+the model compiled once into a weighted automaton (:func:`automaton`),
+and the ring identity compares that walk's integers and never divides.
 
 The deformation machinery replaces each flange cluster by an interval of
 length eps; evaluations are then polynomials in eps with non-negative
@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_numerator,
-                       template_of_intervals)
-from .qsym import shuffle_counts
+from .paintbox import (IntervalTuple, Paintbox, eval_F_numerator, template_of_intervals,
+                       transfer)
+from .qsym import DEGREE_CAP, shuffle_counts
 from .templates import (State, Table, Template, _layout, _placement_tables,
                         is_finite_template, member, member_J, minimal_maxblock_word,
                         on_locus, parse_template, place, placement, placement_step)
@@ -180,7 +181,7 @@ def phi_tw(model: GrowthModel, v: Vertex) -> ExtValue:
 #: a word's placement state in the template, the index of the open
 #: section, that section's transfer vector and the product of the
 #: closed sections' numerators
-ModelState = tuple[State, int, tuple[int, ...], int]
+ModelState = tuple[State, int, Sequence[int], int]
 
 
 class Automaton(NamedTuple):
@@ -204,7 +205,7 @@ class Automaton(NamedTuple):
     # the cluster that took the last symbol, 0 on the flange
     sections: tuple[int, ...]
     # per section, the intervals each symbol bit keeps and the lengths
-    # scaled by D, as in eval_F_numerator
+    # scaled by D, as paintbox.transfer takes them
     keeps: tuple[tuple[tuple[bool, ...], tuple[bool, ...]], ...]
     lengths: tuple[tuple[int, ...], ...]
     # skipped[s][e]: the scaled totals of the sections strictly between s
@@ -222,7 +223,7 @@ def automaton(model: GrowthModel) -> Automaton:
     leaves the transfer vector alone.  A later section closes the open
     one to its sum, multiplies in the total of each section skipped
     whole, and opens with its own lengths; a section's symbol updates
-    the vector as :func:`~zigzag_harmonics.paintbox.eval_F_numerator` does.
+    the vector by one :func:`~zigzag_harmonics.paintbox.transfer` step.
     """
     if model._automaton is None:
         t = model.template
@@ -257,11 +258,7 @@ def automaton_step(a: Automaton, state: ModelState, bit: int) -> Optional[ModelS
     if to != section:
         closed *= sum(vec) * a.skipped[section][to]
         section, vec = to, a.lengths[to]
-    before, out = 0, []  # sum of the entries before j, read before they change
-    for length, keep, x in zip(a.lengths[section], a.keeps[section][bit], vec):
-        out.append(length * (before + x) if keep else length * before)
-        before += x
-    return codes, section, tuple(out), closed
+    return codes, section, transfer(a.keeps[section], a.lengths[section], vec, bit, 1), closed
 
 
 def automaton_numerator(a: Automaton, state: ModelState) -> Optional[int]:
@@ -269,6 +266,33 @@ def automaton_numerator(a: Automaton, state: ModelState) -> Optional[int]:
     coideal; None on the blow-up locus."""
     codes, section, vec, closed = state
     return None if on_locus(codes) else closed * sum(vec) * a.skipped[section][-1]
+
+
+def semifinite_table(model: GrowthModel, cap: int
+                     ) -> tuple[int, list[dict[int, Optional[int]]]]:
+    """The common denominator D and, per word length up to cap symbols,
+    the automaton numerator R of each word in the model's coideal by
+    packed bits, None on the blow-up locus (:class:`Automaton`).
+
+    One walk of the automaton values each word below cap symbols once.
+    The words of cap symbols, read only as covers, come from one more
+    step on each state of cap - 1 symbols, so no walk passes the cap; at
+    cap 0 the empty word, the root's one cover, is the start state.
+    """
+    a = automaton(model)
+    step = partial(automaton_step, a)
+    levels: list[dict[int, Optional[int]]] = [{} for _ in range(cap + 1)]
+    top = levels[cap]
+    if not cap:
+        top[0] = automaton_numerator(a, a.start)
+    for w, state in walk(cap, a.start, step):
+        levels[w.n][w.bits] = automaton_numerator(a, state)
+        if w.n == cap - 1:
+            for bit in (0, 1):
+                child = step(state, bit)
+                if child is not None:
+                    top[w.bits | bit << w.n] = automaton_numerator(a, child)
+    return a.denominator, levels
 
 
 # ---------------------------------------------------------------------------
@@ -404,47 +428,43 @@ def ring_identity_failures(model: GrowthModel, lefts: Sequence[Vertex],
     """The pairs (a, b), a from lefts and b from rights, where the ring identity fails.
 
     The identity is phi(F_a F_b) = phi_paintbox(a) * phi(b), for b of
-    finite value; any other b raises ``ValueError``.  Each product word
-    is valued once per call, into a table keyed by packed bits under a
-    leading 1, as phi(v) * D^(n+1) for a word of n symbols and D the
-    common denominator of the weights.  That is an integer: phi(v) is a
-    product over the k sections of numerators over D_i^(n_i+1), each
-    D_i divides D, and the n_i + 1 add up to at most n + 1, as the
-    k - 1 flange words between sections are not empty.  The integer
-    shuffle counts times those numerators then meet the right side in
-    one rational comparison per pair.
+    finite value; any other b raises ``ValueError``, as does a combined
+    degree above ``DEGREE_CAP``, before any work.  It is checked in
+    integers.  The automaton gives phi(v) = R(v) / D^(n - F + k) at a
+    word of n symbols (:class:`Automaton`), and the model's paintbox
+    gives phi_paintbox(a) = N(a) / D^(|a| + 1) over the same D, the
+    common denominator of the weights; every word of F_a F_b has
+    |a| + |b| + 1 symbols, so both sides carry the same power of D and
+    the identity reads sum of count * R(v) == N(a) * R(b), with N = 1
+    at the root.  One :func:`semifinite_table` up to the longest
+    product word gives every R.
 
     Every word carrying a positive structure constant sits above b,
     hence outside the blow-up locus; an infinite term would contradict
-    that geometry and raises instead of propagating.
+    that geometry and raises ``RuntimeError`` instead of propagating.
     """
-    t = model.template
+    degree = max(map(level, lefts), default=0) + max(map(level, rights), default=0)
+    if degree > DEGREE_CAP:
+        raise ValueError(f"combined degree {degree} above cap {DEGREE_CAP}")
     box = model_paintbox(model)
-    denominator = box.denominator
-    left_values = [(a, eval_F(a, box)) for a in lefts]
-    numerators: dict[int, int] = {}
+    left_numerators = [(a, 1 if a is ROOT else eval_F_numerator(a, box)) for a in lefts]
+    levels = semifinite_table(model, max(degree - 1, 0))[1]
     failures: list[tuple[Vertex, BinaryWord]] = []
     for b in rights:
-        value_b = phi_tw(model, b)
-        if not value_b.is_finite:
-            raise ValueError(f"{b} is not a finite-value vertex of {t}")
-        for a, value_a in left_values:
+        numerator_b = None if b is ROOT else levels[b.n].get(b.bits, 0)
+        if not numerator_b:  # None on the blow-up locus, 0 off the coideal
+            raise ValueError(f"{b} is not a finite-value vertex of {model.template}")
+        for a, numerator_a in left_numerators:
             lvl, counts = shuffle_counts(a, b)
-            n = lvl - 1  # symbols of every word in the product
-            scale = denominator ** (n + 1)
+            row = levels[lvl - 1]  # the words of the product
             total = 0
             for bits, count in counts.items():
-                numerator = numerators.get(bits | 1 << n)
+                numerator = row.get(bits, 0)
                 if numerator is None:
-                    v = BinaryWord(n, bits)
-                    value = phi_tw(model, v)
-                    if value.is_infinite:
-                        raise RuntimeError(f"structure constant {count} at blow-up vertex {v}")
-                    numerator = numerators[bits | 1 << n] = (
-                        value.value.numerator * (scale // value.value.denominator)
-                        if value.is_finite else 0)
+                    raise RuntimeError(f"structure constant {count} at blow-up vertex "
+                                       f"{BinaryWord(lvl - 1, bits)}")
                 total += count * numerator
-            if Fraction(total, scale) != value_a * value_b.value:
+            if total != numerator_a * numerator_b:
                 failures.append((a, b))
     return failures
 

@@ -41,7 +41,8 @@ from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
 from .qsym import DEGREE_CAP, pieri_check
 from .semifinite import (Automaton, ExtValue, GrowthModel, ModelState, automaton,
                          automaton_numerator, automaton_step, check_approx_sequence,
-                         check_limit_formula, phi_tw, ring_identity_failures)
+                         check_limit_formula, phi_tw, ring_identity_failures,
+                         semifinite_table)
 from .templates import (flange_and_sections, inject_all, member, member_J,
                         minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
@@ -375,34 +376,6 @@ def suite_injection(cap: int, _seed: Optional[int]) -> Checks:
 # ---------------------------------------------------------------------------
 # Suite 7: semifinite trichotomy, harmonicity, closed form
 # ---------------------------------------------------------------------------
-
-def semifinite_table(model: GrowthModel, cap: int
-                     ) -> tuple[int, list[dict[int, Optional[int]]]]:
-    """The common denominator D and, per word length up to cap symbols,
-    the automaton numerator R of each word in the model's coideal by
-    packed bits, None on the blow-up locus
-    (:class:`~zigzag_harmonics.semifinite.Automaton`).
-
-    One walk of the automaton values each word below cap symbols once.
-    The words of cap symbols, read only as covers, come from one more
-    step on each state of cap - 1 symbols, so no walk passes the cap; at
-    cap 0 the empty word, the root's one cover, is the start state.
-    """
-    a = automaton(model)
-    step = functools.partial(automaton_step, a)
-    levels: list[dict[int, Optional[int]]] = [{} for _ in range(cap + 1)]
-    top = levels[cap]
-    if not cap:
-        top[0] = automaton_numerator(a, a.start)
-    for w, state in walk(cap, a.start, step):
-        levels[w.n][w.bits] = automaton_numerator(a, state)
-        if w.n == cap - 1:
-            for bit in (0, 1):
-                child = step(state, bit)
-                if child is not None:
-                    top[w.bits | bit << w.n] = automaton_numerator(a, child)
-    return a.denominator, levels
-
 
 @_suite("semifinite", 10, 0, LEVEL_CAP + 1)
 def suite_semifinite(cap: int, _seed: Optional[int]) -> Checks:

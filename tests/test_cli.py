@@ -12,7 +12,8 @@ Core claims:
     - exit codes are 0 on success, 1 on verification failure, 2 on
       usage and parse errors
     - render works out the size of its picture exactly, before drawing
-      it, and refuses one above the cap with exit 2
+      it, and refuses one above the cap with exit 2; covers does the
+      same for its listing, in both directions
 """
 
 import json
@@ -263,6 +264,44 @@ def test_covers(capsys):
     assert code == 0 and out.split() == ["++", "+-", "-+"]
     code, out, _ = run(capsys, "covers", "--word", "++", "--down")
     assert code == 0 and out.split() == ["+"]
+
+
+def test_covers_size_check_counts_every_character(capsys, monkeypatch):
+    # the arithmetic size admits each listing at its own length, and
+    # refuses it one character below
+    for w in words_below(6):
+        for flags in ((), ("--down",)):
+            code, out, _ = run(capsys, "covers", f"--word={w}", *flags)
+            assert code == 0
+            monkeypatch.setattr(cli, "PICTURE_CAP", len(out))
+            assert run(capsys, "covers", f"--word={w}", *flags)[:2] == (0, out)
+            monkeypatch.setattr(cli, "PICTURE_CAP", len(out) - 1)
+            code, _, err = run(capsys, "covers", f"--word={w}", *flags)
+            assert code == 2 and "above cap" in err, (w, flags)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("flags", [(), ("--down",)])
+def test_covers_lists_a_long_word_within_the_cap(capsys, flags):
+    code, out, _ = run(capsys, "covers", "--word", "+-" * 500, *flags)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == (1002 if not flags else 1000)
+    assert all(len(line) == (1001 if not flags else 999) for line in lines)
+
+
+@pytest.mark.parametrize("flags", [(), ("--down",)])
+def test_covers_refuses_a_listing_above_the_cap_before_building_it(capsys, monkeypatch, flags):
+    # 2,500 symbols list about 6,250,000 characters either way
+    def build(v):
+        raise AssertionError("an oversized listing passed the size check")
+
+    monkeypatch.setattr(cli, "upper_covers", build)
+    monkeypatch.setattr(cli, "lower_covers", build)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "covers", "--word", "+-" * 1250, *flags)
+    assert code == 2 and out == "" and err.startswith("error:") and "above cap" in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - started < 1.0
 
 
 def test_the_word_of_two_minuses_is_read_as_given(capsys):

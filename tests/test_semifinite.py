@@ -24,12 +24,14 @@ Core claims:
       evaluations at n + 2 values of eps
     - valuation and ratio are constant above the marker word, to
       level 12; the step model measures n = 1 with ratio 2
-    - the ring identity holds against the model's paintbox
+    - the ring identity holds against the model's paintbox, and refuses
+      a combined degree above the product cap before any work
     - the worked approximating sequence is certified inside the
       coideal's cone, with the expected values and sharp levels
 """
 
 import pickle
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -401,6 +403,14 @@ def test_ring_identity_examples():
     assert ring_identity_failures(CAPPED_MODEL, (W("-"),), (W("+--"),)) == []
     with pytest.raises(ValueError):
         ring_identity_failures(STEP_MODEL, (EMPTY,), (W("++--"),))
+
+
+def test_ring_identity_refuses_a_degree_above_the_cap_before_any_work():
+    # the table would walk the coideal to the longest product word
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="combined degree 18 above cap"):
+        ring_identity_failures(STEP_MODEL, (W("+" * 8),), (EMPTY, W("+-" * 4)))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_ring_identity_hand_worked_instance():

@@ -5,7 +5,9 @@ Core claims:
       and a mass failure, and a wrong non-zero as a support failure
     - kerov-oracle reports a wrong oracle numerator, a wrong transfer
       numerator against both other routes, a wrong walk numerator, and an
-      oracle denominator that is not the compiled one
+      oracle denominator that is not the compiled one; a fault in the one
+      transfer step shows against the oracle alone, as the level walk
+      runs the same step
     - eps-limit reports a wrong leading coefficient at one finite point
       as a ratio failure, and a vanishing point of too low a valuation
     - semifinite reads one table of automaton numerators per model,
@@ -21,9 +23,10 @@ Core claims:
       walk state wrongly on the blow-up locus, two decompositions or
       swapped coordinates at one word, a wrong value at a base word, and
       a pair of equal models
-    - ring-identity reports a wrong value at one product word at the one
-      pair whose product holds it, and pieri reports one extra shuffle
-      count; ring-identity at degree 12 checks all three models
+    - ring-identity reports a wrong automaton value at one product word
+      at the one pair whose product holds it, makes no point evaluation,
+      and pieri reports one extra shuffle count; ring-identity at degree
+      12 checks all three models
     - the ring identity fails on a mixture of two growth models with the
       same template, and holds for each of them alone
 
@@ -40,7 +43,7 @@ from model_oracle import cover_sum
 from template_oracle import template_regex
 from word_oracle import enumerate_level
 from zigzag_harmonics import (BinaryWord, ExtValue, GrowthModel, member, on_locus,
-                              phi_tw, placement, product_F, qsym, semifinite,
+                              paintbox, phi_tw, placement, product_F, qsym, semifinite,
                               upper_covers, verify, walk, words_below)
 from zigzag_harmonics.verify import (CAPPED_MODEL, EXAMPLE_MODELS, STEP_MODEL, run_suite,
                                      semifinite_table)
@@ -128,6 +131,23 @@ def test_a_wrong_oracle_denominator_fails_kerov_oracle(monkeypatch):
     assert not report.ok
     assert sum(line.startswith("oracle denominator ") for line in report.lines) == 20
     assert report.lines[0] == "compared 20 evaluations over 20 interval tuples"
+
+
+def test_a_fault_in_the_transfer_step_fails_kerov_oracle(monkeypatch):
+    # the last interval never keeps the box.  eval_F_numerator and the
+    # level walk both run paintbox.transfer, so they agree with each other
+    # and no "level walk mismatch" line shows; the oracle shares no code
+    # with the step and catches it
+    real = paintbox.transfer
+
+    def transfer(keeps, lengths, vec, bits, n):
+        return real(tuple(keep[:-1] + (False,) for keep in keeps), lengths, vec, bits, n)
+
+    monkeypatch.setattr(paintbox, "transfer", transfer)
+    report = run_suite("kerov-oracle", level=7)
+    assert not report.ok
+    assert sum(line.startswith("evaluator mismatch at ") for line in report.lines) == 1120
+    assert not any(line.startswith("level walk mismatch ") for line in report.lines)
 
 
 def test_a_wrong_walk_numerator_fails_kerov_oracle(monkeypatch):
@@ -412,20 +432,37 @@ def test_semifinite_reports_the_coideal_sizes_it_walked():
 
 def test_a_wrong_value_at_one_product_word_fails_ring_identity_at_its_pair(monkeypatch):
     # at degree 6 the step model's one right factor is -+, and among the
-    # products F_a * F_{-+} only a = + reaches ++-+ (value 2/81)
-    real = semifinite.phi_tw
+    # products F_a * F_{-+} only a = + reaches ++-+ (value 2/81); the
+    # identity reads the automaton's table, so the fault is planted there
+    real = semifinite.semifinite_table
 
-    def value(model, v):
-        val = real(model, v)
-        if model is STEP_MODEL and v == W("++-+"):
-            return ExtValue.finite(2 * val.value)
-        return val
+    def table(model, cap):
+        denominator, levels = real(model, cap)
+        if model is STEP_MODEL:
+            levels[4][W("++-+").bits] *= 2
+        return denominator, levels
 
-    monkeypatch.setattr(semifinite, "phi_tw", value)
+    monkeypatch.setattr(semifinite, "semifinite_table", table)
     report = run_suite("ring-identity", degree=6)
     assert not report.ok
     assert [line for line in report.lines if " fails at " in line] == [
         "step: ring identity fails at (+, -+)"]
+
+
+def test_ring_identity_makes_no_point_evaluation(monkeypatch):
+    # every value of the identity, right factors included, comes from the
+    # automaton's table
+    calls = []
+    real = semifinite.phi_tw
+
+    def value(model, v):
+        calls.append((model, v))
+        return real(model, v)
+
+    monkeypatch.setattr(semifinite, "phi_tw", value)
+    monkeypatch.setattr(verify, "phi_tw", value)
+    assert run_suite("ring-identity", degree=12).ok
+    assert calls == []
 
 
 def test_one_extra_shuffle_count_fails_pieri(monkeypatch):
