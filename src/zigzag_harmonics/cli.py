@@ -13,16 +13,18 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from decimal import Decimal
+from fractions import Fraction
+from typing import Optional, Union
 
 from .paintbox import Paintbox, phi_w
 from .qsym import DEGREE_CAP, fexpansion_to_json, product_F
 from .render import PICTURE_CAP, render_template, render_vertex
-from .semifinite import GrowthModel, check_limit_formula, phi_tw
+from .semifinite import ExtValue, GrowthModel, check_limit_formula, phi_tw
 from .templates import inject, on_locus, parse_template, placement
 from .verify import SUITES, run_suite
 from .words import (ROOT, BinaryWord, dim, lower_covers, parse_vertex,
-                    upper_cover_bits, upper_covers, walk, words_below)
+                    upper_cover_bits, upper_covers, walk)
 
 SCHEMA_GRAPH = "zigzag-graph/1"
 SCHEMA_VERIFY = "zigzag-verify/1"
@@ -94,17 +96,46 @@ def _cmd_render(args) -> tuple[int, list[str]]:
     return 0, [render_template(parse_template(args.template))]
 
 
+def _exact(value: Union[int, Fraction, ExtValue]) -> str:
+    """``str`` of a value, at any size.
+
+    CPython refuses ``str`` of an int of more than 4,300 digits, while
+    ``Decimal`` holds an int exactly and prints all of its digits.
+    """
+    if isinstance(value, ExtValue):
+        if not value.is_finite:
+            return str(value)
+        value = value.value
+    value = Fraction(value)
+    digits = str(Decimal(value.numerator))
+    return digits if value.denominator == 1 else f"{digits}/{Decimal(value.denominator)}"
+
+
 def _cmd_eval(args) -> tuple[int, list[str]]:
     if (args.model is None) == (args.paintbox is None):
         raise ValueError("eval needs exactly one of --model or --paintbox")
     v = parse_vertex(args.word)
     if args.model is not None:
-        return 0, [str(phi_tw(GrowthModel.parse(args.model), v))]
-    return 0, [str(phi_w(v, Paintbox.parse(args.paintbox)))]
+        return 0, [_exact(phi_tw(GrowthModel.parse(args.model), v))]
+    return 0, [_exact(phi_w(v, Paintbox.parse(args.paintbox)))]
 
 
-def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
-    """Vertex names, with their levels, and edges as pairs of names.
+#: characters that each vertex, and each listed edge, adds to a graph
+#: listing beyond its names: JSON's indents, quotes and separators, a DOT
+#: line's quotes, arrow and newline, and in text, which lists no edges,
+#: the space or newline after each name
+_GRAPH_COSTS = {"json": (8, 32), "dot": (6, 12), "text": (1, None)}
+
+
+def _check_listing(size: int) -> None:
+    if size > PICTURE_CAP:
+        raise ValueError(f"listing of at least {size} characters above cap {PICTURE_CAP}")
+
+
+def _graph_data(max_level: int, template_text: Optional[str], ideal: bool,
+                fmt: str = "text"):
+    """Vertex names, with their levels, the edges as pairs of names, and
+    the number of edges; text lists no edges, it only counts them.
 
     Names are keyed by packed bits under a leading 1, so the key's bit
     length is the vertex's level, and the root, below the empty word,
@@ -112,25 +143,46 @@ def _graph_data(max_level: int, template_text: Optional[str], ideal: bool):
     out of a vertex come from its cover bits, sorted by name.  With a
     template, one walk of its coideal places each word once, and
     ``ideal`` drops the words whose placement lies on the blow-up locus.
+
+    A listing above ``PICTURE_CAP`` characters raises ``ValueError``
+    before it is built.  The vertices' share, their names and
+    ``_GRAPH_COSTS``, is counted before the walk from the number of
+    words of each length that reach each state; the edges' share as they
+    are listed.
     """
     template = parse_template(template_text) if template_text else None
     if ideal and template is None:
         raise ValueError("--ideal needs --template")
-    if template is None:
-        words = words_below(max_level)
-    else:
-        words = (w for w, state in walk(max_level, *placement(template))
-                 if not (ideal and on_locus(state)))
+    start, step = placement(template) if template else (True, lambda keep, bit: keep)
+    walked = walk(max_level, start, step)  # checks the level before any work
+    vertex_cost, edge_cost = _GRAPH_COSTS[fmt]
+    size, counts = 0 if ideal else 1 + vertex_cost, {start: 1}
+    for n in range(max_level):
+        size += (n + vertex_cost) * sum(
+            count for state, count in counts.items() if not (ideal and on_locus(state)))
+        ahead: dict = {}
+        for state, count in counts.items():
+            for bit in (0, 1):
+                if (child := step(state, bit)) is not None:
+                    ahead[child] = ahead.get(child, 0) + count
+        counts = ahead
+    _check_listing(size)
     names = {} if ideal else {0: str(ROOT)}
-    for w in words:
-        names[w.bits | 1 << w.n] = str(w)
-    edges = []
+    for w, state in walked:
+        if not (ideal and on_locus(state)):
+            names[w.bits | 1 << w.n] = str(w)
+    edges, edge_count = [], 0
     for key, name in names.items():
         n = key.bit_length() - 1  # symbols of the word; -1 at the root
         covers = (0,) if n < 0 else upper_cover_bits(n, key ^ 1 << n)
-        keys = (c | 1 << (n + 1) for c in covers)
-        edges.extend((name, up) for up in sorted(names[k] for k in keys if k in names))
-    return [(key.bit_length(), name) for key, name in names.items()], edges
+        ups = [names[k] for k in (c | 1 << (n + 1) for c in covers) if k in names]
+        edge_count += len(ups)
+        if edge_cost is not None:
+            # each cover's name has n + 1 symbols
+            size += len(ups) * (len(name) + n + 1 + edge_cost)
+            _check_listing(size)
+            edges.extend((name, up) for up in sorted(ups))
+    return [(key.bit_length(), name) for key, name in names.items()], edges, edge_count
 
 
 def _graph_json(level: int, names: list[str], edges: list[tuple[str, str]]) -> str:
@@ -152,18 +204,22 @@ def _graph_json(level: int, names: list[str], edges: list[tuple[str, str]]) -> s
 
 
 def _cmd_graph(args) -> tuple[int, list[str]]:
-    vertices, edges = _graph_data(args.level, args.template, args.ideal)
+    vertices, edges, edge_count = _graph_data(args.level, args.template, args.ideal,
+                                              args.format)
     if args.format == "json":
-        return 0, [_graph_json(args.level, [name for _, name in vertices], edges)]
-    if args.format == "dot":
-        return 0, ["digraph zigzag {", "  rankdir=BT;",
-                   *(f'  "{name}";' for _, name in vertices),
-                   *(f'  "{a}" -> "{b}";' for a, b in edges), "}"]
-    by_level: dict[int, list[str]] = {}
-    for lvl, name in vertices:
-        by_level.setdefault(lvl, []).append(name)
-    return 0, [*(f"level {lvl}: {' '.join(by_level[lvl])}" for lvl in sorted(by_level)),
-               f"{len(vertices)} vertices, {len(edges)} edges"]
+        lines = [_graph_json(args.level, [name for _, name in vertices], edges)]
+    elif args.format == "dot":
+        lines = ["digraph zigzag {", "  rankdir=BT;",
+                 *(f'  "{name}";' for _, name in vertices),
+                 *(f'  "{a}" -> "{b}";' for a, b in edges), "}"]
+    else:
+        by_level: dict[int, list[str]] = {}
+        for lvl, name in vertices:
+            by_level.setdefault(lvl, []).append(name)
+        lines = [*(f"level {lvl}: {' '.join(by_level[lvl])}" for lvl in sorted(by_level)),
+                 f"{len(vertices)} vertices, {edge_count} edges"]
+    _check_listing(sum(map(len, lines)) + len(lines))  # each line and its newline
+    return 0, lines
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
@@ -194,7 +250,7 @@ def _cmd_covers(args) -> tuple[int, list[str]]:
 
 
 def _cmd_dim(args) -> tuple[int, list[str]]:
-    return 0, [str(dim(parse_vertex(args.word), parse_vertex(args.upper)))]
+    return 0, [_exact(dim(parse_vertex(args.word), parse_vertex(args.upper)))]
 
 
 def _cmd_product(args) -> tuple[int, list[str]]:

@@ -14,9 +14,9 @@ and the ring identity compares that walk's integers and never divides.
 
 The deformation machinery replaces each flange cluster by an interval of
 length eps; evaluations are then polynomials in eps with non-negative
-rational coefficients, all read off one integer evaluation at a large
-eps, and the limiting statements become exact statements
-about valuations and leading coefficients.  eps is never a float.
+rational coefficients, and the limiting statements become exact
+statements about valuations and leading coefficients, both read off one
+integer evaluation at a large power of two.  eps is never a float.
 """
 
 from __future__ import annotations
@@ -281,11 +281,12 @@ def semifinite_table(model: GrowthModel, cap: int
     """
     a = automaton(model)
     step = partial(automaton_step, a)
+    walked = walk(cap, a.start, step)  # checks cap before any work
     levels: list[dict[int, Optional[int]]] = [{} for _ in range(cap + 1)]
     top = levels[cap]
     if not cap:
         top[0] = automaton_numerator(a, a.start)
-    for w, state in walk(cap, a.start, step):
+    for w, state in walked:
         levels[w.n][w.bits] = automaton_numerator(a, state)
         if w.n == cap - 1:
             for bit in (0, 1):
@@ -317,28 +318,6 @@ def build_w_eps(model: GrowthModel, eps: Union[int, Fraction]) -> IntervalTuple:
                                if c.is_infinite or i in flange))
 
 
-def eps_expansion(v: Vertex, w_x: IntervalTuple) -> tuple[Fraction, ...]:
-    """Coefficients of the evaluation in eps, lowest degree first; empty for zero.
-
-    ``w_x`` is ``build_w_eps(model, x)`` at an integer x.  All lengths
-    are positive, so for a word of n symbols the coefficients times
-    D^(n+1) are integers c_k with 0 <= c_k <= (D * L)^(n+1), L the total
-    length at eps = 1.  An x above that bound has the c_k as the base-x
-    digits of eval_F(v, w_x) * D^(n+1) (Kronecker substitution), the
-    integer that :func:`~zigzag_harmonics.paintbox.eval_F_numerator`
-    returns; a smaller or fractional x raises ``ValueError``.
-    """
-    x, scale = max(w_x.lengths), w_x.denominator ** level(v)
-    unit_total = sum(1 if l == x else l for l in w_x.lengths)
-    if x.denominator != 1 or x <= (w_x.denominator * unit_total) ** level(v):
-        raise ValueError(f"eps = {x} is no integer above the coefficients at {v}")
-    rest, coeffs = 1 if v is ROOT else eval_F_numerator(v, w_x), []
-    while rest:
-        rest, digit = divmod(rest, int(x))
-        coeffs.append(Fraction(digit, scale))
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class LimitReport:
     ok: bool
@@ -362,6 +341,16 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     (the word fits the deformed template but not the original one) the
     valuation must exceed n, so that the rescaled limit vanishes too.
     n and the constant are measured outputs.
+
+    Both numbers are read off one integer per word.  For a word of n
+    symbols the eps coefficients times D^(n+1) are integers at most
+    (D * L)^(n+1), L the total length at eps = 1, and n + 1 is at most
+    the level cap; so at eps = 2^b, b the bit length of (D * L)^cap,
+    they are the base-2^b digits of the numerator that
+    :func:`~zigzag_harmonics.paintbox.eval_F_numerator` returns
+    (Kronecker substitution).  The valuation is its count of trailing
+    zero bits over b, and the leading coefficient its lowest non-zero
+    digit over D^(n+1).
     """
     if level_cap - 1 > LEVEL_CAP:
         raise ValueError(f"level cap {level_cap} above the enumeration cap {LEVEL_CAP + 1}")
@@ -373,8 +362,9 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
         raise ValueError(f"level cap {level_cap} below the marker level {marker_level}")
     nu = minimal_maxblock_word(t)
     unit = build_w_eps(model, 1)
-    x = 1 << (int(unit.denominator * sum(unit.lengths)) ** level_cap).bit_length()
-    w_eps = build_w_eps(model, x)
+    b = (int(unit.denominator * sum(unit.lengths)) ** level_cap).bit_length()
+    w_eps = build_w_eps(model, 1 << b)
+    mask = (1 << b) - 1
     start, t_step = placement(template_of_intervals(w_eps))
 
     def step(state: tuple, bit: int) -> Optional[tuple]:
@@ -390,8 +380,8 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     for w, (_, held) in walk(level_cap, (start, 0), step):
         if held < nu.n:
             continue
-        coeffs = eps_expansion(w, w_eps)
-        n_here = next((k for k, c in enumerate(coeffs) if c), None)
+        numerator = eval_F_numerator(w, w_eps)
+        n_here = ((numerator & -numerator).bit_length() - 1) // b if numerator else None
         val = phi_tw(model, w)
         if val.is_infinite:
             failures.append(f"{w}: infinite value above the marker word")
@@ -403,7 +393,9 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
         if n_here is None:
             failures.append(f"{w}: zero expansion at a positive point")
             continue
-        const_here = coeffs[n_here] / val.value
+        leading = (numerator >> n_here * b) & mask
+        const_here = Fraction(leading * val.value.denominator,
+                              w_eps.denominator ** (w.n + 1) * val.value.numerator)
         if n_seen is None:
             n_seen, const_seen = n_here, const_here
         else:

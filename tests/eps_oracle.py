@@ -1,8 +1,10 @@
 """The formal route to the eps expansion, kept as a test oracle.
 
-``semifinite.eps_expansion`` reads the coefficients of an evaluation in
-eps off one integer evaluation at a large eps.  This module gets them
-the long way: ``EpsPoly`` is a polynomial in a formal eps with rational
+``semifinite.check_limit_formula`` reads the valuation and leading
+coefficient of an evaluation in eps off one integer evaluation at eps =
+2^b, whose base-2^b digits are all the coefficients times D^(n+1); the
+tests split those digits.  This module gets the coefficients the long
+way: ``EpsPoly`` is a polynomial in a formal eps with rational
 coefficients, and ``brute_eval`` enumerates every splitting of a word
 over a sequence of (sign, length) intervals, using the lengths as given,
 so eps polynomials work as lengths too.  The two share nothing with the
@@ -52,7 +54,7 @@ class EpsPoly:
         return self.coeffs[min(self.coeffs)]
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        """Lowest degree first, as ``eps_expansion`` gives them; empty for zero."""
+        """Lowest degree first, as the base-2^b digits give them; empty for zero."""
         if not self.coeffs:
             return ()
         return tuple(self.coeffs.get(k, Fraction(0)) for k in range(max(self.coeffs) + 1))

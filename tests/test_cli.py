@@ -13,18 +13,23 @@ Core claims:
       usage and parse errors
     - render works out the size of its picture exactly, before drawing
       it, and refuses one above the cap with exit 2; covers does the
-      same for its listing, in both directions
+      same for its listing, in both directions, and graph for its
+      listing in each format, before the walk when its vertices alone
+      pass the cap
+    - eval prints exact values past the 4,300 digits that CPython's str
+      of an int allows
 """
 
 import json
 import time
+from decimal import Decimal
 
 import pytest
 
 from word_oracle import enumerate_level
-from zigzag_harmonics import (ROOT, BinaryWord, level, member, member_J,
-                              parse_template, parse_vertex, upper_covers,
-                              words_below)
+from zigzag_harmonics import (ROOT, BinaryWord, GrowthModel, Paintbox, level, member,
+                              member_J, parse_template, parse_vertex, phi_tw, phi_w,
+                              upper_covers, words_below)
 from zigzag_harmonics import cli, render, templates, verify
 from zigzag_harmonics.cli import main
 from zigzag_harmonics.qsym import DEGREE_CAP, fexpansion_from_json
@@ -116,6 +121,23 @@ def test_eval_paintbox(capsys):
     code, out, _ = run(capsys, "eval", "--paintbox", "+1/2,-1/2", "--word", "+-")
     assert code == 0
     assert out.strip() == "1/4"  # 1/8 + 1/8 over the two corner choices
+
+
+@pytest.mark.parametrize("flag, text, word", [
+    ("--paintbox", "+1/3,-2/3", "+" * 4600 + "-" * 4600),
+    ("--model", "+* -1 +1 -* | w=1/3,2/3", "+" * 9000 + "-+" + "-" * 9000)],
+    ids=["paintbox", "model"])
+def test_eval_prints_exact_values_of_any_size(capsys, flag, text, word):
+    # values of 5,776 and 11,300 characters, read back through Decimal:
+    # int() of such a string is refused too
+    code, out, err = run(capsys, "eval", flag, text, "--word", word)
+    assert code == 0 and err == ""
+    value = (phi_w(W(word), Paintbox.parse(text)) if flag == "--paintbox"
+             else phi_tw(GrowthModel.parse(text), W(word)).value)
+    numerator, denominator = out.strip().split("/")
+    assert int(Decimal(numerator)) == value.numerator
+    assert int(Decimal(denominator)) == value.denominator
+    assert len(denominator) > 4300
 
 
 def test_eval_parse_error_exits_2(capsys):
@@ -224,6 +246,59 @@ def test_an_empty_ideal_prints_the_reference_output(capsys, template_text, max_l
     assert out == reference_graph(max_level, template_text, True, fmt)
     if fmt == "json":
         assert '"vertices": [],' in out and '"edges": []' in out
+
+
+@pytest.mark.parametrize("restriction", [(), ("--template", "+1 -* +* -1 +*"),
+                                         ("--template", "+1 -* +* -1 +*", "--ideal")])
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_graph_size_check_counts_every_character(capsys, monkeypatch, restriction, fmt):
+    # the counted size admits each listing at its own length, and refuses
+    # it one character below
+    for max_level in range(8):
+        argv = ("graph", "--level", str(max_level), *restriction, "--format", fmt)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(cli, "PICTURE_CAP", len(out))
+        assert run(capsys, *argv)[:2] == (0, out)
+        monkeypatch.setattr(cli, "PICTURE_CAP", len(out) - 1)
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "above cap" in err, argv
+        monkeypatch.undo()
+
+
+def test_graph_text_counts_its_edges_without_listing_them():
+    vertices, edges, count = cli._graph_data(9, None, False)
+    assert edges == [] and count == len(cli._graph_data(9, None, False, "json")[1]) == 2049
+
+
+def test_graph_lists_up_to_the_cap_and_refuses_past_it(capsys):
+    # CI's largest listing, 1,905,933 characters, and untemplated JSON
+    # at the same level, 6,217,845
+    text = "-1 +* -* +1 -* +* -* +1"
+    code, out, _ = run(capsys, "graph", "--level", "14", "--template", text, "--format", "json")
+    assert code == 0 and len(out) == 1_905_933
+    started = time.perf_counter()
+    code, out, err = run(capsys, "graph", "--level", "14", "--format", "json")
+    assert code == 2 and out == "" and "above cap" in err and "Traceback" not in err
+    assert time.perf_counter() - started < 1.0
+
+
+# 21 alternating infinite clusters fit every word of up to 20 symbols
+ALL_WORDS = " ".join(("+*", "-*")[i % 2] for i in range(21))
+
+
+@pytest.mark.parametrize("restriction", [(), ("--template", ALL_WORDS)])
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_graph_refuses_level_21_before_the_walk(capsys, monkeypatch, restriction, fmt):
+    # 2,097,152 vertices and 20,971,521 edges
+    def named(w):
+        raise AssertionError("a vertex was named past the size check")
+
+    monkeypatch.setattr(cli, "str", named, raising=False)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "graph", "--level", "21", *restriction, "--format", fmt)
+    assert code == 2 and out == "" and err.startswith("error:") and "above cap" in err
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.fixture

@@ -19,8 +19,9 @@ Core claims:
       reduced coideals, read as regular expressions, say: on the root
       and every word below 11 symbols, for four models
     - the eps deformation has one interval per flange cluster; the
-      expansion read off one integer evaluation equals the splitting
-      sum over formal eps polynomials, and interpolates the rational
+      base-2^b digits of one integer evaluation at eps = 2^b, b as the
+      limit check picks it, equal the splitting sum over formal eps
+      polynomials times D^(n+1), and interpolate the rational
       evaluations at n + 2 values of eps
     - valuation and ratio are constant above the marker word, to
       level 12; the step model measures n = 1 with ratio 2
@@ -48,7 +49,7 @@ from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, ExtValue,
                               FormalCombination, GrowthModel, automaton,
                               automaton_numerator, automaton_step, build_w_eps,
                               check_approx_sequence, check_limit_formula,
-                              eps_expansion, eval_F, is_finite_template, level, member,
+                              eval_F, eval_F_numerator, is_finite_template, level, member,
                               model_paintbox, parse_template, phi_tw, placement,
                               ring_identity_failures, section_interval_tuples,
                               semifinite, template_of_intervals, upper_covers, verify,
@@ -147,6 +148,11 @@ def test_phi_tw_kind_matches_the_regex_oracle():
             kind = ("zero" if not fits.fullmatch(text) else
                     "infinite" if any(r.fullmatch(text) for r in blown) else "finite")
             assert phi_tw(model, w).kind == kind, (model, w)
+
+
+def test_the_table_refuses_a_negative_cap_at_entry():
+    with pytest.raises(ValueError, match="negative word length bound -1"):
+        semifinite_table(STEP_MODEL, -1)
 
 
 def test_harmonicity_examples():
@@ -265,10 +271,21 @@ def test_a_compiled_model_pickles():
 
 # -- deformation --------------------------------------------------------------
 
-# above every eps coefficient (times D^(n+1)) of the example models to
-# 12 symbols: bracketed, the largest, has D = 24 and 7 eps-intervals,
-# and (24 * 8)^13 < 2^99
-X = 2 ** 128
+def limit_eps(model, cap):
+    """eps = 2^b as check_limit_formula picks it at a level cap: b is the
+    bit length of (D * L)^cap, L the total length at eps = 1, which every
+    eps coefficient of a word below cap symbols, times D^(n+1), is under."""
+    unit = build_w_eps(model, 1)
+    return 1 << (int(unit.denominator * sum(unit.lengths)) ** cap).bit_length()
+
+
+def base_digits(value, x):
+    """The base-x digits of a non-negative integer, lowest first; () for 0."""
+    digits = []
+    while value:
+        value, digit = divmod(value, x)
+        digits.append(digit)
+    return tuple(digits)
 
 
 def test_build_w_eps_step():
@@ -300,16 +317,18 @@ def test_every_model_gets_an_eps_interval():
 
 
 def test_eps_expansion_step_bent_words():
-    we = build_w_eps(STEP_MODEL, X)
+    x = limit_eps(STEP_MODEL, 9)
+    we = build_w_eps(STEP_MODEL, x)
     w1, w2 = STEP_MODEL.weights
     for a, b in ((1, 1), (2, 1), (1, 3)):
-        coeffs = eps_expansion(W("+" * a + "-+" + "-" * b), we)
+        w = W("+" * a + "-+" + "-" * b)
+        digits, scale = base_digits(eval_F_numerator(w, we), x), we.denominator ** (w.n + 1)
         # two minimal splittings run through the pair of eps intervals
-        assert coeffs[:2] == (0, 2 * w1 ** (a + 1) * w2 ** (b + 1))
+        assert digits[:2] == (0, 2 * w1 ** (a + 1) * w2 ** (b + 1) * scale)
         closed_form = w1 ** a * w2 ** b * (2 * EPS) * (w1 + EPS) * (w2 + EPS)
-        assert coeffs == closed_form.coefficients()
-    assert eps_expansion(W("+-+-+"), we) == ()  # five blocks never fit
-    assert eps_expansion(ROOT, we) == (1,)
+        assert digits == tuple(c * scale for c in closed_form.coefficients())
+    assert eval_F_numerator(W("+-+-+"), we) == 0  # five blocks never fit
+    assert eval_F(ROOT, we) == 1
 
 
 def _t_eps_words(model, n):
@@ -319,45 +338,48 @@ def _t_eps_words(model, n):
 
 
 def test_eps_expansion_is_the_splitting_sum_over_eps_polynomials():
+    # digits equal to the coefficients show that none reaches 2^b: a
+    # carry would move a coefficient into the next digit
     for model in EXAMPLE_MODELS.values():
-        w_x, intervals = build_w_eps(model, X), eps_intervals(model)
+        x = limit_eps(model, 9)
+        w_x, intervals = build_w_eps(model, x), eps_intervals(model)
         for w in _t_eps_words(model, 9):
+            scale = w_x.denominator ** (w.n + 1)
             expected = EpsPoly.coerce(brute_eval(w, intervals))
-            assert eps_expansion(w, w_x) == expected.coefficients(), (model, w)
+            assert base_digits(eval_F_numerator(w, w_x), x) == tuple(
+                c * scale for c in expected.coefficients()), (model, w)
 
 
 def test_eps_expansion_interpolates_the_rational_evaluations():
     # eval_F(w, build_w_eps(model, e)) is a polynomial in e of degree at
     # most n + 1 for w of n symbols, so its values at n + 2 points fix it.
-    # The sum runs on integers: with D^(n+1) c_k = C_k and e = p/q,
+    # The sum runs on the digits: with C_k = D^(n+1) c_k and e = p/q,
     # D^(n+1) q^top * sum(c_k e^k) = sum(C_k p^k q^(top - k)).
     points = [F(k, 3) for k in range(1, 15)]
     for model in EXAMPLE_MODELS.values():
-        w_x = build_w_eps(model, X)
+        x = limit_eps(model, 13)
+        w_x = build_w_eps(model, x)
         at = {e: build_w_eps(model, e) for e in points}
         for w in _t_eps_words(model, 13):
-            coeffs = eps_expansion(w, w_x)
-            top = len(coeffs) - 1
+            numerators = base_digits(eval_F_numerator(w, w_x), x)
+            top = len(numerators) - 1
             assert 0 <= top <= w.n + 1, (model, w)
             scale = w_x.denominator ** (w.n + 1)
-            scaled = [c * scale for c in coeffs]
-            assert all(c.denominator == 1 for c in scaled), (model, w)
-            numerators = [c.numerator for c in scaled]
             for e in points[:w.n + 2]:
                 p, q = e.numerator, e.denominator
                 value = sum(c * p ** k * q ** (top - k) for k, c in enumerate(numerators))
                 assert F(value, scale * q ** top) == eval_F(w, at[e]), (model, w, e)
 
 
-def test_eps_expansion_refuses_a_small_or_fractional_eps():
-    # step: D = 3 and total length 3 at eps = 1, so a word on level 5
-    # needs eps above 9^5
-    w = W("+-+-")
-    expected = eps_expansion(w, build_w_eps(STEP_MODEL, X))
-    assert eps_expansion(w, build_w_eps(STEP_MODEL, 9 ** 5 + 1)) == expected
-    for eps in (9 ** 5, F(2 ** 70 + 1, 2)):
-        with pytest.raises(ValueError, match="no integer above"):
-            eps_expansion(w, build_w_eps(STEP_MODEL, eps))
+def test_limit_formula_reads_its_digits_at_the_power_of_two_it_picks(monkeypatch):
+    built = []
+    real = semifinite.build_w_eps
+    monkeypatch.setattr(semifinite, "build_w_eps",
+                        lambda model, eps: built.append(eps) or real(model, eps))
+    for model in EXAMPLE_MODELS.values():
+        built.clear()
+        check_limit_formula(model, 9)
+        assert built == [1, limit_eps(model, 9)], model
 
 
 def test_limit_formula_measured_constants():
@@ -390,8 +412,9 @@ def test_limit_formula_rejects_levels_beyond_enumeration_at_entry():
 def test_limit_formula_vanishing_points_have_higher_valuation():
     w = W("+--+-")  # fits the deformed template, not the original one
     assert not member(STEP_MODEL.template, w)
-    coeffs = eps_expansion(w, build_w_eps(STEP_MODEL, X))
-    assert coeffs[:2] == (0, 0) and any(coeffs)
+    x = limit_eps(STEP_MODEL, 9)
+    digits = base_digits(eval_F_numerator(w, build_w_eps(STEP_MODEL, x)), x)
+    assert digits[:2] == (0, 0) and any(digits)
 
 
 # -- ring identity ------------------------------------------------------------

@@ -256,21 +256,25 @@ def test_a_pair_of_equal_models_fails_distinctness(monkeypatch):
 
 
 def spoiled_expansion(monkeypatch, word, spoil):
-    """Let ``spoil(coeffs)`` replace the eps expansion at one word."""
-    real = semifinite.eps_expansion
+    """Let ``spoil(numerator, eps)`` replace the integer evaluation of the
+    deformed interval tuple at one word, whose base-eps digits are the eps
+    coefficients times D^(n+1).  ``phi_tw`` calls ``eval_F_numerator`` too,
+    on the section tuples; the deformed tuple is the one whose longest
+    length, eps, is above 1, as no weight is."""
+    real = semifinite.eval_F_numerator
 
-    def expansion(v, w_x):
-        coeffs = real(v, w_x)
-        return spoil(coeffs) if v == word else coeffs
+    def numerator(v, u):
+        value, eps = real(v, u), max(u.lengths)
+        return spoil(value, eps) if v == word and eps > 1 else value
 
-    monkeypatch.setattr(semifinite, "eps_expansion", expansion)
+    monkeypatch.setattr(semifinite, "eval_F_numerator", numerator)
 
 
 def test_a_wrong_leading_coefficient_breaks_the_ratio(monkeypatch):
     # ++-+- is a finite point of the step model above its marker word +-+-,
     # and not above the marker words of the other two models
-    spoiled_expansion(monkeypatch, W("++-+-"),
-                      lambda coeffs: coeffs[:1] + (2 * coeffs[1],) + coeffs[2:])
+    # doubles the eps^1 digit
+    spoiled_expansion(monkeypatch, W("++-+-"), lambda value, eps: value + value // eps % eps * eps)
     report = run_suite("eps-limit", level=9)
     assert not report.ok
     assert "step: ++-+-: ratio 4 != 2" in report.lines
@@ -279,7 +283,8 @@ def test_a_wrong_leading_coefficient_breaks_the_ratio(monkeypatch):
 
 def test_a_vanishing_point_of_low_valuation_breaks_the_limit(monkeypatch):
     # +--+- fits the step model's deformed template but not the model's own
-    spoiled_expansion(monkeypatch, W("+--+-"), lambda coeffs: (0, 1) + coeffs[2:])
+    # the digits of eps^0 and eps^1 become 0 and 1
+    spoiled_expansion(monkeypatch, W("+--+-"), lambda value, eps: value - value % eps ** 2 + eps)
     report = run_suite("eps-limit", level=9)
     assert not report.ok
     assert "step: +--+-: vanishing point with valuation 1 <= 1" in report.lines
