@@ -16,7 +16,7 @@ from .templates import (Cluster, FlangeDecomposition, Template,
                         minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
 from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
-                    composition_of_word, dim, dominates_search,
+                    composition_of_word, cover_sums, dim, dominates_search,
                     is_subword, level, lower_covers, parse_vertex, subword_step,
                     upper_cover_bits, upper_covers, walk, words_below)
 

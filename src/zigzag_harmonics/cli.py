@@ -275,6 +275,9 @@ def _cmd_limit(args) -> tuple[int, list[str]]:
         *(f"  {line}" for line in report.failures)]
 
 
+#: the destinations of the options that take any string
+_STRING_OPTIONS = ("word", "upper", "right", "template", "model", "paintbox")
+
 _HANDLERS = {
     "render": _cmd_render,
     "eval": _cmd_eval,
@@ -291,9 +294,14 @@ _HANDLERS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # argparse before Python 3.13 reads the word of --word=-- as an empty list
-    for name in ("word", "upper", "right"):
-        if getattr(args, name, None) == []:
+    # argparse before Python 3.13 reads the value of --opt=-- as an empty
+    # list, past the option's type and choices: a string option gets its
+    # "--" back, and any other option refuses it
+    for name, value in list(vars(args).items()):
+        if value == []:
+            if name not in _STRING_OPTIONS:
+                print(f"error: argument --{name}: invalid value '--'", file=sys.stderr)
+                return 2
             setattr(args, name, "--")
     try:
         code, lines = _HANDLERS[args.command](args)

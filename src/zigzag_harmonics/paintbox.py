@@ -14,19 +14,19 @@ e . M_{w_1} ... M_{w_n} . 1, whose state is the interval holding the
 last box placed: a symbol s keeps the next box in interval j only when
 s is j's sign, or moves it into j from any earlier interval, and both
 moves multiply by l_j.  :func:`transfer` is that step on a vector,
-with prefix sums, O(m) per symbol, and the one place it is coded:
-:func:`eval_F_numerator` runs it along a word, :func:`eval_F_levels`
-along every word of a level, and the growth models' automaton along
-each section.  Each interval tuple is compiled
-once, when it is built: its lengths, positive ``int`` or ``Fraction``
-values and nothing else (never a float), become integer numerators
-over one common denominator D, so the whole product stays in integers,
-and :func:`eval_F` divides it by D^(n+1) once at the end.  Callers that
-multiply or sum many values, such as the semifinite evaluation, keep
-the numerators and divide once themselves.  :func:`eval_F_levels`
-carries the same vector from every word to its two one-symbol
-extensions, so it gives the numerators of whole levels at O(m) per
-word, without the division.
+with prefix sums, O(m) per symbol, the kernel of one word at a time:
+:func:`eval_F_numerator` runs it along a word, and the growth models'
+automaton along each section.  :func:`eval_F_levels` is the same rule
+on whole levels, its own kernel over the same compiled keeps: one
+column per interval across every word of a length, so that a length
+costs O(m) list operations and no call per word.  Each interval tuple
+is compiled once, when it is built: its lengths, positive ``int`` or
+``Fraction`` values and nothing else (never a float), become integer
+numerators over one common denominator D, so the whole product stays
+in integers, and :func:`eval_F` divides it by D^(n+1) once at the end.
+Callers that multiply or sum many values, such as the semifinite
+evaluation, keep the numerators and divide once themselves, as
+:func:`eval_F_levels` does for whole levels.
 
 A paintbox is such a tuple with total length one.  Two adjacent
 intervals of equal orientation are allowed and mean open components
@@ -50,9 +50,11 @@ in the memo that the tuple's calls share, with the subproblems, and
 The kerov-oracle suite compares three integer numerators per word over
 one D, the transfer vector's, the oracle's and the level walk's, after
 checking once per tuple that the oracle's D is the compiled one; only
-the root is compared as a ``Fraction``.  The first and the last share
-:func:`transfer`, so a fault in the step shows against the oracle,
-and the level walk's comparison checks only its indexing.  Their
+the root is compared as a ``Fraction``.  The level walk is a column
+kernel that shares only the compiled keeps and lengths with
+:func:`transfer`, so it is an independent check of the point route:
+a fault in the per-word step shows against both the oracle and the
+walk, and one in the column step against the walk alone.  Their
 agreement pins down the corner-symbol convention above.
 """
 
@@ -61,6 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .templates import Cluster, Template
@@ -194,24 +197,36 @@ def eval_F_levels(u: IntervalTuple, n: int) -> tuple[int, list[list[int]]]:
     shortest first, as :func:`~zigzag_harmonics.words.words_below`
     gives them.
 
-    Appending symbol s to a word of k symbols sets bit k, so the
-    '+' extensions of a length fill the first half of the next length
-    and the '-' extensions the second half.  Each word's transfer
-    vector is made once from its parent's by one :func:`transfer` step,
-    so a word costs O(m) and only two lengths of vectors are held at a
+    The transfer vectors of a whole length are held as one column per
+    interval, entry ``bits`` of column j being entry j of that word's
+    vector, and the columns' running sums over the intervals as prefix
+    sums, so the last prefix sum is the length's numerators.  Appending
+    symbol s to a word of k symbols sets bit k, so the '+' extensions
+    of a length fill the first half of the next length and the '-'
+    extensions the second half: column j of the next length is l_j
+    times the prefix sum up to j, inclusive when s keeps j and exclusive
+    otherwise, for each half.  That is :func:`transfer`'s step, read off
+    the same compiled keeps, on whole columns: O(m) list operations per
+    length and no call per word, with two lengths of columns held at a
     time.  The cap is that of ``words_below``, checked before any work.
     """
     if n < 0:
         raise ValueError(f"negative word length bound {n}")
     if n - 1 > LEVEL_CAP:
         raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
-    keeps, lengths, denominator = u._transfer
+    (plus, minus), lengths, denominator = u._transfer
     levels: list[list[int]] = []
-    vecs = [lengths]
+    columns = [[length] for length in lengths]
     for k in range(n):
         if k:
-            vecs = [transfer(keeps, lengths, vec, bit, 1) for bit in (0, 1) for vec in vecs]
-        levels.append([sum(vec) for vec in vecs])
+            # prefix[j + keep] is the prefix sum up to j, inclusive when the symbol keeps j
+            columns = [[length * x for x in prefix[j + plus[j]]]
+                       + [length * x for x in prefix[j + minus[j]]]
+                       for j, length in enumerate(lengths)]
+        prefix = [[0] * (1 << k)]
+        for column in columns:
+            prefix.append(list(map(add, prefix[-1], column)))
+        levels.append(prefix[-1])
     return denominator, levels
 
 

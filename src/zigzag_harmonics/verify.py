@@ -29,10 +29,11 @@ from __future__ import annotations
 import functools
 import random
 import time
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import factorial
+from operator import mul
 from typing import Callable, Optional
 
 from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
@@ -46,9 +47,9 @@ from .semifinite import (Automaton, ExtValue, GrowthModel, ModelState, automaton
 from .templates import (flange_and_sections, inject_all, member, member_J,
                         minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
-from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex, dim,
-                    lower_covers, subword_step, upper_cover_bits, upper_covers,
-                    walk, words_below)
+from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
+                    cover_sums, dim, lower_covers, subword_step, upper_cover_bits,
+                    upper_covers, walk, words_below)
 from .words import level as vertex_level
 
 W = BinaryWord.from_str
@@ -171,7 +172,9 @@ def _random_interval_tuple(rng: random.Random) -> IntervalTuple:
 def suite_kerov_oracle(max_symbols: int, seed: Optional[int]) -> Checks:
     # Each word's three numerators over one D, the transfer vector's, the
     # oracle's and the level walk's, are compared as integers; only the
-    # root's values are fractions
+    # root's values are fractions.  The walk's column kernel shares only
+    # the compiled keeps and lengths with the per-word transfer step, so
+    # it checks the point route independently of the oracle
     rng = random.Random(seed)
     tuples = [_random_interval_tuple(rng) for _ in range(20)]
     failures, count = [], 0
@@ -216,22 +219,17 @@ def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
     # unit mass is sum of dim(@, v) * N(v) == D^(k+1).
     rng = random.Random(seed)
     boxes = [random_paintbox(rng) for _ in range(10)]
-    # each word with its cover bits and dim(@, w), worked out once for
-    # every paintbox; the path counts are pushed up the same covers, and
-    # the covers are held packed: as lists of int objects they raise the
-    # suite's peak memory by half at level 15
-    checked = []
-    paths = [[0] * (1 << k) for k in range(cap)]
-    if cap:
-        paths[0][0] = 1  # one path from @ to the empty word
-    for w in words_below(cap):
-        k, count = w.n, paths[w.n][w.bits]
-        covers = upper_cover_bits(k, w.bits)
-        if k + 1 < cap:
-            above = paths[k + 1]
-            for c in covers:
+    # dim(@, w) of every word, worked out once for every paintbox by
+    # pushing path counts up upper_cover_bits one word at a time; each
+    # paintbox's cover sums are gathered a whole length at a time by
+    # cover_sums, so the two checks reach the covers by separate code
+    paths = [[1]] if cap else []  # one path from @ to the empty word
+    for k in range(cap - 1):
+        above = [0] * (2 << k)
+        for bits, count in enumerate(paths[k]):
+            for c in upper_cover_bits(k, bits):
                 above[c] += count
-        checked.append((w, array("q", covers), count))
+        paths.append(above)
     failures = []
     for idx, pb in enumerate(boxes):
         support = [set() for _ in range(cap)]  # packed bits per length
@@ -240,16 +238,19 @@ def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
         denominator, numerators = eval_F_levels(pb, cap + 1)
         if denominator != numerators[0][0]:  # N(@) = 1, its one cover the empty word
             failures.append(f"paintbox {idx}: not harmonic at {ROOT}")
-        mass = [0] * cap
-        for w, covers, count in checked:
-            k, bits = w.n, w.bits
-            value = numerators[k][bits]
-            above = numerators[k + 1]
-            if value * denominator != sum(above[c] for c in covers):
-                failures.append(f"paintbox {idx}: not harmonic at {w}")
-            if (value > 0) != (bits in support[k]):
-                failures.append(f"paintbox {idx}: support wrong at {w}")
-            mass[k] += count * value
+        mass = []
+        for k in range(cap):
+            values = numerators[k]
+            scaled = [value * denominator for value in values]
+            sums = cover_sums(numerators[k + 1], k)
+            if scaled != sums:
+                failures.extend(f"paintbox {idx}: not harmonic at {BinaryWord(k, bits)}"
+                                for bits, (a, b) in enumerate(zip(scaled, sums)) if a != b)
+            positive = set(compress(range(1 << k), map((0).__lt__, values)))  # bits of N > 0
+            if positive != support[k]:
+                failures.extend(f"paintbox {idx}: support wrong at {BinaryWord(k, bits)}"
+                                for bits in sorted(positive ^ support[k]))
+            mass.append(sum(map(mul, paths[k], values)))
         failures.extend(
             f"paintbox {idx}: mass {Fraction(total, denominator ** (k + 1))} at {k} symbols"
             for k, total in enumerate(mass) if total != denominator ** (k + 1))
@@ -260,7 +261,12 @@ def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
 # Suite 5: coideal identities of the capped and bracketed templates
 # ---------------------------------------------------------------------------
 
-@_suite("coideal-identities", 11, 0, LEVEL_CAP)
+#: the two generators of the bracketed ideal; coideal-identities finds them
+#: as its minimal elements, so it walks at least their length
+BRACKETED_GENERATORS = (W("-+-+-+-+"), W("-++-++-+"))
+
+
+@_suite("coideal-identities", 11, max(map(len, BRACKETED_GENERATORS)), LEVEL_CAP)
 def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
     failures = []
 
@@ -268,7 +274,7 @@ def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
     section = parse_template("-* +* -1 +*")
     gen = W("+--")
     bracketed = BRACKETED_MODEL.template
-    g1, g2 = W("-+-+-+-+"), W("-++-++-+")
+    g1, g2 = BRACKETED_GENERATORS
     minimal: list[BinaryWord] = []
     # every check below holds trivially outside the union of the three
     # coideals; the section's own is in it so that leaving capped shows.
@@ -535,7 +541,13 @@ DISTINCT_PAIRS: list[tuple[GrowthModel, GrowthModel]] = [
 ]
 
 
-@_suite("distinctness", 10, 0, LEVEL_CAP + 1)
+#: the lowest level at which the walk separates every pair of DISTINCT_PAIRS:
+#: pair 8 first differs at -++-++-+, a word of level 9.  Declared, since
+#: import does no walk; a Tier-1 test recomputes it from the point values
+DISTINCT_LEVEL = 9
+
+
+@_suite("distinctness", 10, DISTINCT_LEVEL, LEVEL_CAP + 1)
 def suite_distinctness(cap: int, _seed: Optional[int]) -> Checks:
     failures, lines = [], []
     for idx, (m1, m2) in enumerate(DISTINCT_PAIRS):

@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import lcm
-from typing import Any, Callable, Iterator, Optional, Union
+from operator import add
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 PLUS = "+"
 MINUS = "-"
@@ -157,6 +158,30 @@ def upper_cover_bits(n: int, bits: int) -> list[int]:
         high = bits >> pos  # symbol pos and those after it
         covers.append(low | (high << 1 | (~high & 1)) << pos)
     return covers
+
+
+def cover_sums(row: Sequence[int], n: int) -> list[int]:
+    """For each word of n symbols, by packed bits, the sum of ``row`` over
+    its n + 2 upper covers; ``row`` holds one value per word of n + 1
+    symbols, by packed bits.
+
+    The covers are those of :func:`upper_cover_bits`, gathered a whole
+    level at a time with slices.  The two appends are the two halves of
+    ``row``.  Inserting the opposite of symbol pos before it keeps the
+    low pos bits, so the covers of the words whose symbols from pos on
+    read h are one run of 2^pos entries, starting at 2^pos * (2h + 1)
+    for even h and at 2^pos * 2h for odd h: the runs of h and h + 1,
+    for even h, are one slice of 2^(pos+1) entries.
+    """
+    half = 1 << n
+    sums = list(map(add, row[:half], row[half:]))
+    for pos in range(n):
+        run = 1 << pos
+        gathered: list[int] = []
+        for start in range(run, half << 1, run << 2):
+            gathered += row[start:start + (run << 1)]
+        sums = list(map(add, sums, gathered))
+    return sums
 
 
 def upper_covers(v: Vertex) -> set[BinaryWord]:

@@ -10,7 +10,8 @@ Core claims:
     - a reader that closes the output early leaves the exit code as the
       command decided it, with nothing on stderr
     - exit codes are 0 on success, 1 on verification failure, 2 on
-      usage and parse errors
+      usage and parse errors, --opt=-- included, and a level at which a
+      suite cannot pass
     - render works out the size of its picture exactly, before drawing
       it, and refuses one above the cap with exit 2; covers does the
       same for its listing, in both directions, and graph for its
@@ -324,7 +325,7 @@ def infinite_clusters_take_two(monkeypatch):
 
 def test_a_planted_step_fault_fails_coideal_identities_and_the_graph(
         capsys, infinite_clusters_take_two):
-    report = verify.run_suite("coideal-identities", level=6)
+    report = verify.run_suite("coideal-identities", level=8)
     assert not report.ok
     assert "capped split fails at +++-" in report.lines
     text = "+* -1 +1 -*"
@@ -490,6 +491,39 @@ def test_bad_input_exits_2_at_once(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("render", "--template=--"),
+    ("inject", "--template=--", "--word=+"),
+    ("eval", "--word=+", "--model=--"),
+    ("eval", "--word=+", "--paintbox=--"),
+    ("limit", "--model=--", "--level", "9"),
+    ("graph", "--level", "2", "--template=--"),
+])
+def test_a_string_option_given_as_dashes_is_parsed_as_dashes(capsys, argv):
+    # argparse before Python 3.13 reads --opt=-- as an empty list; "--"
+    # is no template, model or paintbox
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("verify", "pieri", "--level=--"),
+                                  ("graph", "--level=--"),
+                                  ("graph", "--level", "2", "--format=--")])
+def test_an_option_that_takes_no_string_refuses_dashes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: argument --") and err.rstrip().endswith("invalid value '--'")
+
+
+@pytest.mark.parametrize("suite, lowest", [("distinctness", 9), ("coideal-identities", 8)])
+def test_a_suite_refuses_the_levels_at_which_it_cannot_pass(capsys, suite, lowest):
+    code, _, err = run(capsys, "verify", suite, "--level", str(lowest - 1))
+    assert code == 2 and f"{suite} --level {lowest - 1} below {lowest}" in err
+    code, out, _ = run(capsys, "verify", suite, "--level", str(lowest))
+    assert code == 0 and "PASS" in out
 
 
 def test_eps_limit_rejects_a_level_below_every_marker_word_before_any_work(capsys):

@@ -5,9 +5,12 @@ Core claims:
       and a mass failure, and a wrong non-zero as a support failure
     - kerov-oracle reports a wrong oracle numerator, a wrong transfer
       numerator against both other routes, a wrong walk numerator, and an
-      oracle denominator that is not the compiled one; a fault in the one
-      transfer step shows against the oracle alone, as the level walk
-      runs the same step
+      oracle denominator that is not the compiled one; a fault in the
+      per-word transfer step shows against the oracle and the level walk
+      on the same words, and one in the walk's column step against the
+      walk alone
+    - finite-harmonicity reports a fault in the column step, and a run of
+      covers gathered from a wrong offset, as harmonicity failures
     - eps-limit reports a wrong leading coefficient at one finite point
       as a ratio failure, and a vanishing point of too low a valuation
     - semifinite reads one table of automaton numerators per model,
@@ -29,6 +32,8 @@ Core claims:
       12 checks all three models
     - the ring identity fails on a mixture of two growth models with the
       same template, and holds for each of them alone
+    - distinctness accepts no level below the one at which the point
+      values separate its last pair
 
 Each negative control swaps a name inside ``verify``, ``semifinite`` or
 ``qsym`` for a wrapper that spoils one value, so it shows that the exact
@@ -37,6 +42,7 @@ checks can fail.  A fault planted in the growth models' automaton is in
 ``test_cli.py``, beside the graph reference it also breaks.
 """
 
+import copy
 from fractions import Fraction
 
 from model_oracle import cover_sum
@@ -44,9 +50,11 @@ from template_oracle import template_regex
 from word_oracle import enumerate_level
 from zigzag_harmonics import (BinaryWord, ExtValue, GrowthModel, member, on_locus,
                               paintbox, phi_tw, placement, product_F, qsym, semifinite,
-                              upper_covers, verify, walk, words_below)
+                              upper_covers, verify, walk, words, words_below)
 from zigzag_harmonics.verify import (CAPPED_MODEL, EXAMPLE_MODELS, STEP_MODEL, run_suite,
                                      semifinite_table)
+from zigzag_harmonics.words import LEVEL_CAP
+from zigzag_harmonics.words import level as vertex_level
 
 W = BinaryWord.from_str
 
@@ -133,11 +141,17 @@ def test_a_wrong_oracle_denominator_fails_kerov_oracle(monkeypatch):
     assert report.lines[0] == "compared 20 evaluations over 20 interval tuples"
 
 
+def _mismatches(report, route):
+    """The (word, tuple) pairs of one route's mismatch lines."""
+    prefix = f"{route} mismatch at "
+    return [line[len(prefix):] for line in report.lines if line.startswith(prefix)]
+
+
 def test_a_fault_in_the_transfer_step_fails_kerov_oracle(monkeypatch):
-    # the last interval never keeps the box.  eval_F_numerator and the
-    # level walk both run paintbox.transfer, so they agree with each other
-    # and no "level walk mismatch" line shows; the oracle shares no code
-    # with the step and catches it
+    # the last interval never keeps the box.  eval_F_numerator runs
+    # paintbox.transfer, while the level walk is its own column kernel
+    # over the compiled keeps, so both the oracle and the walk catch the
+    # fault, on the same words
     real = paintbox.transfer
 
     def transfer(keeps, lengths, vec, bits, n):
@@ -146,8 +160,55 @@ def test_a_fault_in_the_transfer_step_fails_kerov_oracle(monkeypatch):
     monkeypatch.setattr(paintbox, "transfer", transfer)
     report = run_suite("kerov-oracle", level=7)
     assert not report.ok
-    assert sum(line.startswith("evaluator mismatch at ") for line in report.lines) == 1120
-    assert not any(line.startswith("level walk mismatch ") for line in report.lines)
+    evaluator = _mismatches(report, "evaluator")
+    assert len(evaluator) == 1120
+    assert _mismatches(report, "level walk") == evaluator
+
+
+def spoiled_column_step(monkeypatch):
+    """The last interval never keeps the box, in the level walk's column
+    step alone: the walk reads the spoiled keeps from a copy of the tuple."""
+    real = verify.eval_F_levels
+
+    def walk(u, n):
+        keeps, lengths, denominator = u._transfer
+        spoiled = copy.copy(u)
+        object.__setattr__(spoiled, "_transfer", (
+            tuple(keep[:-1] + (False,) for keep in keeps), lengths, denominator))
+        return real(spoiled, n)
+
+    monkeypatch.setattr(verify, "eval_F_levels", walk)
+
+
+def test_a_fault_in_the_column_step_fails_kerov_oracle_against_the_walk(monkeypatch):
+    spoiled_column_step(monkeypatch)
+    report = run_suite("kerov-oracle", level=7)
+    assert not report.ok
+    assert len(_mismatches(report, "level walk")) == 1120
+    assert not _mismatches(report, "evaluator")
+
+
+def test_a_fault_in_the_column_step_fails_finite_harmonicity(monkeypatch):
+    spoiled_column_step(monkeypatch)
+    report = run_suite("finite-harmonicity", level=6)
+    assert not report.ok
+    assert any(" not harmonic at " in line for line in report.lines)
+
+
+def test_a_cover_run_gathered_from_a_wrong_offset_fails_finite_harmonicity(monkeypatch):
+    # the covers inserting before symbol 1 of the words ++... and -+...
+    # are read one run too early, from row[0:2] instead of row[2:4]
+    def cover_sums(row, n):
+        sums = words.cover_sums(row, n)
+        if n >= 2:
+            sums[0:2] = [s - right + wrong for s, right, wrong in zip(sums, row[2:4], row[0:2])]
+        return sums
+
+    monkeypatch.setattr(verify, "cover_sums", cover_sums)
+    report = run_suite("finite-harmonicity", level=6)
+    assert not report.ok
+    assert any(" not harmonic at ++" in line for line in report.lines)
+    assert all(" not harmonic at " in line for line in report.lines[1:])
 
 
 def test_a_wrong_walk_numerator_fails_kerov_oracle(monkeypatch):
@@ -253,6 +314,15 @@ def test_a_pair_of_equal_models_fails_distinctness(monkeypatch):
     assert not report.ok
     assert report.lines[-1] == f"pair {len(verify.DISTINCT_PAIRS) - 1} not separated up to level 9"
     assert sum(" not separated " in line for line in report.lines) == 1
+
+
+def test_the_lowest_distinctness_level_is_where_the_last_pair_separates():
+    # each pair's first word, shortest first, at which the point values
+    # differ; the suite accepts no level below the highest of them
+    levels = [vertex_level(next(w for w in words_below(LEVEL_CAP + 1)
+                                if phi_tw(m1, w) != phi_tw(m2, w)))
+              for m1, m2 in verify.DISTINCT_PAIRS]
+    assert max(levels) == verify.DISTINCT_LEVEL == 9
 
 
 def spoiled_expansion(monkeypatch, word, spoil):

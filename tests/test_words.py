@@ -4,6 +4,9 @@ Core claims:
     - words and compositions are mutually inverse encodings, and the
       composition read off the packed bits is the one read off the text
     - insertion and deletion are dual cover relations
+    - the cover sums gathered a whole level at a time with slices are
+      the sums over each word's upper cover bits, exhaustively below 13
+      symbols and as a property test to 16
     - dim agrees with brute-force chain enumeration and the bent-word
       closed form N * N! / (n1! m1!)
     - expansions carry dim as coefficients and have unit single steps
@@ -30,9 +33,10 @@ from hypothesis import strategies as st
 from word_oracle import (composition_by_text, dominates_at, enumerate_level, expand,
                          first_certified_level, word_of_composition)
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, FormalCombination, GrowthModel,
-                              Paintbox, dim, dominates_search, is_subword, level,
-                              lower_covers, member, member_J, parse_template,
-                              parse_vertex, phi_tw, phi_w, upper_covers, words_below)
+                              Paintbox, cover_sums, dim, dominates_search, is_subword,
+                              level, lower_covers, member, member_J, parse_template,
+                              parse_vertex, phi_tw, phi_w, upper_cover_bits, upper_covers,
+                              words_below)
 from zigzag_harmonics.words import LEVEL_CAP, composition_of_word
 
 W = BinaryWord.from_str
@@ -151,6 +155,27 @@ def test_cover_duality_exhaustive():
         for b in enumerate_level(length):
             for a in lower_covers(b):
                 assert b in upper_covers(a)
+
+
+def _cover_sum(row, n, bits):
+    return sum(row[c] for c in upper_cover_bits(n, bits))
+
+
+def test_cover_sums_are_the_sums_over_upper_cover_bits_below_13_symbols():
+    rng = random.Random(2113)
+    for n in range(13):
+        row = [rng.getrandbits(40) for _ in range(2 << n)]
+        assert cover_sums(row, n) == [_cover_sum(row, n, bits) for bits in range(1 << n)], n
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 16).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, 2 ** 32))))
+def test_cover_sums_are_the_sums_over_upper_cover_bits_to_16_symbols(case):
+    n, bits, seed = case
+    rng = random.Random(seed)
+    row = [rng.getrandbits(40) for _ in range(2 << n)]
+    assert cover_sums(row, n)[bits] == _cover_sum(row, n, bits)
 
 
 # -- subword order ------------------------------------------------------------
