@@ -36,26 +36,29 @@ paintbox is a harmonic function whose support is exactly the coideal
 of that template.
 
 An independent evaluator, the iterated two-piece splitting on
-compositions (:func:`eval_F_coproduct`), is kept as the oracle of the
-transfer vector.  It cuts off the piece of the first interval and
-recurses on the rest, and builds only the cuts whose left piece that
-interval can take: a row for '+', so a cut inside or at the end of the
-first part, and a column for '-', so a cut after a leading one-box part
-or one box into the part after them.  It also runs on integers, but
-scales the lengths by a common denominator it computes from the lengths
-itself, not from the compiled form, so it shares nothing with
-:func:`eval_F`.  That set-up is made once per interval tuple and kept
-in the memo that the tuple's calls share, with the subproblems, and
-:func:`eval_F_coproduct_numerator` gives the integer numerator over it.
-The kerov-oracle suite compares three integer numerators per word over
-one D, the transfer vector's, the oracle's and the level walk's, after
-checking once per tuple that the oracle's D is the compiled one; only
-the root is compared as a ``Fraction``.  The level walk is a column
-kernel that shares only the compiled keeps and lengths with
-:func:`transfer`, so it is an independent check of the point route:
-a fault in the per-word step shows against both the oracle and the
-walk, and one in the column step against the walk alone.  Their
-agreement pins down the corner-symbol convention above.
+compositions, is kept as the oracle of the transfer vector.  It cuts
+off the piece of the first interval and goes on with the rest, and
+builds only the cuts whose left piece that interval can take: a row
+for '+', so a cut inside or at the end of the first part, and a column
+for '-', so a cut after a leading one-box part or one box into the
+part after them.  It also runs on integers, but scales the lengths by
+a common denominator it computes from the lengths itself, not from the
+compiled form, so it shares nothing with :func:`eval_F`.
+:func:`eval_F_coproduct_levels` runs it on whole levels, one table per
+interval from the last, each cut one strided slice of the next
+interval's table; the per-word :func:`eval_F_coproduct` and
+:func:`eval_F_coproduct_numerator` recurse on the composition with a
+memo and are its oracle, as :func:`transfer` is that of
+:func:`eval_F_levels`.  The kerov-oracle suite compares three lists of
+integer numerators per length over one D, the transfer vector's, one
+call per word, the oracle's and the level walk's, after checking once
+per tuple that the oracle's D is the compiled one; only the root is
+compared as a ``Fraction``.  The level walk is a column kernel that
+shares only the compiled keeps and lengths with :func:`transfer`, so
+it is an independent check of the point route: a fault in the per-word
+step shows against both the oracle and the walk, and one in the column
+step against the walk alone.  Their agreement pins down the
+corner-symbol convention above.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ from typing import Optional, Sequence, Union
 from .templates import Cluster, Template
 from .words import (LEVEL_CAP, MINUS, PLUS, ROOT, BinaryWord, Vertex,
                     composition_of_word)
+
+
+def parse_rational(token: str) -> Fraction:
+    """An integer, 'a/b' or a plain decimal; exponent notation is refused
+    before ``Fraction`` would build 10^e."""
+    if "e" in token or "E" in token:
+        raise ValueError(f"exponent notation in {token!r} is not accepted")
+    return Fraction(token)
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,7 @@ class IntervalTuple:
             token = token.strip()
             if not token or token[0] not in (PLUS, MINUS):
                 raise ValueError(f"bad interval token {token!r}")
-            intervals.append((token[0], Fraction(token[1:])))
+            intervals.append((token[0], parse_rational(token[1:])))
         return IntervalTuple(tuple(intervals))
 
     def __len__(self) -> int:
@@ -296,6 +307,43 @@ def eval_F_coproduct_numerator(w: BinaryWord, u: IntervalTuple, memo: dict) -> i
         return total
 
     return go(composition_of_word(w), 0)
+
+
+def eval_F_coproduct_levels(u: IntervalTuple, n: int) -> tuple[int, list[list[int]]]:
+    """The oracle's D and its numerators of every word below n symbols.
+
+    ``levels[k][w.bits]`` is :func:`eval_F_coproduct_numerator` of the
+    word w of k symbols, laid out as in :func:`eval_F_levels` but worked
+    out from :func:`_coproduct_setup` and the coproduct cut alone, one
+    interval at a time from the last.  Past the last interval only the
+    root has a value, 1, so the table there is 0 on every word.
+    Interval i's table is interval i + 1's (the empty left piece) plus,
+    for each cut c = 1..k whose first c - 1 symbols have interval i's
+    sign, l_i^c times interval i + 1's entry of the suffix ``bits >> c``:
+    the symbol at c - 1 is the corner, of either sign, so the cut is the
+    strided slice ``row[start::1 << (c - 1)]``, taken as one half-slice
+    per corner bit.  The cut c = k + 1 takes the whole word, a row (bits
+    0) or a column (all bits set), and leaves the root: l_i^(k+1).  The
+    cap is that of :func:`eval_F_levels`, checked before any work.
+    """
+    if n < 0:
+        raise ValueError(f"negative word length bound {n}")
+    if n - 1 > LEVEL_CAP:
+        raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
+    denominator, lengths, signs = _coproduct_setup(u, {})
+    levels = [[0] * (1 << k) for k in range(n)]  # no interval left: only the root is 1
+    for length, sign in zip(lengths[::-1], signs[::-1]):
+        below, levels = levels, [list(row) for row in levels]
+        for k, row in enumerate(levels):
+            for c in range(1, k + 1):
+                step = 1 << (c - 1)
+                start = 0 if sign == PLUS else step - 1
+                scale = length ** c
+                scaled = [scale * x for x in below[k - c]]
+                for corner in (start, start + step):
+                    row[corner::2 * step] = map(add, row[corner::2 * step], scaled)
+            row[0 if sign == PLUS else (1 << k) - 1] += length ** (k + 1)
+    return denominator, levels
 
 
 def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,

@@ -27,8 +27,8 @@ from functools import partial
 from math import lcm, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .paintbox import (IntervalTuple, Paintbox, eval_F_numerator, template_of_intervals,
-                       transfer)
+from .paintbox import (IntervalTuple, Paintbox, eval_F_numerator, parse_rational,
+                       template_of_intervals, transfer)
 from .qsym import DEGREE_CAP, shuffle_counts
 from .templates import (State, Table, Template, _layout, _placement_tables,
                         is_finite_template, member, member_J, minimal_maxblock_word,
@@ -118,7 +118,7 @@ class GrowthModel:
         tail = tail.strip()
         if not sep or not tail.startswith("w="):
             raise ValueError("expected '<template> | w=<comma separated weights>'")
-        weights = tuple(Fraction(tok) for tok in tail[2:].split(","))
+        weights = tuple(parse_rational(tok) for tok in tail[2:].split(","))
         return GrowthModel(parse_template(head.strip()), weights)
 
     def __str__(self) -> str:

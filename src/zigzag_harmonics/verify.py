@@ -37,8 +37,8 @@ from operator import mul
 from typing import Callable, Optional
 
 from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
-                       eval_F_coproduct_denominator, eval_F_coproduct_numerator,
-                       eval_F_levels, eval_F_numerator, template_of_paintbox)
+                       eval_F_coproduct_levels, eval_F_levels, eval_F_numerator,
+                       template_of_paintbox)
 from .qsym import DEGREE_CAP, pieri_check
 from .semifinite import (Automaton, ExtValue, GrowthModel, ModelState, automaton,
                          automaton_numerator, automaton_step, check_approx_sequence,
@@ -170,33 +170,33 @@ def _random_interval_tuple(rng: random.Random) -> IntervalTuple:
 
 @_suite("kerov-oracle", 7, 0, LEVEL_CAP, default_seed=20240)
 def suite_kerov_oracle(max_symbols: int, seed: Optional[int]) -> Checks:
-    # Each word's three numerators over one D, the transfer vector's, the
-    # oracle's and the level walk's, are compared as integers; only the
-    # root's values are fractions.  The walk's column kernel shares only
-    # the compiled keeps and lengths with the per-word transfer step, so
-    # it checks the point route independently of the oracle
+    # Each length's integer numerators over one D are compared as whole
+    # lists: the transfer vector's, one call per word as phi_w makes it,
+    # against the oracle's and the level walk's, each run on whole levels.
+    # Only the root's values are fractions.  The oracle works from the
+    # lengths alone, and the walk's column kernel shares only the compiled
+    # keeps and lengths with the per-word transfer step, so each checks
+    # the point route independently of the other
     rng = random.Random(seed)
     tuples = [_random_interval_tuple(rng) for _ in range(20)]
     failures, count = [], 0
-    words = list(words_below(max_symbols + 1))
+    levels = [[BinaryWord(k, bits) for bits in range(1 << k)] for k in range(max_symbols + 1)]
     for u in tuples:
-        # the oracle's set-up and subproblems do not depend on the word
-        memo: dict = {}
         count += 1
-        if eval_F(ROOT, u) != eval_F_coproduct(ROOT, u, memo):
+        if eval_F(ROOT, u) != eval_F_coproduct(ROOT, u):
             failures.append(f"evaluator mismatch at {ROOT} against {u}")
-        denominator = eval_F_coproduct_denominator(u, memo)
+        denominator, oracle = eval_F_coproduct_levels(u, max_symbols + 1)
         if denominator != u.denominator:
             failures.append(f"oracle denominator {denominator} against {u}")
             continue
-        numerators = eval_F_levels(u, max_symbols + 1)[1]
-        for w in words:
-            count += 1
-            numerator = eval_F_numerator(w, u)
-            if numerator != eval_F_coproduct_numerator(w, u, memo):
-                failures.append(f"evaluator mismatch at {w} against {u}")
-            if numerator != numerators[w.n][w.bits]:
-                failures.append(f"level walk mismatch at {w} against {u}")
+        walked = eval_F_levels(u, max_symbols + 1)[1]
+        for words, by_oracle, by_walk in zip(levels, oracle, walked):
+            count += len(words)
+            points = [eval_F_numerator(w, u) for w in words]
+            for route, numerators in (("evaluator", by_oracle), ("level walk", by_walk)):
+                if numerators != points:
+                    failures.extend(f"{route} mismatch at {w} against {u}"
+                                    for w, a, b in zip(words, points, numerators) if a != b)
     return [f"compared {count} evaluations over {len(tuples)} interval tuples"], failures
 
 

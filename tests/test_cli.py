@@ -19,6 +19,8 @@ Core claims:
       pass the cap
     - eval prints exact values past the 4,300 digits that CPython's str
       of an int allows
+    - a length or weight in exponent notation exits 2 before any work;
+      integers, fractions and plain decimals are read exactly
 """
 
 import json
@@ -457,6 +459,30 @@ def test_limit_level_below_a_huge_marker_word_exits_2_before_building_it(capsys)
                        "+100000000 -* +* -1 +* | w=1/2,1/3,1/6", "--level", "9")
     assert code == 2 and "below the marker level 100000005" in err
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--paintbox", "+1e2000000", "--word", "+"),
+    ("eval", "--paintbox", "+1e20000000", "--word", "+"),
+    ("eval", "--paintbox", "+1/2,-5E-1", "--word", "+"),
+    ("eval", "--model", "+* -1 +1 -* | w=1e2000000,1", "--word", "+"),
+    ("limit", "--model", "+* -1 +1 -* | w=1e-2000000,1", "--level", "9")])
+def test_exponent_notation_in_a_length_or_weight_exits_2_before_any_work(capsys, argv):
+    # Fraction would build 10^e first, for seconds
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "exponent notation" in err and "Traceback" not in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_lengths_and_weights_take_integers_fractions_and_plain_decimals(capsys):
+    assert run(capsys, "eval", "--paintbox", "+0.5,-1/2", "--word", "+-")[:2] == (0, "1/4\n")
+    assert run(capsys, "eval", "--paintbox", "+1", "--word", "++")[:2] == (0, "1\n")
+    for weights in ("0.25,3/4", "1/4,0.75"):
+        code, out, _ = run(capsys, "eval", "--model", f"+* -1 +1 -* | w={weights}",
+                           "--word", "+-+")
+        assert (code, out) == (0, "3/64\n")
 
 
 @pytest.mark.parametrize("argv", [("pieri", "--level", "15"),

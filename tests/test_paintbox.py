@@ -11,6 +11,12 @@ Core claims:
       the row and the column cuts are each checked alone), and a memo
       shared by every word of one interval tuple changes nothing
     - the level walk's numerators are eval_F times D^(k+1) on every word
+    - the coproduct oracle on whole levels gives the per-word oracle's
+      numerator on every word below 10 symbols, for the kerov-oracle
+      suite's tuples and for single intervals, one-sign tuples,
+      equal-sign neighbours and integer lengths, and on property-test
+      words to 14 symbols; it refuses a bound outside its cap before
+      any work
     - the max-block closed form agrees with eval_F, including the
       boundary cases (a single interval, equal-orientation neighbours)
     - paintbox evaluations are normalized, harmonic, supported exactly
@@ -30,11 +36,13 @@ from eps_oracle import brute_eval
 from maxblock_oracle import eval_F_maxblock, maxblock_member
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, IntervalTuple, Paintbox,
-                              dim, eval_F, eval_F_coproduct, eval_F_levels,
+                              dim, eval_F, eval_F_coproduct, eval_F_coproduct_levels,
+                              eval_F_coproduct_numerator, eval_F_levels, paintbox,
                               is_finite_template, member, phi_w, product_F,
                               template_of_intervals,
                               template_of_paintbox, upper_covers)
-from zigzag_harmonics.verify import random_paintbox
+from zigzag_harmonics.verify import _random_interval_tuple, random_paintbox
+from zigzag_harmonics.words import LEVEL_CAP
 
 W = BinaryWord.from_str
 F = Fraction
@@ -190,6 +198,52 @@ def test_level_walk_checks_its_cap_first():
     with pytest.raises(ValueError, match="negative"):
         eval_F_levels(Paintbox.parse("+1"), -1)
     assert eval_F_levels(Paintbox.parse("+1/2,-1/2"), 0) == (2, [])
+
+
+# -- the coproduct oracle on whole levels -------------------------------------
+
+def assert_oracle_levels_are_per_word(u, n):
+    denominator, levels = eval_F_coproduct_levels(u, n)
+    assert denominator == u.denominator
+    assert [len(level) for level in levels] == [1 << k for k in range(n)]
+    memo: dict = {}
+    for k in range(n):
+        for w in enumerate_level(k):
+            assert levels[k][w.bits] == eval_F_coproduct_numerator(w, u, memo), (w, u)
+
+
+def test_oracle_levels_are_the_per_word_oracle_to_9_symbols():
+    rng = random.Random(20240)  # the kerov-oracle suite's default seed
+    tuples = [_random_interval_tuple(rng) for _ in range(20)]
+    tuples += [IntervalTuple(((sign, F(2, 3)),)) for sign in "+-"]
+    tuples += signed_tuples(24, "+", (2, 3, 4)) + signed_tuples(25, "-", (2, 3, 4))
+    tuples += [IntervalTuple((("+", F(1, 2)), ("+", F(1, 3)), ("-", F(1, 6)))),
+               IntervalTuple((("-", 2), ("-", 3), ("+", 1), ("+", 4))),
+               IntervalTuple((("+", 3), ("-", 5), ("+", 2)))]
+    for u in tuples:
+        assert_oracle_levels_are_per_word(u, 10)
+
+
+@settings(max_examples=100)
+@given(interval_tuples(), words(14))
+def test_oracle_levels_are_the_per_word_oracle_along_long_words(u, w):
+    denominator, levels = eval_F_coproduct_levels(u, len(w) + 1)
+    for k in range(len(w) + 1):
+        prefix = w.sub(0, k)
+        assert levels[k][prefix.bits] == eval_F_coproduct_numerator(prefix, u, {})
+
+
+def test_oracle_levels_check_their_cap_first(monkeypatch):
+    def no_work(u, memo):
+        raise AssertionError("set-up before the cap check")
+
+    monkeypatch.setattr(paintbox, "_coproduct_setup", no_work)
+    with pytest.raises(ValueError, match="above cap"):
+        eval_F_coproduct_levels(Paintbox.parse("+1"), LEVEL_CAP + 2)
+    with pytest.raises(ValueError, match="negative"):
+        eval_F_coproduct_levels(Paintbox.parse("+1"), -1)
+    monkeypatch.undo()
+    assert eval_F_coproduct_levels(Paintbox.parse("+1/2,-1/2"), 0) == (2, [])
 
 
 # -- max-block closed form ----------------------------------------------------

@@ -7,8 +7,10 @@ Core claims:
       numerator against both other routes, a wrong walk numerator, and an
       oracle denominator that is not the compiled one; a fault in the
       per-word transfer step shows against the oracle and the level walk
-      on the same words, and one in the walk's column step against the
-      walk alone
+      on the same words, one in the walk's column step against the walk
+      alone, and one in the whole-level oracle's cut against the oracle
+      alone; at level 7 it compares the root and every word of each of
+      its 20 tuples
     - finite-harmonicity reports a fault in the column step, and a run of
       covers gathered from a wrong offset, as harmonicity failures
     - eps-limit reports a wrong leading coefficient at one finite point
@@ -36,13 +38,16 @@ Core claims:
       values separate its last pair
 
 Each negative control swaps a name inside ``verify``, ``semifinite`` or
-``qsym`` for a wrapper that spoils one value, so it shows that the exact
+``qsym`` for a wrapper that spoils one value, or for a copy of the
+function compiled with one line changed, so it shows that the exact
 checks can fail.  A fault planted in the growth models' automaton is in
 ``test_semifinite.py``, beside the oracle that catches it.  A fault planted in the placement step itself is in
 ``test_cli.py``, beside the graph reference it also breaks.
 """
 
 import copy
+import inspect
+import textwrap
 from fractions import Fraction
 
 from model_oracle import cover_sum
@@ -100,13 +105,14 @@ def test_a_non_zero_outside_the_coideal_breaks_support(monkeypatch):
 
 
 def test_a_wrong_oracle_value_fails_kerov_oracle(monkeypatch):
-    real = verify.eval_F_coproduct_numerator
+    real = verify.eval_F_coproduct_levels
 
-    def oracle(w, u, memo):
-        numerator = real(w, u, memo)
-        return numerator + 1 if w == W("+-") else numerator
+    def oracle(u, n):
+        denominator, levels = real(u, n)
+        levels[2][W("+-").bits] += 1
+        return denominator, levels
 
-    monkeypatch.setattr(verify, "eval_F_coproduct_numerator", oracle)
+    monkeypatch.setattr(verify, "eval_F_coproduct_levels", oracle)
     report = run_suite("kerov-oracle", level=3)
     assert not report.ok
     assert sum(line.startswith("evaluator mismatch at +- against ")
@@ -132,13 +138,47 @@ def test_a_wrong_transfer_numerator_fails_kerov_oracle(monkeypatch):
 
 
 def test_a_wrong_oracle_denominator_fails_kerov_oracle(monkeypatch):
-    real = verify.eval_F_coproduct_denominator
-    monkeypatch.setattr(verify, "eval_F_coproduct_denominator",
-                        lambda u, memo: 2 * real(u, memo))
+    real = verify.eval_F_coproduct_levels
+
+    def oracle(u, n):
+        denominator, levels = real(u, n)
+        return 2 * denominator, levels
+
+    monkeypatch.setattr(verify, "eval_F_coproduct_levels", oracle)
     report = run_suite("kerov-oracle", level=3)
     assert not report.ok
     assert sum(line.startswith("oracle denominator ") for line in report.lines) == 20
     assert report.lines[0] == "compared 20 evaluations over 20 interval tuples"
+
+
+def mutant(function, old, new):
+    """A copy of ``function`` compiled from its source with the one
+    occurrence of ``old`` replaced by ``new``, in a copy of its globals."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"),
+         namespace)
+    return namespace[function.__name__]
+
+
+def test_a_fault_in_the_oracle_cut_fails_kerov_oracle_against_the_oracle(monkeypatch):
+    # '-' intervals cut as if they were rows: the stride of a cut starts
+    # at 0 for both signs, in the whole-level oracle alone
+    monkeypatch.setattr(verify, "eval_F_coproduct_levels", mutant(
+        paintbox.eval_F_coproduct_levels,
+        "start = 0 if sign == PLUS else step - 1", "start = 0"))
+    report = run_suite("kerov-oracle", level=7)
+    assert not report.ok
+    assert _mismatches(report, "evaluator")
+    assert not _mismatches(report, "level walk")
+
+
+def test_kerov_oracle_compares_every_word_at_its_acceptance_level():
+    # 20 tuples, each its root and the 255 words of up to 7 symbols
+    report = run_suite("kerov-oracle", level=7)
+    assert report.ok
+    assert report.lines == ["compared 5120 evaluations over 20 interval tuples"]
 
 
 def _mismatches(report, route):
