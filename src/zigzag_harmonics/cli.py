@@ -242,9 +242,7 @@ def _cmd_covers(args) -> tuple[int, list[str]]:
     if v is not ROOT:
         # a line per cover, each one symbol longer or shorter than v, plus
         # its newline: n + 2 insertions, or one deletion per run of v
-        size = len(v.blocks()) * v.n if args.down else (v.n + 2) ** 2
-        if size > PICTURE_CAP:
-            raise ValueError(f"listing of {size} characters above cap {PICTURE_CAP}")
+        _check_listing(len(v.blocks()) * v.n if args.down else (v.n + 2) ** 2)
     covers = lower_covers(v) if args.down else upper_covers(v)
     return 0, sorted(map(str, covers))
 

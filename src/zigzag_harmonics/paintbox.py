@@ -46,14 +46,13 @@ a common denominator it computes from the lengths itself, not from the
 compiled form, so it shares nothing with :func:`eval_F`.
 :func:`eval_F_coproduct_levels` runs it on whole levels, one table per
 interval from the last, each cut one strided slice of the next
-interval's table; the per-word :func:`eval_F_coproduct` and
-:func:`eval_F_coproduct_numerator` recurse on the composition with a
-memo and are its oracle, as :func:`transfer` is that of
-:func:`eval_F_levels`.  The kerov-oracle suite compares three lists of
-integer numerators per length over one D, the transfer vector's, one
-call per word, the oracle's and the level walk's, after checking once
-per tuple that the oracle's D is the compiled one; only the root is
-compared as a ``Fraction``.  The level walk is a column kernel that
+interval's table; the per-word :func:`eval_F_coproduct` recurses on
+the composition, with a memo that lives for one call, and is its
+oracle, as :func:`transfer` is that of :func:`eval_F_levels`.  The
+kerov-oracle suite compares three lists of integer numerators per
+length over one D, the transfer vector's, one call per word, the
+oracle's and the level walk's, after checking once per tuple that the
+oracle's D is the compiled one.  The level walk is a column kernel that
 shares only the compiled keeps and lengths with :func:`transfer`, so
 it is an independent check of the point route: a fault in the per-word
 step shows against both the oracle and the walk, and one in the column
@@ -67,10 +66,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .templates import Cluster, Template
-from .words import (LEVEL_CAP, MINUS, PLUS, ROOT, BinaryWord, Vertex,
+from .words import (MINUS, PLUS, ROOT, BinaryWord, Vertex, check_word_bound,
                     composition_of_word)
 
 
@@ -219,12 +218,10 @@ def eval_F_levels(u: IntervalTuple, n: int) -> tuple[int, list[list[int]]]:
     otherwise, for each half.  That is :func:`transfer`'s step, read off
     the same compiled keeps, on whole columns: O(m) list operations per
     length and no call per word, with two lengths of columns held at a
-    time.  The cap is that of ``words_below``, checked before any work.
+    time.  The cap is :func:`~zigzag_harmonics.words.check_word_bound`'s,
+    checked before any work.
     """
-    if n < 0:
-        raise ValueError(f"negative word length bound {n}")
-    if n - 1 > LEVEL_CAP:
-        raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
+    check_word_bound(n)
     (plus, minus), lengths, denominator = u._transfer
     levels: list[list[int]] = []
     columns = [[length] for length in lengths]
@@ -250,39 +247,76 @@ def _psi(comp: tuple[int, ...], sign: str) -> bool:
     return all(p == 1 for p in comp)
 
 
-def _coproduct_setup(u: IntervalTuple,
-                     memo: dict) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
+def _coproduct_setup(u: IntervalTuple) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
     """The oracle's common denominator D, scaled lengths and signs.
 
-    Worked out from ``u.lengths``, not from the compiled form, once per
-    memo, and kept in it under the key ``None``.
+    Worked out from ``u.lengths``, not from the compiled form.
     """
-    setup = memo.get(None)
-    if setup is None:
-        lengths = u.lengths
-        denominator = lcm(*(l.denominator for l in lengths))
-        setup = memo[None] = (
-            denominator, tuple(l.numerator * (denominator // l.denominator) for l in lengths),
-            u.signs)
-    return setup
+    lengths = u.lengths
+    denominator = lcm(*(l.denominator for l in lengths))
+    scaled = tuple(l.numerator * (denominator // l.denominator) for l in lengths)
+    return denominator, scaled, u.signs
 
 
-def eval_F_coproduct_denominator(u: IntervalTuple, memo: dict) -> int:
-    """The common denominator D over which the oracle gives its numerators."""
-    return _coproduct_setup(u, memo)[0]
+def eval_F_coproduct_levels(u: IntervalTuple, n: int) -> tuple[int, list[list[int]]]:
+    """The oracle's D and its numerators of every word below n symbols.
 
-
-def eval_F_coproduct_numerator(w: BinaryWord, u: IntervalTuple, memo: dict) -> int:
-    """``eval_F_coproduct(w, u) * D**(n+1)`` for a word of n symbols, in integers.
-
-    D is :func:`eval_F_coproduct_denominator`.  ``memo`` holds the
-    set-up and the subproblems; a subproblem (composition suffix,
-    interval index) does not depend on the word, so one memo may be
-    shared by every call on the same interval tuple, never across
-    tuples.
+    ``levels[k][w.bits]`` is ``eval_F_coproduct(w, u) * D**(k+1)`` for
+    the word w of k symbols, laid out as in :func:`eval_F_levels` but worked
+    out from :func:`_coproduct_setup` and the coproduct cut alone, one
+    interval at a time from the last.  Past the last interval only the
+    root has a value, 1, so the table there is 0 on every word.
+    Interval i's table is interval i + 1's (the empty left piece) plus,
+    for each cut c = 1..k whose first c - 1 symbols have interval i's
+    sign, l_i^c times interval i + 1's entry of the suffix ``bits >> c``:
+    the symbol at c - 1 is the corner, of either sign, so the cut is the
+    strided slice ``row[start::1 << (c - 1)]``, taken as one half-slice
+    per corner bit.  The cut c = k + 1 takes the whole word, a row (bits
+    0) or a column (all bits set), and leaves the root: l_i^(k+1).  The
+    cap is that of :func:`eval_F_levels`, checked before any work.
     """
-    _, lengths, signs = _coproduct_setup(u, memo)
+    check_word_bound(n)
+    denominator, lengths, signs = _coproduct_setup(u)
+    levels = [[0] * (1 << k) for k in range(n)]  # no interval left: only the root is 1
+    for length, sign in zip(lengths[::-1], signs[::-1]):
+        below, levels = levels, [list(row) for row in levels]
+        for k, row in enumerate(levels):
+            for c in range(1, k + 1):
+                step = 1 << (c - 1)
+                start = 0 if sign == PLUS else step - 1
+                scale = length ** c
+                scaled = [scale * x for x in below[k - c]]
+                for corner in (start, start + step):
+                    row[corner::2 * step] = map(add, row[corner::2 * step], scaled)
+            row[0 if sign == PLUS else (1 << k) - 1] += length ** (k + 1)
+    return denominator, levels
+
+
+def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple) -> Fraction:
+    """Same value through iterated two-piece splittings of the composition.
+
+    Splits the diagram with the coproduct cut (inside a row or at a row
+    boundary), scales each tensor factor by its interval length, and
+    applies the row/column evaluations.  Shares no code with the
+    transfer vector; serves as its oracle.
+
+    Only the cuts whose left piece the interval can take are built: for
+    a '+' interval a row, so the cut falls inside or at the end of the
+    first part, and for a '-' interval a column, so the cut falls
+    after one of the leading one-box parts or after the first box of
+    the part that follows them.  The empty left piece fits both.  Every
+    other cut contributes zero to the sum.
+
+    The sum runs in integers over the lengths scaled by
+    :func:`_coproduct_setup`'s D, with the subproblems (composition
+    suffix, interval index) memoized for this call only, and is divided
+    by D^(number of boxes) once.
+    """
+    if v is ROOT:
+        return Fraction(1)
+    denominator, lengths, signs = _coproduct_setup(u)
     last = len(lengths) - 1
+    memo: dict[tuple[tuple[int, ...], int], int] = {}
 
     def go(rest: tuple[int, ...], i: int) -> int:
         if i == last:
@@ -306,73 +340,7 @@ def eval_F_coproduct_numerator(w: BinaryWord, u: IntervalTuple, memo: dict) -> i
         memo[key] = total
         return total
 
-    return go(composition_of_word(w), 0)
-
-
-def eval_F_coproduct_levels(u: IntervalTuple, n: int) -> tuple[int, list[list[int]]]:
-    """The oracle's D and its numerators of every word below n symbols.
-
-    ``levels[k][w.bits]`` is :func:`eval_F_coproduct_numerator` of the
-    word w of k symbols, laid out as in :func:`eval_F_levels` but worked
-    out from :func:`_coproduct_setup` and the coproduct cut alone, one
-    interval at a time from the last.  Past the last interval only the
-    root has a value, 1, so the table there is 0 on every word.
-    Interval i's table is interval i + 1's (the empty left piece) plus,
-    for each cut c = 1..k whose first c - 1 symbols have interval i's
-    sign, l_i^c times interval i + 1's entry of the suffix ``bits >> c``:
-    the symbol at c - 1 is the corner, of either sign, so the cut is the
-    strided slice ``row[start::1 << (c - 1)]``, taken as one half-slice
-    per corner bit.  The cut c = k + 1 takes the whole word, a row (bits
-    0) or a column (all bits set), and leaves the root: l_i^(k+1).  The
-    cap is that of :func:`eval_F_levels`, checked before any work.
-    """
-    if n < 0:
-        raise ValueError(f"negative word length bound {n}")
-    if n - 1 > LEVEL_CAP:
-        raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
-    denominator, lengths, signs = _coproduct_setup(u, {})
-    levels = [[0] * (1 << k) for k in range(n)]  # no interval left: only the root is 1
-    for length, sign in zip(lengths[::-1], signs[::-1]):
-        below, levels = levels, [list(row) for row in levels]
-        for k, row in enumerate(levels):
-            for c in range(1, k + 1):
-                step = 1 << (c - 1)
-                start = 0 if sign == PLUS else step - 1
-                scale = length ** c
-                scaled = [scale * x for x in below[k - c]]
-                for corner in (start, start + step):
-                    row[corner::2 * step] = map(add, row[corner::2 * step], scaled)
-            row[0 if sign == PLUS else (1 << k) - 1] += length ** (k + 1)
-    return denominator, levels
-
-
-def eval_F_coproduct(v: Union[Vertex, BinaryWord], u: IntervalTuple,
-                     memo: Optional[dict] = None) -> Fraction:
-    """Same value through iterated two-piece splittings of the composition.
-
-    Splits the diagram with the coproduct cut (inside a row or at a row
-    boundary), scales each tensor factor by its interval length, and
-    applies the row/column evaluations.  Shares no code with the
-    transfer vector; serves as its oracle.
-
-    Only the cuts whose left piece the interval can take are built: for
-    a '+' interval a row, so the cut falls inside or at the end of the
-    first part, and for a '-' interval a column, so the cut falls
-    after one of the leading one-box parts or after the first box of
-    the part that follows them.  The empty left piece fits both.  Every
-    other cut contributes zero to the sum.
-
-    The sum runs in integers, :func:`eval_F_coproduct_numerator`, and is
-    divided by D^(number of boxes) once.  ``memo`` may be shared by
-    every call on the same interval tuple, never across tuples; by
-    default each call takes a fresh one.
-    """
-    if v is ROOT:
-        return Fraction(1)
-    if memo is None:
-        memo = {}
-    return Fraction(eval_F_coproduct_numerator(v, u, memo),
-                    eval_F_coproduct_denominator(u, memo) ** (v.n + 1))
+    return Fraction(go(composition_of_word(v), 0), denominator ** (v.n + 1))
 
 
 # ---------------------------------------------------------------------------

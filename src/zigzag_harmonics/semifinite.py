@@ -445,7 +445,7 @@ def ring_identity_failures(model: GrowthModel, lefts: Sequence[Vertex],
     for b in rights:
         numerator_b = None if b is ROOT else levels[b.n].get(b.bits, 0)
         if not numerator_b:  # None on the blow-up locus, 0 off the coideal
-            raise ValueError(f"{b} is not a finite-value vertex of {model.template}")
+            raise ValueError(f"'{b}' is not a finite-value vertex of {model.template}")
         for a, numerator_a in left_numerators:
             lvl, counts = shuffle_counts(a, b)
             row = levels[lvl - 1]  # the words of the product
@@ -454,7 +454,7 @@ def ring_identity_failures(model: GrowthModel, lefts: Sequence[Vertex],
                 numerator = row.get(bits, 0)
                 if numerator is None:
                     raise RuntimeError(f"structure constant {count} at blow-up vertex "
-                                       f"{BinaryWord(lvl - 1, bits)}")
+                                       f"'{BinaryWord(lvl - 1, bits)}'")
                 total += count * numerator
             if total != numerator_a * numerator_b:
                 failures.append((a, b))
@@ -483,7 +483,7 @@ def check_approx_sequence(model: GrowthModel, target: BinaryWord,
     """
     t = model.template
     if not member_J(t, target):
-        raise ValueError(f"target {target} is not an infinite-value word of {t}")
+        raise ValueError(f"target '{target}' is not an infinite-value word of {t}")
     within = lambda w: member(t, w)
     levels: list[Optional[int]] = []
     values: list[Fraction] = []
@@ -492,7 +492,7 @@ def check_approx_sequence(model: GrowthModel, target: BinaryWord,
         for v, c in comb.coeffs.items():
             val = phi_tw(model, v)
             if not val.is_finite:
-                raise ValueError(f"combination touches non-finite vertex {v}")
+                raise ValueError(f"combination touches non-finite vertex '{v}'")
             total += c * val.value
         levels.append(dominates_search(target, comb, search_cap, within=within))
         values.append(total)

@@ -369,8 +369,8 @@ def inject(t: Template, w: BinaryWord) -> tuple[BinaryWord, ...]:
     """
     fits, cuts = place(t, w)
     if cuts is None:
-        raise ValueError(f"{w} fits a reduced template of {t}" if fits
-                         else f"{w} does not fit {t}")
+        raise ValueError(f"'{w}' fits a reduced template of {t}" if fits
+                         else f"'{w}' does not fit {t}")
     return tuple(w.sub(start, stop) for start, stop in cuts)
 
 

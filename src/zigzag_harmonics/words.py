@@ -27,7 +27,8 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Union
 PLUS = "+"
 MINUS = "-"
 
-#: words_below refuses word lengths above this
+#: the longest word a walk or a whole-level table builds; check_word_bound
+#: refuses bounds past it
 LEVEL_CAP = 20
 
 # symbols to binary digits, for BinaryWord.from_str
@@ -80,6 +81,8 @@ class BinaryWord:
         return BinaryWord(stop - start, (self.bits >> start) & ((1 << (stop - start)) - 1))
 
     def delete(self, pos: int) -> "BinaryWord":
+        if not 0 <= pos < self.n:
+            raise IndexError(pos)
         low = self.bits & ((1 << pos) - 1)
         high = self.bits >> (pos + 1)
         return BinaryWord(self.n - 1, low | (high << pos))
@@ -260,11 +263,11 @@ class FormalCombination:
         clean: dict[Vertex, Union[int, Fraction]] = {}
         for v, c in coeffs.items():
             if type(c) is not int and type(c) is not Fraction:
-                raise ValueError(f"coefficient {c!r} at {v} is no int or Fraction")
+                raise ValueError(f"coefficient {c!r} at '{v}' is no int or Fraction")
             if c < 0:
-                raise ValueError(f"negative coefficient {c} at {v}")
+                raise ValueError(f"negative coefficient {c} at '{v}'")
             if level(v) != lvl:
-                raise ValueError(f"vertex {v} is not on level {lvl}")
+                raise ValueError(f"vertex '{v}' is not on level {lvl}")
             if c:
                 clean[v] = c
         self.level = lvl
@@ -338,6 +341,14 @@ def dominates_search(a: Vertex, comb: FormalCombination, max_level: int,
 # Prefix walk
 # ---------------------------------------------------------------------------
 
+def check_word_bound(n: int) -> None:
+    """Refuse a bound n on word lengths (every word below n symbols) past LEVEL_CAP."""
+    if n < 0:
+        raise ValueError(f"negative word length bound {n}")
+    if n - 1 > LEVEL_CAP:
+        raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
+
+
 def walk(n: int, start: Any, step: Callable[[Any, int], Any]
          ) -> Iterator[tuple[BinaryWord, Any]]:
     """Every word of fewer than n symbols with its state, shortest first, lazily.
@@ -351,10 +362,7 @@ def walk(n: int, start: Any, step: Callable[[Any, int], Any]
     boundary, each once.  The cap is checked here, before any word is
     made, and a search that stops early builds no further length.
     """
-    if n < 0:
-        raise ValueError(f"negative word length bound {n}")
-    if n - 1 > LEVEL_CAP:
-        raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
+    check_word_bound(n)
     return _walk(n, start, step)
 
 

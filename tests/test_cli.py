@@ -12,6 +12,8 @@ Core claims:
     - exit codes are 0 on success, 1 on verification failure, 2 on
       usage and parse errors, --opt=-- included, and a level at which a
       suite cannot pass
+    - error messages quote the word they name, the one-box word ''
+      included
     - render works out the size of its picture exactly, before drawing
       it, and refuses one above the cap with exit 2; covers does the
       same for its listing, in both directions, and graph for its
@@ -420,6 +422,15 @@ def test_inject(capsys):
     code, out, _ = run(capsys, "inject", "--template", "+* -1 +1 -*",
                        "--word=-+")
     assert (code, out.strip()) == (0, "(one box) | (one box)")
+
+
+def test_an_error_about_the_one_box_word_names_it(capsys):
+    # the empty word is quoted, so the message does not start with a blank
+    code, out, err = run(capsys, "inject", "--template", "+* -1 +1 -*", "--word=")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: '' fits a reduced template of +* -1 +1 -*"
+    code, _, err = run(capsys, "inject", "--template", "+1 -*", "--word=++")
+    assert (code, err.strip()) == (2, "error: '++' does not fit +1 -*")
 
 
 def test_inject_exits_0_or_2_on_every_word_to_10_symbols(capsys, monkeypatch):

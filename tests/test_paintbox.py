@@ -8,8 +8,7 @@ Core claims:
       property-test inputs well above the exhaustive levels; the
       coproduct evaluator alone agrees with brute force too, to 10
       symbols, on tuples with both orientations and with one only (so
-      the row and the column cuts are each checked alone), and a memo
-      shared by every word of one interval tuple changes nothing
+      the row and the column cuts are each checked alone)
     - the level walk's numerators are eval_F times D^(k+1) on every word
     - the coproduct oracle on whole levels gives the per-word oracle's
       numerator on every word below 10 symbols, for the kerov-oracle
@@ -37,7 +36,7 @@ from maxblock_oracle import eval_F_maxblock, maxblock_member
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, IntervalTuple, Paintbox,
                               dim, eval_F, eval_F_coproduct, eval_F_coproduct_levels,
-                              eval_F_coproduct_numerator, eval_F_levels, paintbox,
+                              eval_F_levels, paintbox,
                               is_finite_template, member, phi_w, product_F,
                               template_of_intervals,
                               template_of_paintbox, upper_covers)
@@ -113,10 +112,9 @@ def test_coproduct_route_is_brute_force_to_10_symbols():
     tuples = (seeded_tuples(20, 4, fraction_length) + seeded_tuples(21, 2, int_length)
               + signed_tuples(22, "+", (2, 4)) + signed_tuples(23, "-", (2, 4)))
     for u in tuples:
-        memo: dict = {}
         for length in range(11):
             for w in enumerate_level(length):
-                assert eval_F_coproduct(w, u, memo) == brute_eval(w, u.intervals), (w, u)
+                assert eval_F_coproduct(w, u) == brute_eval(w, u.intervals), (w, u)
 
 
 def test_eval_agrees_with_coproduct_route():
@@ -157,17 +155,6 @@ def test_eval_agrees_with_coproduct_route_on_long_words(u, w):
     assert eval_F(w, u) == eval_F_coproduct(w, u)
 
 
-def test_a_memo_shared_by_every_word_changes_no_value():
-    # longest first as well, so that a word can meet the entries that
-    # longer words left behind for its own composition
-    scan = [w for length in range(9) for w in enumerate_level(length)]
-    for u in seeded_tuples(16, 4, fraction_length) + seeded_tuples(17, 2, int_length):
-        for order in (scan, scan[::-1]):
-            memo: dict = {}
-            for w in order:
-                assert eval_F_coproduct(w, u, memo) == eval_F_coproduct(w, u), (w, u)
-
-
 # -- the level walk -----------------------------------------------------------
 
 def assert_walk_is_eval_F(u, n):
@@ -206,10 +193,9 @@ def assert_oracle_levels_are_per_word(u, n):
     denominator, levels = eval_F_coproduct_levels(u, n)
     assert denominator == u.denominator
     assert [len(level) for level in levels] == [1 << k for k in range(n)]
-    memo: dict = {}
     for k in range(n):
         for w in enumerate_level(k):
-            assert levels[k][w.bits] == eval_F_coproduct_numerator(w, u, memo), (w, u)
+            assert levels[k][w.bits] == eval_F_coproduct(w, u) * denominator ** (k + 1), (w, u)
 
 
 def test_oracle_levels_are_the_per_word_oracle_to_9_symbols():
@@ -230,11 +216,11 @@ def test_oracle_levels_are_the_per_word_oracle_along_long_words(u, w):
     denominator, levels = eval_F_coproduct_levels(u, len(w) + 1)
     for k in range(len(w) + 1):
         prefix = w.sub(0, k)
-        assert levels[k][prefix.bits] == eval_F_coproduct_numerator(prefix, u, {})
+        assert levels[k][prefix.bits] == eval_F_coproduct(prefix, u) * denominator ** (k + 1)
 
 
 def test_oracle_levels_check_their_cap_first(monkeypatch):
-    def no_work(u, memo):
+    def no_work(u):
         raise AssertionError("set-up before the cap check")
 
     monkeypatch.setattr(paintbox, "_coproduct_setup", no_work)

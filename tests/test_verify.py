@@ -148,7 +148,7 @@ def test_a_wrong_oracle_denominator_fails_kerov_oracle(monkeypatch):
     report = run_suite("kerov-oracle", level=3)
     assert not report.ok
     assert sum(line.startswith("oracle denominator ") for line in report.lines) == 20
-    assert report.lines[0] == "compared 20 evaluations over 20 interval tuples"
+    assert report.lines[0] == "compared 0 evaluations over 20 interval tuples"
 
 
 def mutant(function, old, new):
@@ -175,10 +175,10 @@ def test_a_fault_in_the_oracle_cut_fails_kerov_oracle_against_the_oracle(monkeyp
 
 
 def test_kerov_oracle_compares_every_word_at_its_acceptance_level():
-    # 20 tuples, each its root and the 255 words of up to 7 symbols
+    # 20 tuples, each the 255 words of up to 7 symbols
     report = run_suite("kerov-oracle", level=7)
     assert report.ok
-    assert report.lines == ["compared 5120 evaluations over 20 interval tuples"]
+    assert report.lines == ["compared 5100 evaluations over 20 interval tuples"]
 
 
 def _mismatches(report, route):

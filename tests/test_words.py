@@ -18,6 +18,7 @@ Core claims:
       as a property test
     - a word prints as its symbols and parses back from them, in time
       linear in its length
+    - a position outside a word is refused with IndexError
     - subword order is a partial order
 """
 
@@ -364,6 +365,13 @@ def test_formal_combination_takes_only_ints_and_fractions():
     assert type(comb.coefficient(W("+"))) is int
 
 
+def test_formal_combination_errors_quote_the_one_box_word():
+    with pytest.raises(ValueError, match="^vertex '' is not on level 2$"):
+        FormalCombination(2, {EMPTY: 1})
+    with pytest.raises(ValueError, match="^negative coefficient -1 at ''$"):
+        FormalCombination(1, {EMPTY: -1})
+
+
 # -- enumeration and serialization --------------------------------------------
 
 def test_enumerate_level():
@@ -400,6 +408,14 @@ def test_packed_operations_match_string_model():
         i = rng.randint(0, len(s))
         j = rng.randint(i, len(s))
         assert str(w.sub(i, j)) == s[i:j]
+
+
+def test_positions_outside_the_word_are_refused():
+    for text, pos in (("++", 2), ("++", 5), ("+-", 5), ("+-", -1), ("", 0)):
+        with pytest.raises(IndexError):
+            W(text).delete(pos)
+        with pytest.raises(IndexError):
+            W(text).symbol(pos)
 
 
 def test_blocks():
