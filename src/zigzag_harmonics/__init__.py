@@ -4,7 +4,7 @@ from .paintbox import (IntervalTuple, Paintbox, eval_F, eval_F_coproduct,
                        eval_F_coproduct_levels, eval_F_levels, eval_F_numerator,
                        phi_w, template_of_intervals, template_of_paintbox)
 from .qsym import pieri_check, product_F, shuffle_counts
-from .semifinite import (ApproxReport, Automaton, ExtValue, GrowthModel,
+from .semifinite import (INFINITY, ApproxReport, Automaton, GrowthModel,
                          LimitReport, automaton, automaton_numerator,
                          automaton_step, build_w_eps, check_approx_sequence,
                          check_limit_formula, model_paintbox, phi_tw,

@@ -20,7 +20,7 @@ from typing import Optional, Union
 from .paintbox import Paintbox, phi_w
 from .qsym import DEGREE_CAP, fexpansion_to_json, product_F
 from .render import PICTURE_CAP, render_template, render_vertex
-from .semifinite import ExtValue, GrowthModel, check_limit_formula, phi_tw
+from .semifinite import INFINITY, GrowthModel, _Value, check_limit_formula, phi_tw
 from .templates import inject, on_locus, parse_template, placement
 from .verify import SUITES, run_suite
 from .words import (ROOT, BinaryWord, dim, lower_covers, parse_vertex,
@@ -96,16 +96,14 @@ def _cmd_render(args) -> tuple[int, list[str]]:
     return 0, [render_template(parse_template(args.template))]
 
 
-def _exact(value: Union[int, Fraction, ExtValue]) -> str:
+def _exact(value: Union[int, _Value]) -> str:
     """``str`` of a value, at any size.
 
     CPython refuses ``str`` of an int of more than 4,300 digits, while
     ``Decimal`` holds an int exactly and prints all of its digits.
     """
-    if isinstance(value, ExtValue):
-        if not value.is_finite:
-            return str(value)
-        value = value.value
+    if value is INFINITY:
+        return str(value)
     value = Fraction(value)
     digits = str(Decimal(value.numerator))
     return digits if value.denominator == 1 else f"{digits}/{Decimal(value.denominator)}"
@@ -248,7 +246,14 @@ def _cmd_covers(args) -> tuple[int, list[str]]:
 
 
 def _cmd_dim(args) -> tuple[int, list[str]]:
-    return 0, [_exact(dim(parse_vertex(args.word), parse_vertex(args.upper)))]
+    a, b = parse_vertex(args.word), parse_vertex(args.upper)
+    try:
+        count = dim(a, b)
+    except RecursionError:
+        # words.dim recurses once per symbol it deletes from b
+        raise ValueError(f"path count to a word of {len(b)} symbols "
+                         "too deep for the recursive dim") from None
+    return 0, [_exact(count)]
 
 
 def _cmd_product(args) -> tuple[int, list[str]]:

@@ -41,46 +41,23 @@ from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination,
 # Values in [0, +oo]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ExtValue:
-    """Zero, a positive rational, or +infinity."""
+class _Infinity:
+    """+oo, the value of a model at the root and on the blow-up locus; zero
+    and the positive values are ``Fraction``s."""
 
-    kind: str  # "zero" | "finite" | "infinite"
-    value: Optional[Fraction] = None
+    def __reduce__(self) -> str:
+        return "INFINITY"  # unpickles to the one instance
 
-    @staticmethod
-    def zero() -> "ExtValue":
-        return ExtValue("zero")
-
-    @staticmethod
-    def finite(value: Fraction) -> "ExtValue":
-        value = Fraction(value)
-        if value <= 0:
-            raise ValueError(f"finite values must be positive, got {value}")
-        return ExtValue("finite", value)
-
-    @staticmethod
-    def infinite() -> "ExtValue":
-        return ExtValue("infinite")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind == "infinite"
+    def __repr__(self) -> str:
+        return "INFINITY"
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        if self.is_infinite:
-            return "inf"
-        return str(self.value)
+        return "inf"
+
+
+INFINITY = _Infinity()
+
+_Value = Union[Fraction, _Infinity]
 
 
 # ---------------------------------------------------------------------------
@@ -148,30 +125,32 @@ def model_paintbox(model: GrowthModel) -> Paintbox:
     return Paintbox(intervals)
 
 
-def phi_tw(model: GrowthModel, v: Vertex) -> ExtValue:
+def phi_tw(model: GrowthModel, v: Vertex) -> _Value:
     """The semifinite harmonic evaluation at a vertex.
 
-    Zero off the coideal, infinite on every vertex fitting a reduced
-    template (the root included), and otherwise the product of section
-    coordinates against the section interval tuples.  One
-    :func:`~zigzag_harmonics.templates.place` call decides the three
-    cases and gives the coordinates of
+    ``Fraction(0)`` off the coideal, :data:`INFINITY` on every vertex
+    fitting a reduced template (the root included), and otherwise the
+    positive product of section coordinates against the section interval
+    tuples.  One :func:`~zigzag_harmonics.templates.place` call decides
+    the three cases and gives the coordinates of
     :func:`~zigzag_harmonics.templates.inject`.  Each section is valued
     on integer numerators, and the value is one ``Fraction`` of their
-    products.
+    products; a zero numerator there raises ``ValueError``.
     """
     if v is ROOT:
-        return ExtValue.infinite()
+        return INFINITY
     fits, cuts = place(model.template, v)
     if not fits:
-        return ExtValue.zero()
+        return Fraction(0)
     if cuts is None:
-        return ExtValue.infinite()
+        return INFINITY
     numerator = denominator = 1
     for (start, stop), intervals in zip(cuts, section_interval_tuples(model)):
         numerator *= eval_F_numerator(v.sub(start, stop), intervals)
         denominator *= intervals.denominator ** (stop - start + 1)
-    return ExtValue.finite(Fraction(numerator, denominator))
+    if not numerator:
+        raise ValueError("finite values must be positive, got 0")
+    return Fraction(numerator, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +362,10 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
         numerator = eval_F_numerator(w, w_eps)
         n_here = ((numerator & -numerator).bit_length() - 1) // b if numerator else None
         val = phi_tw(model, w)
-        if val.is_infinite:
+        if val is INFINITY:
             failures.append(f"{w}: infinite value above the marker word")
             continue
-        if val.is_zero:
+        if not val:
             vanishing.append((w, n_here))
             continue
         finite_points += 1
@@ -394,8 +373,8 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
             failures.append(f"{w}: zero expansion at a positive point")
             continue
         leading = (numerator >> n_here * b) & mask
-        const_here = Fraction(leading * val.value.denominator,
-                              w_eps.denominator ** (w.n + 1) * val.value.numerator)
+        const_here = Fraction(leading * val.denominator,
+                              w_eps.denominator ** (w.n + 1) * val.numerator)
         if n_seen is None:
             n_seen, const_seen = n_here, const_here
         else:
@@ -491,9 +470,9 @@ def check_approx_sequence(model: GrowthModel, target: BinaryWord,
         total = Fraction(0)
         for v, c in comb.coeffs.items():
             val = phi_tw(model, v)
-            if not val.is_finite:
+            if val is INFINITY or not val:
                 raise ValueError(f"combination touches non-finite vertex '{v}'")
-            total += c * val.value
+            total += c * val
         levels.append(dominates_search(target, comb, search_cap, within=within))
         values.append(total)
     increasing = all(x < y for x, y in zip(values, values[1:]))

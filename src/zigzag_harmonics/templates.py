@@ -81,6 +81,9 @@ class Template:
     # placement on first use
     _placement: Optional[tuple["Table", ...]] = field(
         default=None, init=False, repr=False, compare=False)
+    # filled by flange_and_sections on first use
+    _flange: Optional["FlangeDecomposition"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.clusters:
@@ -337,20 +340,18 @@ def flange_and_sections(t: Template) -> FlangeDecomposition:
     """Split t at its flange into maximal finite-template sections.
 
     For a finite template the flange is empty and the single section is
-    t itself.
+    t itself.  Built on first use and stored on t.
     """
-    def flange_word(clusters: tuple[Cluster, ...]) -> BinaryWord:
-        return BinaryWord.from_str("".join(c.sign * c.mult for c in clusters))
-
-    words: list[BinaryWord] = []
-    sections: list[Template] = []
-    start = 0
-    for lo, hi in _layout(t)[0]:
-        words.append(flange_word(t.clusters[start:lo]))
-        sections.append(Template(t.clusters[lo:hi]))
-        start = hi
-    words.append(flange_word(t.clusters[start:]))
-    return FlangeDecomposition(tuple(words), tuple(sections))
+    if t._flange is None:
+        spans = _layout(t)[0]
+        # the flange words lie between the sections: 0 to the first start,
+        # each end to the next start, the last end to len(t)
+        cuts = (0, *(i for span in spans for i in span), len(t))
+        words = tuple(BinaryWord.from_str("".join(c.sign * c.mult for c in t.clusters[lo:hi]))
+                      for lo, hi in zip(cuts[::2], cuts[1::2]))
+        sections = tuple(Template(t.clusters[lo:hi]) for lo, hi in spans)
+        object.__setattr__(t, "_flange", FlangeDecomposition(words, sections))
+    return t._flange
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ pass and ``paintbox.eval_F_numerator`` on each section coordinate.  The
 two share neither the greedy pass nor the transfer vector's bookkeeping
 across sections.
 
-``cover_sum`` adds values in [0, +oo] as ``ExtValue``s: the oracle of
-the integer cover sums that the semifinite suite compares with
-D * R(v).
+``value_kind`` names the kind of a value.  ``cover_sum`` adds values in [0, +oo], each a ``Fraction`` or
+``INFINITY``: the oracle of the integer cover sums that the semifinite
+suite compares with D * R(v).
 """
 
 from __future__ import annotations
@@ -19,17 +19,20 @@ from functools import partial
 from typing import Iterable
 
 from zigzag_harmonics import semifinite
-from zigzag_harmonics.semifinite import (ExtValue, GrowthModel, automaton_numerator,
+from zigzag_harmonics.semifinite import (INFINITY, GrowthModel, automaton_numerator,
                                          automaton_step, phi_tw)
 from zigzag_harmonics.words import BinaryWord, walk
 
 
-def automaton_value(a: semifinite.Automaton, state, n: int) -> ExtValue:
+def value_kind(val) -> str:
+    """zero, finite or infinite: which of the three a value is."""
+    return "infinite" if val is INFINITY else "finite" if val else "zero"
+
+
+def automaton_value(a: semifinite.Automaton, state, n: int):
     """The value the automaton reads off a state of a word of n symbols."""
     r = automaton_numerator(a, state)
-    if r is None:
-        return ExtValue.infinite()
-    return ExtValue.finite(Fraction(r, a.denominator ** (n - a.offset)))
+    return INFINITY if r is None else Fraction(r, a.denominator ** (n - a.offset))
 
 
 def automaton_mismatches(model: GrowthModel, n: int) -> list[BinaryWord]:
@@ -51,21 +54,16 @@ def automaton_mismatches(model: GrowthModel, n: int) -> list[BinaryWord]:
         if w.n + 1 < n:
             for bit in (0, 1):
                 child = BinaryWord(w.n + 1, w.bits | bit << w.n)
-                if step(state, bit) is None and not phi_tw(model, child).is_zero:
+                if step(state, bit) is None and phi_tw(model, child) != 0:
                     wrong.append(child)
     return wrong
 
 
-def cover_sum(values: Iterable[ExtValue]) -> ExtValue:
+def cover_sum(values: Iterable):
     """Sum in [0, +oo] of the values at the covers of a vertex.
 
     Any infinite term absorbs the sum; zero terms add nothing, so the
     covers off the coideal may be left out or summed alike.
     """
-    total = Fraction(0)
-    for val in values:
-        if val.is_infinite:
-            return ExtValue.infinite()
-        if val.is_finite:
-            total += val.value
-    return ExtValue.finite(total) if total else ExtValue.zero()
+    values = list(values)
+    return INFINITY if INFINITY in values else sum(values, Fraction(0))

@@ -11,7 +11,10 @@ Core claims:
       command decided it, with nothing on stderr
     - exit codes are 0 on success, 1 on verification failure, 2 on
       usage and parse errors, --opt=-- included, and a level at which a
-      suite cannot pass
+      suite cannot pass; by property test over the argv of every
+      subcommand but verify, with words of up to 12 symbols, and on
+      words of 600 symbols, only limit exits 1 and nothing escapes main;
+      a dim too deep for the recursive path count exits 2
     - error messages quote the word they name, the one-box word ''
       included
     - render works out the size of its picture exactly, before drawing
@@ -25,11 +28,15 @@ Core claims:
       integers, fractions and plain decimals are read exactly
 """
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from word_oracle import enumerate_level
 from zigzag_harmonics import (ROOT, BinaryWord, GrowthModel, Paintbox, level, member,
@@ -138,7 +145,7 @@ def test_eval_prints_exact_values_of_any_size(capsys, flag, text, word):
     code, out, err = run(capsys, "eval", flag, text, "--word", word)
     assert code == 0 and err == ""
     value = (phi_w(W(word), Paintbox.parse(text)) if flag == "--paintbox"
-             else phi_tw(GrowthModel.parse(text), W(word)).value)
+             else phi_tw(GrowthModel.parse(text), W(word)))
     numerator, denominator = out.strip().split("/")
     assert int(Decimal(numerator)) == value.numerator
     assert int(Decimal(denominator)) == value.denominator
@@ -401,6 +408,20 @@ def test_dim(capsys):
     assert (code, out.strip()) == (0, "2")
 
 
+def test_dim_past_the_recursion_depth_exits_2_with_one_line():
+    import subprocess
+    import sys
+
+    # words.dim recurses once per deleted symbol; the console script runs
+    # at the interpreter's default recursion limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "zigzag_harmonics.cli", "dim", "--word", "@",
+         "--to", "+-" * 300], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: path count to a word of 600 symbols "
+                           "too deep for the recursive dim\n")
+
+
 def test_product_json_round_trips(capsys):
     code, out, _ = run(capsys, "product", "--word", "", "--with", "",
                        "--format", "json")
@@ -636,3 +657,92 @@ def test_verify_is_deterministic_for_a_fixed_seed(capsys):
     second = run(capsys, "verify", "kerov-oracle", "--seed", "42",
                  "--level", "4", "--format", "json")
     assert content(first) == content(second)
+
+
+# -- the exit contract over drawn argv ---------------------------------------
+
+FUZZ_TEMPLATES = ("+* -1 +1 -*", "+1 -* +* -1 +*", "-1 +* -* +1 -* +* -* +1", "+*",
+                  "+1 -1", "+* +*", "+0 -*", "x", "", "--")
+FUZZ_MODELS = (*(str(m) for m in verify.EXAMPLE_MODELS.values()), "+* -1 +1 -* | w=1/2",
+               "+* -* | w=1/2,1/2", "+* -1 +* | w=1/2,1/2", "+1 -* | w=2", "+*", "--", "")
+FUZZ_PAINTBOXES = ("+1/3,-2/3", "+1/3,-1/6,+1/2", "-1", "+1/2,-1/3", "+1e9", "--", "")
+LONG_WORDS = ("+-" * 300, "+" * 600, "-" * 300 + "+" * 300)
+
+
+def exit_of(argv):
+    """main's exit code, argparse's included, and what it wrote to stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+    return code, err.getvalue()
+
+
+def argv_for(command, word, other, draw):
+    """An argv of the command, its words and choices drawn by ``draw``."""
+    pick = lambda options: draw(st.sampled_from(options))
+    if command == "render":
+        return pick([["render", f"--word={word}"], ["render", f"--template={pick(FUZZ_TEMPLATES)}"],
+                     ["render"]])
+    if command == "eval":
+        flag = pick([f"--model={pick(FUZZ_MODELS)}", f"--paintbox={pick(FUZZ_PAINTBOXES)}"])
+        return ["eval", f"--word={word}", flag]
+    if command == "covers":
+        return ["covers", f"--word={word}", *pick([[], ["--down"]])]
+    if command == "dim":
+        return ["dim", f"--word={other}", f"--to={word}"]
+    if command == "product":
+        return ["product", f"--word={other}", f"--with={word}",
+                *pick([[], ["--format=json"]])]
+    if command == "inject":
+        return ["inject", f"--template={pick(FUZZ_TEMPLATES)}", f"--word={word}"]
+    if command == "graph":
+        return ["graph", f"--level={draw(st.integers(-1, 6))}",
+                *pick([[], [f"--template={pick(FUZZ_TEMPLATES)}"],
+                       [f"--template={pick(FUZZ_TEMPLATES)}", "--ideal"], ["--ideal"]]),
+                f"--format={pick(['text', 'json', 'dot', 'csv'])}"]
+    return ["limit", f"--model={pick(FUZZ_MODELS)}", f"--level={draw(st.integers(-1, 10))}"]
+
+
+COMMANDS = ("render", "eval", "covers", "dim", "product", "inject", "graph", "limit")
+WORDS = st.one_of(st.text("+-", max_size=12), st.sampled_from(("@", "x", "+ -", "--")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(COMMANDS), WORDS, WORDS, st.data())
+def test_every_drawn_argv_keeps_the_exit_contract(command, word, other, data):
+    argv = argv_for(command, word, other, data.draw)
+    code, err = exit_of(argv)
+    assert code in ((0, 1, 2) if command == "limit" else (0, 2)), argv
+    if code == 2:
+        assert err.startswith(("error:", "usage:")) and "Traceback" not in err, (argv, err)
+    else:
+        assert err == "", argv
+
+
+# not drawn by hypothesis, which raises the recursion limit by 2,000
+# frames: under that limit words.dim on the alternating word recurses to
+# the bottom and then walks its memo for ever, instead of giving up at
+# once as at the interpreter's default
+@pytest.mark.parametrize("argv", [
+    ("render", "--word={}"),
+    ("eval", "--word={}", "--model=+* -1 +1 -* | w=1/3,2/3"),
+    ("eval", "--word={}", "--paintbox=+1/3,-2/3"),
+    ("covers", "--word={}"),
+    ("covers", "--word={}", "--down"),
+    ("dim", "--word=@", "--to={}"),
+    ("dim", "--word=+-", "--to={}"),
+    ("product", "--word=+", "--with={}"),
+    ("inject", "--template=+* -1 +1 -*", "--word={}"),
+], ids=lambda argv: "-".join(a.partition("=")[0].strip("-") for a in argv))
+@pytest.mark.parametrize("word", LONG_WORDS, ids=["alternating", "plus", "two-runs"])
+def test_a_word_of_600_symbols_keeps_the_exit_contract(argv, word):
+    argv = [a.format(word) for a in argv]
+    code, err = exit_of(argv)
+    assert code in (0, 2), argv[0]
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv[0], err)
+    else:
+        assert err == "", argv[0]

@@ -5,6 +5,10 @@ Core claims:
     - evaluations follow the worked step-model closed form and are
       zero / finite / infinite exactly off the coideal / on its finite
       part / on the blow-up locus (root included)
+    - a value is a Fraction or INFINITY, which prints inf and unpickles
+      to itself; its text is 0, inf or a reduced p/q on every word below
+      10 symbols of the three example models, and a zero section
+      numerator off the blow-up locus raises instead of printing 0
     - the harmonicity identity holds with extended arithmetic, at the
       point values and on the integer numerators of the suite's table
     - each model's automaton reads phi_tw's kind and value off every
@@ -32,6 +36,7 @@ Core claims:
 """
 
 import pickle
+import re
 import time
 from fractions import Fraction
 from functools import partial
@@ -42,10 +47,10 @@ from eps_oracle import EPS, EpsPoly, brute_eval, eps_intervals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_oracle import automaton_mismatches, cover_sum
+from model_oracle import automaton_mismatches, cover_sum, value_kind
 from template_oracle import alternating_templates, reduced_templates, template_regex
 from word_oracle import enumerate_level
-from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, ExtValue,
+from zigzag_harmonics import (EMPTY, INFINITY, ROOT, BinaryWord,
                               FormalCombination, GrowthModel, automaton,
                               automaton_numerator, automaton_step, build_w_eps,
                               check_approx_sequence, check_limit_formula,
@@ -64,12 +69,30 @@ F = Fraction
 
 # -- values and polynomials ---------------------------------------------------
 
-def test_ext_value_forms():
-    assert str(ExtValue.zero()) == "0"
-    assert str(ExtValue.finite(F(3, 7))) == "3/7"
-    assert str(ExtValue.infinite()) == "inf"
-    with pytest.raises(ValueError):
-        ExtValue.finite(F(0))
+def test_infinity_prints_inf_and_unpickles_to_itself():
+    assert str(INFINITY) == "inf" and repr(INFINITY) == "INFINITY"
+    assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
+
+
+def test_a_zero_section_numerator_off_the_locus_raises(monkeypatch):
+    # -+ is a finite point of the step model; 0 there would print as if
+    # the word were off the coideal
+    monkeypatch.setattr(semifinite, "eval_F_numerator", lambda w, intervals: 0)
+    with pytest.raises(ValueError, match="^finite values must be positive, got 0$"):
+        phi_tw(STEP_MODEL, W("-+"))
+
+
+def test_phi_tw_prints_zero_inf_or_a_reduced_fraction():
+    # the text that a reader of `zigzag eval --model` parses
+    for model in EXAMPLE_MODELS.values():
+        assert str(phi_tw(model, ROOT)) == "inf"
+        for w in words_below(10):
+            text = str(phi_tw(model, w))
+            assert re.fullmatch(r"0|inf|[1-9][0-9]*(/[1-9][0-9]*)?", text), (model, w, text)
+            if "/" in text:
+                value = Fraction(text)  # reduced, so equal texts mean a reduced text
+                assert text == f"{value.numerator}/{value.denominator}", (model, w, text)
+                assert value.denominator > 1, (model, w, text)
 
 
 def test_eps_poly_arithmetic():
@@ -125,12 +148,13 @@ def test_step_closed_form():
     for n in range(4):
         for m in range(4):
             v = W("+" * n + "-+" + "-" * m)
-            assert phi_tw(STEP_MODEL, v) == ExtValue.finite(
-                w1 ** (n + 1) * w2 ** (m + 1))
-    assert phi_tw(STEP_MODEL, W("++--")) == ExtValue.infinite()
-    assert phi_tw(STEP_MODEL, W("-++")) == ExtValue.zero()
-    assert phi_tw(STEP_MODEL, ROOT) == ExtValue.infinite()
-    assert phi_tw(STEP_MODEL, EMPTY) == ExtValue.infinite()
+            value = phi_tw(STEP_MODEL, v)
+            assert type(value) is Fraction and value == w1 ** (n + 1) * w2 ** (m + 1)
+    assert phi_tw(STEP_MODEL, W("++--")) is INFINITY
+    value = phi_tw(STEP_MODEL, W("-++"))
+    assert type(value) is Fraction and value == 0
+    assert phi_tw(STEP_MODEL, ROOT) is INFINITY
+    assert phi_tw(STEP_MODEL, EMPTY) is INFINITY
 
 
 def test_phi_tw_kind_matches_the_regex_oracle():
@@ -142,12 +166,12 @@ def test_phi_tw_kind_matches_the_regex_oracle():
         t = model.template
         fits = template_regex(t)
         blown = [template_regex(r) for r in reduced_templates(t)]
-        assert phi_tw(model, ROOT).is_infinite
+        assert phi_tw(model, ROOT) is INFINITY
         for w in words_below(11):
             text = str(w)
             kind = ("zero" if not fits.fullmatch(text) else
                     "infinite" if any(r.fullmatch(text) for r in blown) else "finite")
-            assert phi_tw(model, w).kind == kind, (model, w)
+            assert value_kind(phi_tw(model, w)) == kind, (model, w)
 
 
 def test_the_table_refuses_a_negative_cap_at_entry():
@@ -441,7 +465,7 @@ def test_ring_identity_hand_worked_instance():
     # coideal; the survivors recombine to w1^2 w2 + w1 w2^2 = w1 w2.
     w1, w2 = STEP_MODEL.weights
     lhs = w1 ** 2 * w2 + w1 * w2 ** 2
-    assert lhs == phi_tw(STEP_MODEL, W("-+")).value
+    assert lhs == phi_tw(STEP_MODEL, W("-+"))
     assert ring_identity_failures(STEP_MODEL, (EMPTY,), (W("-+"),)) == []
 
 
@@ -498,10 +522,10 @@ def test_product_form_matches_coproduct_evaluator():
         tuples = section_interval_tuples(model)
         for length in range(10):
             for w in enumerate_level(length):
-                if not member(t, w) or phi_tw(model, w).kind != "finite":
+                if value_kind(phi_tw(model, w)) != "finite":
                     continue
                 parts = inject(t, w)
                 value = F(1)
                 for part, u in zip(parts, tuples):
                     value *= eval_F_coproduct(part, u)
-                assert phi_tw(model, w) == ExtValue.finite(value), (model, w)
+                assert phi_tw(model, w) == value, (model, w)

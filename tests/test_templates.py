@@ -5,7 +5,8 @@ Core claims:
     - finiteness classification matches the worked pair of examples
     - membership agrees with brute-force chunk assignment, exhaustively
       on small words and by property tests on random templates
-    - flange words and sections reproduce the worked decompositions
+    - flange words and sections reproduce the worked decompositions, and
+      inject_all builds a template's decomposition once, stored on it
     - reductions (built by the test oracle) come from flange clusters
       only; the capped template reduces to its bare section (so its
       blow-up locus is one coideal)
@@ -52,6 +53,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxblock_oracle import maxblock_member
+from model_oracle import value_kind
 from template_oracle import (alternating_templates, inject_by_reduction, is_flange,
                              locus_by_reduction, reduced_templates, single_generator_word,
                              template_regex)
@@ -205,6 +207,24 @@ def test_flange_of_finite_template_is_empty():
     assert fd.sections == (t,)
 
 
+def test_inject_all_builds_the_decomposition_once(monkeypatch):
+    built = []
+    real = templates.FlangeDecomposition
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(templates, "FlangeDecomposition", counted)
+    t = parse_template(str(BRACKETED))  # fresh: nothing stored on it yet
+    for w in words_below(10):
+        inject_all(t, w)
+    assert len(built) == 1
+    monkeypatch.undo()
+    copy = pickle.loads(pickle.dumps(t))  # the stored decomposition is data
+    assert copy == t and copy._flange == flange_and_sections(t)
+
+
 # -- reductions and the blow-up locus ----------------------------------------
 
 def test_reduced_templates():
@@ -353,7 +373,7 @@ def test_placement_takes_a_few_integer_steps_per_cluster_on_long_words():
         calls = [(lambda: member(t, w), fits), (lambda: member_J(t, w), blown),
                  (lambda: inject(t, w), coords)]
         if kind is not None:
-            calls.append((lambda: phi_tw(model, w).kind, kind))
+            calls.append((lambda: value_kind(phi_tw(model, w)), kind))
         for call, expected in calls:
             before = w.bits.ops
             try:

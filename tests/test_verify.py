@@ -53,7 +53,7 @@ from fractions import Fraction
 from model_oracle import cover_sum
 from template_oracle import template_regex
 from word_oracle import enumerate_level
-from zigzag_harmonics import (BinaryWord, ExtValue, GrowthModel, member, on_locus,
+from zigzag_harmonics import (INFINITY, BinaryWord, GrowthModel, member, on_locus,
                               paintbox, phi_tw, placement, product_F, qsym, semifinite,
                               upper_covers, verify, walk, words, words_below)
 from zigzag_harmonics.verify import (CAPPED_MODEL, EXAMPLE_MODELS, STEP_MODEL, run_suite,
@@ -335,14 +335,14 @@ def test_a_wrong_value_at_a_base_word_fails_approx_sequence(monkeypatch):
     def value(model, v):
         val = real(model, v)
         if model is STEP_MODEL and v == W("+-+-"):
-            return ExtValue.finite(2 * val.value)
+            return 2 * val
         return val
 
     monkeypatch.setattr(semifinite, "phi_tw", value)
     report = run_suite("approx-sequence", level=4)
     assert not report.ok
     assert [line for line in report.lines if line.startswith("values under ")] == [
-        "values under ++-- are " + str(tuple(2 * n * real(STEP_MODEL, W("+-+-")).value
+        "values under ++-- are " + str(tuple(2 * n * real(STEP_MODEL, W("+-+-"))
                                             for n in range(1, 5)))]
 
 
@@ -411,8 +411,7 @@ def test_the_semifinite_table_is_the_point_api():
 
         def value(w):
             r = levels[w.n][w.bits]
-            return (ExtValue.infinite() if r is None
-                    else ExtValue.finite(Fraction(r, denominator ** (w.n - a.offset))))
+            return INFINITY if r is None else Fraction(r, denominator ** (w.n - a.offset))
 
         for length in range(10):
             assert sorted(levels[length]) == sorted(w.bits for w in enumerate_level(length)
@@ -429,10 +428,10 @@ def test_the_semifinite_table_is_the_point_api():
                 numerators = [levels[length + 1][c.bits] for c in covers]
                 total = cover_sum(phi_tw(model, c) for c in upper_covers(w))
                 if None in numerators:
-                    assert total.is_infinite, (model, w)
+                    assert total is INFINITY, (model, w)
                 else:
-                    assert total == ExtValue.finite(Fraction(
-                        sum(numerators), denominator ** (length + 1 - a.offset))), (model, w)
+                    assert total == Fraction(
+                        sum(numerators), denominator ** (length + 1 - a.offset)), (model, w)
 
 
 def spoiled_table(monkeypatch, spoil):
@@ -465,7 +464,7 @@ def test_a_wrong_finite_value_breaks_semifinite_harmonicity(monkeypatch):
         levels[3][W("-+-").bits] *= 2
 
     spoiled_table(monkeypatch, spoil)
-    spoiled_phi_tw(monkeypatch, W("-+-"), lambda val: ExtValue.finite(2 * val.value))
+    spoiled_phi_tw(monkeypatch, W("-+-"), lambda val: 2 * val)
     report = run_suite("semifinite", level=6)
     assert not report.ok
     assert "step: not harmonic at -+-" in report.lines
@@ -614,8 +613,8 @@ def test_the_ring_identity_fails_on_a_mixture_of_two_models():
 
     def value(model, v):
         val = phi_tw(model, v)
-        assert not val.is_infinite, (model, v)
-        return val.value if val.is_finite else 0
+        assert val is not INFINITY, (model, v)
+        return val
 
     moving = []
     for a in words_below(3):
