@@ -9,12 +9,12 @@ from .semifinite import (INFINITY, ApproxReport, Automaton, GrowthModel,
                          automaton_step, build_w_eps, check_approx_sequence,
                          check_limit_formula, model_paintbox, phi_tw,
                          ring_identity_failures, section_interval_tuples)
-from .templates import (Cluster, FlangeDecomposition, Template,
+from .templates import (Cluster, FlangeDecomposition, Template, compile_placement,
                         flange_and_sections, inject, inject_all,
                         is_finite_template, member, member_J,
                         minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
-from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, FormalCombination,
+from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, Explorer, FormalCombination,
                     composition_of_word, cover_sums, dim, dominates_search,
                     is_subword, level, lower_covers, parse_vertex, subword_step,
                     upper_cover_bits, upper_covers, walk, words_below)

@@ -30,10 +30,10 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .paintbox import (IntervalTuple, Paintbox, eval_F_numerator, parse_rational,
                        template_of_intervals, transfer)
 from .qsym import DEGREE_CAP, shuffle_counts
-from .templates import (State, Table, Template, _layout, _placement_tables,
-                        is_finite_template, member, member_J, minimal_maxblock_word,
-                        on_locus, parse_template, place, placement, placement_step)
-from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination,
+from .templates import (Template, _layout, compile_placement, is_finite_template, member,
+                        member_J, minimal_maxblock_word, on_locus, parse_template, place,
+                        placement)
+from .words import (LEVEL_CAP, ROOT, BinaryWord, Explorer, FormalCombination,
                     Vertex, dominates_search, level, subword_step, walk)
 
 
@@ -157,10 +157,10 @@ def phi_tw(model: GrowthModel, v: Vertex) -> _Value:
 # The weighted automaton
 # ---------------------------------------------------------------------------
 
-#: a word's placement state in the template, the index of the open
-#: section, that section's transfer vector and the product of the
-#: closed sections' numerators
-ModelState = tuple[State, int, Sequence[int], int]
+#: a word's placement state in the template (an id of its placement
+#: automaton), the index of the open section, that section's transfer
+#: vector and the product of the closed sections' numerators
+ModelState = tuple[int, int, Sequence[int], int]
 
 
 class Automaton(NamedTuple):
@@ -179,9 +179,11 @@ class Automaton(NamedTuple):
     """
 
     start: ModelState
-    placement: tuple[Table, ...]
-    # per placement code modulo twice the cluster count: the section of
-    # the cluster that took the last symbol, 0 on the flange
+    # the template's placement automaton, shared with its walks: a state
+    # is one table read from its parent, and its label is the cluster
+    # that took the last symbol
+    placement: Explorer
+    # per cluster: its section, 0 on the flange
     sections: tuple[int, ...]
     # per section, the intervals each symbol bit keeps and the lengths
     # scaled by D, as paintbox.transfer takes them
@@ -197,8 +199,9 @@ class Automaton(NamedTuple):
 def automaton(model: GrowthModel) -> Automaton:
     """The model's weighted automaton, compiled on first use and stored on it.
 
-    Its step, :func:`automaton_step`, runs the template's placement step
-    and follows the cluster that takes each symbol.  A flange cluster
+    Its step, :func:`automaton_step`, reads the template's placement
+    automaton and follows the cluster that takes each symbol, the label
+    of the state it reaches.  A flange cluster
     leaves the transfer vector alone.  A later section closes the open
     one to its sum, multiplies in the total of each section skipped
     whole, and opens with its own lengths; a section's symbol updates
@@ -214,37 +217,37 @@ def automaton(model: GrowthModel) -> Automaton:
         totals = [sum(scaled) for scaled in lengths]
         skipped = tuple(tuple(prod(totals[s + 1:e]) for e in range(len(totals) + 1))
                         for s in range(len(totals)))
-        section_of = [0] * (2 * len(t))
+        section_of = [0] * len(t)
         for s, (lo, hi) in enumerate(spans, 1):
-            for i in range(lo, hi):
-                section_of[2 * i] = s
+            section_of[lo:hi] = [s] * (hi - lo)
+        p = compile_placement(t)
         object.__setattr__(model, "_automaton", Automaton(
-            (placement(t)[0], 0, lengths[0], 1), _placement_tables(t), tuple(section_of),
-            keeps, lengths, skipped, denominator,
+            (p.start, 0, lengths[0], 1), p, tuple(section_of), keeps, lengths, skipped, denominator,
             sum(t.clusters[i].mult for i in flange) - len(spans)))
     return model._automaton
 
 
 def automaton_step(a: Automaton, state: ModelState, bit: int) -> Optional[ModelState]:
     """A word's state from its parent's and its last symbol; None off the coideal."""
-    codes, section, vec, closed = state
-    codes = placement_step(a.placement, codes, bit)
-    if codes is None:
+    at, section, vec, closed = state
+    p = a.placement
+    at = p.step(at, bit)
+    if at is None:
         return None
-    to = a.sections[codes[0] % len(a.sections)]
+    to = a.sections[p.labels[at]]
     if not to:
-        return codes, section, vec, closed
+        return at, section, vec, closed
     if to != section:
         closed *= sum(vec) * a.skipped[section][to]
         section, vec = to, a.lengths[to]
-    return codes, section, transfer(a.keeps[section], a.lengths[section], vec, bit, 1), closed
+    return at, section, transfer(a.keeps[section], a.lengths[section], vec, bit, 1), closed
 
 
 def automaton_numerator(a: Automaton, state: ModelState) -> Optional[int]:
     """R, with phi_tw = R / D^(n - F + k) at a word of n symbols in the
     coideal; None on the blow-up locus."""
-    codes, section, vec, closed = state
-    return None if on_locus(codes) else closed * sum(vec) * a.skipped[section][-1]
+    at, section, vec, closed = state
+    return None if on_locus(at) else closed * sum(vec) * a.skipped[section][-1]
 
 
 def semifinite_table(model: GrowthModel, cap: int

@@ -24,15 +24,23 @@ coideal), so :func:`place` decides the locus without building one.
 One greedy forward loop, :func:`_greedy`, decides membership; run by
 :func:`place` it also gives where each cluster's chunk starts, so
 :func:`member`, :func:`member_J`, :func:`inject` and the semifinite
-evaluation all run the same code.  :func:`placement` compiles it into
-a one-symbol step, so a walk places each word from its parent's state,
-with the reduced templates' states alongside.  The mirror-image pass
-from the end gives the least position from which the later clusters
-fit; a flange cluster can be left one symbol short exactly when that
-position lies less than its multiplicity past the start of its chunk.
-Off the locus every flange chunk is full, so the greedy chunks, joined
-per section, are the section coordinates; the search over every
-splitting is left to :func:`inject_all`, the uniqueness oracle.
+evaluation all run the same code: the point route.  The mirror-image
+pass from the end gives the least position from which the later
+clusters fit; a flange cluster can be left one symbol short exactly
+when that position lies less than its multiplicity past the start of
+its chunk.  Off the locus every flange chunk is full, so the greedy
+chunks, joined per section, are the section coordinates; the search
+over every splitting is left to :func:`inject_all`, the uniqueness
+oracle.
+
+Walks take the other route.  :func:`compile_placement` turns the greedy
+pass, one symbol at a time in t and in each reduced template at once,
+into a finite automaton: its states are numbered as walks first reach
+them, each carries its blow-up locus flag and the cluster that took the
+last symbol, and a step is one table read, so a walk places each word
+from its parent's state (:func:`placement`, :func:`on_locus`).  The
+placement of the example templates has 5 to 24 states, and a walk of n
+symbols numbers no state beyond n symbols.
 
 Grammar: whitespace-separated tokens, each a sign followed by a
 positive integer or '*' for an infinite multiplicity, e.g.
@@ -45,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional
 
-from .words import MINUS, PLUS, BinaryWord
+from .words import MINUS, PLUS, BinaryWord, Explorer
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +85,9 @@ class Template:
     # flange cluster indices; filled by _layout on first use
     _layout: Optional[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = field(
         default=None, init=False, repr=False, compare=False)
-    # the placement tables of t and of each reduced template; filled by
-    # placement on first use
-    _placement: Optional[tuple["Table", ...]] = field(
+    # the placement automaton of t and its reduced templates; made by
+    # compile_placement on first use, and grows as walks reach new states
+    _placement: Optional[Explorer] = field(
         default=None, init=False, repr=False, compare=False)
     # filled by flange_and_sections on first use
     _flange: Optional["FlangeDecomposition"] = field(
@@ -251,13 +259,14 @@ def member_J(t: Template, w: BinaryWord) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The placement step: the greedy pass one symbol at a time
+# The placement automaton: the greedy pass one symbol at a time
 # ---------------------------------------------------------------------------
 
 #: the greedy position in t, then in each reduced template (None once the
 #: word leaves it); a position, c symbols taken by cluster i of k, is the
-#: code c * 2k + 2i, with c kept at 0 on an infinite cluster
-State = tuple[Optional[int], ...]
+#: code c * 2k + 2i, with c kept at 0 on an infinite cluster.  The key of
+#: a placement state, read only while the state is numbered
+Codes = tuple[Optional[int], ...]
 Table = tuple[tuple[int, int, Optional[int]], ...]
 
 
@@ -282,21 +291,13 @@ def _table(bits: list[int], mults: list[Optional[int]]) -> Table:
     return tuple(rows)
 
 
-def _placement_tables(t: Template) -> tuple[Table, ...]:
-    """The placement tables of t and of each reduced template, compiled on
-    first use and stored on t."""
-    if t._placement is None:
-        bits, mults = [bit for bit, _ in t._runs], [mult for _, mult in t._runs]
-        object.__setattr__(t, "_placement", (_table(bits, mults), *(
-            _table(bits, mults[:f] + [mults[f] - 1] + mults[f + 1:]) for f in _layout(t)[1])))
-    return t._placement
-
-
-def placement_step(tables: tuple[Table, ...], state: State, bit: int) -> Optional[State]:
-    """A word's :data:`State` from its parent's and its last symbol, read
-    off t's placement tables; None off t's coideal."""
+def _codes_step(tables: tuple[Table, ...], codes: Codes, bit: int) -> Optional[Codes]:
+    """A word's :data:`Codes` from its parent's and its last symbol, read
+    off the tables of t and of its reduced templates; None off t's
+    coideal.  O(1 + flange) integer operations whatever the
+    multiplicities."""
     size, out = len(tables[0]), []  # two rows per cluster
-    for code, table in zip(state, tables):
+    for code, table in zip(codes, tables):
         if code is not None:
             bound, delta, jump = table[code % size + bit]
             code = code + delta if code < bound else jump
@@ -304,19 +305,47 @@ def placement_step(tables: tuple[Table, ...], state: State, bit: int) -> Optiona
     return None if out[0] is None else tuple(out)  # reduced coideals lie in t's
 
 
-def placement(t: Template) -> tuple[State, Callable[[State, int], Optional[State]]]:
-    """The empty word's :data:`State` in t, and the step that gives a word's
-    state from its parent's and its last symbol (None off t's coideal),
-    for :func:`~zigzag_harmonics.words.walk`.  A step makes O(1 + flange)
-    integer operations whatever the multiplicities.  The tables are
-    compiled on first use and stored on t."""
-    tables = _placement_tables(t)
-    return (0,) * len(tables), partial(placement_step, tables)
+def _codes_note(size: int, codes: Codes) -> tuple[int, int]:
+    """A placement state's flag, 1 on the blow-up locus (some reduced
+    template still holds the word), and its label, the cluster whose
+    greedy chunk took the word's last symbol."""
+    return int(codes.count(None) < len(codes) - 1), codes[0] % size // 2
 
 
-def on_locus(state: State) -> bool:
-    """True iff the word with this placement state fits a reduced template."""
-    return state.count(None) < len(state) - 1
+def compile_placement(t: Template) -> Explorer:
+    """t's placement automaton: the placement states of t and its reduced
+    templates that words reach, numbered by an
+    :class:`~zigzag_harmonics.words.Explorer` as walks first reach them,
+    each flagged 1 on the blow-up locus and labelled with the cluster that
+    took the last symbol.  Made on first use and stored on t; the tables
+    behind it are compiled then, and a state is numbered, and its codes
+    stepped, only when a walk first asks for it, so a walk of n symbols
+    explores no state beyond n symbols.  ``+100000000 -* +* -1 +*``
+    compiles to tables the size of those of ``+1 -* +* -1 +*``, and its
+    states count the symbols its first cluster took, as many as the walk
+    is long."""
+    if t._placement is None:
+        bits, mults = [bit for bit, _ in t._runs], [mult for _, mult in t._runs]
+        tables = (_table(bits, mults), *(
+            _table(bits, mults[:f] + [mults[f] - 1] + mults[f + 1:]) for f in _layout(t)[1]))
+        object.__setattr__(t, "_placement", Explorer(
+            (0,) * len(tables), partial(_codes_step, tables), partial(_codes_note, 2 * len(t))))
+    return t._placement
+
+
+def placement(t: Template) -> tuple[int, Callable[[int, int], Optional[int]]]:
+    """The empty word's placement state in t, and the step that gives a
+    word's state from its parent's and its last symbol (None off t's
+    coideal), for :func:`~zigzag_harmonics.words.walk`: one table read of
+    :func:`compile_placement`'s automaton once the state is known."""
+    p = compile_placement(t)
+    return p.start, p.step
+
+
+def on_locus(at: int) -> bool:
+    """True iff the word with this placement state fits a reduced template:
+    the flag in the state's low bit."""
+    return at & 1 == 1
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .semifinite import (Automaton, GrowthModel, ModelState, automaton,
 from .templates import (flange_and_sections, inject_all, member, member_J,
                         minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
-from .words import (LEVEL_CAP, ROOT, BinaryWord, FormalCombination, Vertex,
+from .words import (LEVEL_CAP, ROOT, BinaryWord, Explorer, FormalCombination, Vertex,
                     cover_sums, dim, lower_covers, subword_step, upper_cover_bits,
                     upper_covers, walk, words_below)
 from .words import level as vertex_level
@@ -274,13 +274,16 @@ def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
     minimal: list[BinaryWord] = []
     # every check below holds trivially outside the union of the three
     # coideals; the section's own is in it so that leaving capped shows.
-    # One walk carries each word's placements in the three templates (None
-    # off a coideal) and how much of gen, g1 and g2 it holds as a subword
+    # A product state holds a word's placements in the three templates
+    # (None off a coideal) and how much of gen, g1 and g2 it holds as a
+    # subword, and every check reads only that state, so an explorer
+    # numbers the product states and checks each once, and the walk's step
+    # is one table read
     (capped_start, capped_step), (section_start, section_step), (b_start, b_step) = (
         placement(capped), placement(section), placement(bracketed))
 
-    def step(state: tuple, bit: int) -> Optional[tuple]:
-        at_capped, at_section, at_b, held, held1, held2 = state
+    def advance(key: tuple, bit: int) -> Optional[tuple]:
+        at_capped, at_section, at_b, held, held1, held2 = key
         at_capped = at_capped and capped_step(at_capped, bit)
         at_section = at_section and section_step(at_section, bit)
         at_b = at_b and b_step(at_b, bit)
@@ -289,24 +292,35 @@ def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
         return (at_capped, at_section, at_b, subword_step(gen, held, bit),
                 subword_step(g1, held1, bit), subword_step(g2, held2, bit))
 
-    start = (capped_start, section_start, b_start, 0, 0, 0)
-    for w, (at_capped, at_section, at_b, held, held1, held2) in walk(
-            max_symbols + 1, start, step):
+    def checks(key: tuple) -> tuple[int, tuple[tuple[str, ...], bool]]:
+        """The identities a product state breaks, and whether its words
+        are finite points of the bracketed template."""
+        at_capped, at_section, at_b, held, held1, held2 = key
         in_capped, in_section = at_capped is not None, at_section is not None
+        broken = []
         # the capped blow-up locus is the bare section's coideal
         if (in_capped and on_locus(at_capped)) != in_section:
-            failures.append(f"capped blow-up locus differs from the section at {w}")
+            broken.append("capped blow-up locus differs from the section")
         above_gen = in_capped and held == gen.n
         if in_capped != (in_section or above_gen):
-            failures.append(f"capped split fails at {w}")
+            broken.append("capped split fails")
         if in_section and not in_capped:
-            failures.append(f"section coideal leaves the capped coideal at {w}")
+            broken.append("section coideal leaves the capped coideal")
         if in_section and above_gen:
-            failures.append(f"capped split overlaps at {w}")
-
+            broken.append("capped split overlaps")
         finite_b = at_b is not None and not on_locus(at_b)
         if finite_b != (at_b is not None and (held1 == g1.n or held2 == g2.n)):
-            failures.append(f"bracketed two-generator identity fails at {w}")
+            broken.append("bracketed two-generator identity fails")
+        return 0, (tuple(broken), finite_b)
+
+    product = Explorer((capped_start, section_start, b_start, 0, 0, 0), advance, checks)
+    # the words of at most max_symbols + 1 symbols, one past the scan,
+    # tell whether the scan's states are closed under the step
+    closed = product.explore(max_symbols + 1)
+    labels = product.labels
+    for w, at in walk(max_symbols + 1, product.start, product.step):
+        broken, finite_b = labels[at]
+        failures.extend(f"{check} at {w}" for check in broken)
         if finite_b and len(w) == len(g1):
             minimal.append(w)
     if sorted(map(str, minimal)) != sorted([str(g1), str(g2)]):
@@ -320,8 +334,22 @@ def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
         if not (member(bracketed, w) and member_J(bracketed, w)):
             failures.append(f"common lower cover {w} escapes the blow-up locus")
 
-    return [f"both identities exhaustive to {max_symbols} symbols; "
-            f"bracketed ideal has {len(minimal)} minimal elements"], failures
+    # a word of any length reaches one of the explored states; when they
+    # are closed and none breaks an identity, both hold at every level
+    states = product.ids.values()
+    breaking = sum(1 for at in states if labels[at][0])
+    lines = [f"both identities exhaustive to {max_symbols} symbols; "
+             f"bracketed ideal has {len(minimal)} minimal elements"]
+    if breaking:
+        failures.append(f"not certified: {breaking} of {len(states)} product states "
+                        "break an identity")
+    elif closed:
+        lines.append(f"both identities certified at every level over {len(states)} "
+                     "product states")
+    else:
+        lines.append(f"not certified: {len(states)} product states by {max_symbols + 1} "
+                     "symbols, and still growing")
+    return lines, failures
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +409,8 @@ def suite_injection(cap: int, _seed: Optional[int]) -> Checks:
 
 @_suite("semifinite", 10, 0, LEVEL_CAP + 1)
 def suite_semifinite(cap: int, _seed: Optional[int]) -> Checks:
-    # The automaton's kind, read off its placement tables, is compared
-    # with place's greedy pass, independent code.  A word wrongly valued
+    # The automaton's kind, read off the template's placement automaton,
+    # is compared with place's greedy pass, independent code.  A word wrongly valued
     # zero shows only in a cover sum below it; the tests check zeros by
     # regex.  A cover's denominator has one more factor D, so harmonicity
     # is D * R(v) == sum of R over the covers, an infinite one absorbing it.

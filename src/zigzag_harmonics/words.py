@@ -11,11 +11,13 @@ down means deleting one symbol (subword order).
 Words are stored packed: ``bits`` holds one bit per symbol, 0 for '+'
 and 1 for '-', least significant bit first.  Appending a symbol sets one
 bit, and words are cheap to hash and compare in the path-count memo.
-Everything here is immutable and safe to use from several threads.
+Everything here but an :class:`Explorer`'s numbering, which only grows,
+is immutable, and all of it is safe to use from several threads.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -389,3 +391,123 @@ def subword_step(a: BinaryWord, held: int, bit: int) -> int:
     subsequence once it gains symbol ``bit``, from ``held`` before; a is
     a subword of w exactly when stepping along w ends at ``a.n``."""
     return held + 1 if held < a.n and (a.bits >> held) & 1 == bit else held
+
+
+# ---------------------------------------------------------------------------
+# Numbered states
+# ---------------------------------------------------------------------------
+
+#: held while an explorer numbers a state, so that threads walking one
+#: explorer agree on its ids; reading a known step takes no lock.  An
+#: explorer's ``advance`` may step another explorer, hence reentrant
+_NUMBERING = threading.RLock()
+
+
+class Explorer:
+    """The states a one-symbol step reaches from a start, numbered as they
+    are first reached, and the step between them as one table.
+
+    ``advance(key, bit)`` gives a state's key, any hashable value, from
+    its parent's and its last symbol, or None to prune; ``note(key)``
+    gives the state's flag, 0 or 1, and its label.  The n-th state
+    reached gets the id 2n + flag, so no id is 0 (``at and step(at,
+    bit)`` reads a falsy ``at`` as pruned) and an id's low bit is its
+    flag; ``keys[id]`` and ``labels[id]`` hold its key and label, and
+    ``ids`` maps each key to its id.  ``table[2 * id + bit]`` holds the
+    child's id, None where ``advance`` prunes, and ``...`` until a step
+    first asks for it: :meth:`step` is one table read, ``advance`` runs
+    once per transition, and a walk of n symbols numbers only the states
+    of its words.  The explorer is data when ``advance`` and ``note`` are
+    (a module function or a ``partial`` of one), so it pickles, and two
+    explorers that numbered the same states compare equal.
+    """
+
+    __slots__ = ("start", "table", "keys", "labels", "ids", "advance", "note")
+
+    def __init__(self, start: Any, advance: Callable[[Any, int], Any],
+                 note: Callable[[Any], tuple[int, Any]]) -> None:
+        self.advance, self.note = advance, note
+        self.table: list = [None] * 4  # ids 0 and 1 are no state
+        self.keys: list = [None, None]
+        self.labels: list = [None, None]
+        self.ids: dict = {}
+        self.start = self._number(start)
+
+    def _number(self, key: Any) -> int:
+        flag, label = self.note(key)
+        at = len(self.keys) | flag
+        # two slots per state, of which its id uses one, and a table row
+        # per slot; the id is handed out only once both are in place
+        self.keys += (key, key)
+        self.labels += (label, label)
+        self.table += (...,) * 4
+        self.ids[key] = at
+        return at
+
+    def step(self, at: int, bit: int) -> Optional[int]:
+        """The id of the state one symbol ``bit`` past state ``at``; None if pruned."""
+        child = self.table[2 * at + bit]
+        if child is ...:
+            child = self._advance(at, bit)
+        return child
+
+    def _advance(self, at: int, bit: int) -> Optional[int]:
+        with _NUMBERING:
+            child = self.table[2 * at + bit]
+            if child is ...:  # no other thread got here first
+                key = self.advance(self.keys[at], bit)
+                child = None if key is None else self.ids.get(key) or self._number(key)
+                self.table[2 * at + bit] = child
+            return child
+
+    def explore(self, n: int) -> bool:
+        """Step every state that a word of fewer than n symbols reaches, so
+        that every state of a word of at most n symbols is numbered; True
+        iff the states of the shorter words are closed under the step, and
+        so are all the states that words of any length reach.  n is capped
+        like a walk's, at ``LEVEL_CAP + 1``."""
+        check_word_bound(n)
+        seen = {self.start}
+        layer = [self.start]
+        for _ in range(n):
+            ahead = []
+            for at in layer:
+                for bit in (0, 1):
+                    child = self.step(at, bit)
+                    if child is not None and child not in seen:
+                        seen.add(child)
+                        ahead.append(child)
+            if not ahead:
+                return True
+            layer = ahead
+        return False
+
+    def distances(self, flag: int) -> dict[int, int]:
+        """Per numbered state, the fewest symbols that lead from it to a
+        state with this flag over the steps known so far; a state from
+        which none is known is left out.  One breadth-first pass back from
+        the flagged states, the fixed point of d(s) = 1 + min d(child)."""
+        with _NUMBERING:
+            states, table = list(self.ids.values()), self.table[:]
+        parents: dict[int, list[int]] = {at: [] for at in states}
+        for at in states:
+            for child in table[2 * at:2 * at + 2]:
+                if type(child) is int:
+                    parents[child].append(at)
+        far = {at: 0 for at in states if at & 1 == flag}
+        layer = list(far)
+        while layer:
+            ahead = []
+            for child in layer:
+                for at in parents[child]:
+                    if at not in far:
+                        far[at] = far[child] + 1
+                        ahead.append(at)
+            layer = ahead
+        return far
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Explorer)
+                and (self.keys, self.table) == (other.keys, other.table))
+
+    __hash__ = None  # type: ignore[assignment]

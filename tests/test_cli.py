@@ -6,15 +6,19 @@ Core claims:
     - graph prints the same text, json and dot as a reference that
       sorts each vertex's covers by their strings, empty ideals included,
       and a planted fault in the placement step breaks that and the
-      coideal-identities suite
+      coideal-identities suite, its scan and its certificate; with
+      --ideal the walk keeps only the words below a listed one, and
+      lists exactly the finite words of the full walk
     - a reader that closes the output early leaves the exit code as the
       command decided it, with nothing on stderr
     - exit codes are 0 on success, 1 on verification failure, 2 on
       usage and parse errors, --opt=-- included, and a level at which a
       suite cannot pass; by property test over the argv of every
       subcommand but verify, with words of up to 12 symbols, and on
-      words of 600 symbols, only limit exits 1 and nothing escapes main;
-      a dim too deep for the recursive path count exits 2
+      words of 600 symbols, drawn and one per command, only limit exits
+      1 and nothing escapes main; dim refuses a word above 20 symbols
+      with exit 2 by its length, before any work, whatever the
+      recursion limit
     - error messages quote the word they name, the one-box word ''
       included
     - render works out the size of its picture exactly, before drawing
@@ -39,9 +43,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from word_oracle import enumerate_level
+from template_oracle import alternating_templates
 from zigzag_harmonics import (ROOT, BinaryWord, GrowthModel, Paintbox, level, member,
-                              member_J, parse_template, parse_vertex, phi_tw, phi_w,
-                              upper_covers, words_below)
+                              member_J, on_locus, parse_template, parse_vertex, phi_tw, phi_w,
+                              placement, upper_covers, walk, words_below)
 from zigzag_harmonics import cli, render, templates, verify
 from zigzag_harmonics.cli import main
 from zigzag_harmonics.qsym import DEGREE_CAP, fexpansion_from_json
@@ -317,21 +322,63 @@ def test_graph_refuses_level_21_before_the_walk(capsys, monkeypatch, restriction
 def infinite_clusters_take_two(monkeypatch):
     """A planted step fault: every infinite cluster refuses its third symbol.
 
-    The example templates keep their compiled steps, so they are dropped
-    before and after; a template parsed from text compiles afresh.
+    The example templates keep their placement automata, and the example
+    models their weighted automata, which step those; both are dropped
+    before and after, so that no compile outlives the fault.  A template
+    parsed from text compiles afresh.
     """
     real = templates._table
     monkeypatch.setattr(templates, "_table", lambda bits, mults: real(
         bits, [2 if mult is None else mult for mult in mults]))
-    kept = [model.template for model in verify.EXAMPLE_MODELS.values()]
+    kept = list(verify.EXAMPLE_MODELS.values())
 
     def forget():
-        for t in kept:
-            object.__setattr__(t, "_placement", None)
+        for model in kept:
+            object.__setattr__(model.template, "_placement", None)
+            object.__setattr__(model, "_automaton", None)
 
     forget()
     yield
     forget()
+
+
+def _ideal_walk(max_level, template_text):
+    """graph --ideal's listed words, and every word its walk reached."""
+    walked, real = [], cli.walk
+
+    def recording(*args):
+        for w, state in real(*args):
+            walked.append(str(w))
+            yield w, state
+
+    cli.walk = recording
+    try:
+        vertices, _, _ = cli._graph_data(max_level, template_text, True)
+    finally:
+        cli.walk = real
+    return [name for _, name in vertices], walked
+
+
+@settings(max_examples=80, deadline=None)
+@given(alternating_templates(), st.integers(0, 11))
+def test_the_trimmed_ideal_walk_lists_the_finite_words_of_the_full_walk(t, max_level):
+    listed, walked = _ideal_walk(max_level, str(t))
+    assert listed == [str(w) for w, at in walk(max_level, *placement(t)) if not on_locus(at)]
+    # the walk reaches exactly the prefixes of the listed words
+    assert set(walked) == {name[:k] for name in listed for k in range(len(name) + 1)}
+
+
+def test_the_trimmed_ideal_walk_at_level_14():
+    # words of the full walk, of the trimmed walk, and listed; at level 21
+    # the last template's walk goes from 863,819 words to 218,349 for 167,960
+    sizes = {}
+    for text in ("+* -1 +1 -*", "+1 -* +* -1 +*", "-1 +* -* +1 -* +* -* +1",
+                 "+1 -* +* -* +* -* +* -* +* -1 +*"):
+        listed, walked = _ideal_walk(14, text)
+        full = list(walk(14, *placement(parse_template(text))))
+        sizes[text] = (len(full), len(walked), len(listed))
+    assert list(sizes.values()) == [(183, 102, 78), (755, 299, 286), (6343, 1057, 378),
+                                    (15627, 1508, 715)]
 
 
 def test_a_planted_step_fault_fails_coideal_identities_and_the_graph(
@@ -339,6 +386,10 @@ def test_a_planted_step_fault_fails_coideal_identities_and_the_graph(
     report = verify.run_suite("coideal-identities", level=8)
     assert not report.ok
     assert "capped split fails at +++-" in report.lines
+    # the certificate reads the same product states as the scan
+    assert not any("certified at every level" in line for line in report.lines)
+    assert report.lines[-1].startswith("not certified: ")
+    assert "break an identity" in report.lines[-1]
     text = "+* -1 +1 -*"
     code, out, _ = run(capsys, "graph", "--level", "5", "--template", text, "--format", "text")
     assert code == 0
@@ -418,8 +469,31 @@ def test_dim_past_the_recursion_depth_exits_2_with_one_line():
         [sys.executable, "-m", "zigzag_harmonics.cli", "dim", "--word", "@",
          "--to", "+-" * 300], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("error: path count to a word of 600 symbols "
-                           "too deep for the recursive dim\n")
+    assert proc.stderr == "error: path count to a word of 600 symbols above cap 20\n"
+
+
+def test_dim_refuses_a_long_word_by_its_length_under_a_raised_recursion_limit(
+        capsys, monkeypatch):
+    import sys
+
+    def counted(a, b):
+        raise AssertionError("a path count started past the cap")
+
+    monkeypatch.setattr(cli, "dim", counted)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100_000)
+    try:
+        for upper in ("+-" * 300, "+-" * 16, "-" * 21):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "dim", "--word", "@", f"--to={upper}")
+            assert (code, out) == (2, "") and time.perf_counter() - started < 1.0
+            assert err == f"error: path count to a word of {len(upper)} symbols above cap 20\n"
+    finally:
+        sys.setrecursionlimit(limit)
+    monkeypatch.undo()
+    # the longest word the cap lets through
+    code, out, _ = run(capsys, "dim", "--word", "@", "--to", "+" * 20)
+    assert (code, out) == (0, "1\n")
 
 
 def test_product_json_round_trips(capsys):
@@ -707,7 +781,10 @@ def argv_for(command, word, other, draw):
 
 
 COMMANDS = ("render", "eval", "covers", "dim", "product", "inject", "graph", "limit")
-WORDS = st.one_of(st.text("+-", max_size=12), st.sampled_from(("@", "x", "+ -", "--")))
+# the words of 600 symbols too: dim refuses one by its length, whatever
+# the recursion limit, which hypothesis raises by 2,000 frames
+WORDS = st.one_of(st.text("+-", max_size=12),
+                  st.sampled_from(("@", "x", "+ -", "--", *LONG_WORDS)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -722,10 +799,7 @@ def test_every_drawn_argv_keeps_the_exit_contract(command, word, other, data):
         assert err == "", argv
 
 
-# not drawn by hypothesis, which raises the recursion limit by 2,000
-# frames: under that limit words.dim on the alternating word recurses to
-# the bottom and then walks its memo for ever, instead of giving up at
-# once as at the interpreter's default
+# every command that takes a word, on each long word, beside the draws
 @pytest.mark.parametrize("argv", [
     ("render", "--word={}"),
     ("eval", "--word={}", "--model=+* -1 +1 -* | w=1/3,2/3"),

@@ -16,8 +16,8 @@ Core claims:
       sections weigh other than one, and by property test on random
       templates and weights; a planted fault that counts a skipped
       section as one fails that comparison and passes the semifinite
-      suite; a multiplicity of 100000000 compiles to the state of a 1,
-      and a compiled model pickles
+      suite; a multiplicity of 100000000 steps the placement states of
+      a 13 below 13 symbols, and a compiled model pickles
     - model weights are exact rationals; floats and bools are refused
     - phi_tw is zero, finite or infinite exactly as the coideal and the
       reduced coideals, read as regular expressions, say: on the root
@@ -270,15 +270,20 @@ def test_a_huge_multiplicity_keeps_the_automaton_state_small():
     assert a.start == b.start and a._replace(placement=None, offset=None) == b._replace(
         placement=None, offset=None)
     assert (a.offset, b.offset) == (10 ** 8 - 1, 0)  # F - k: one section
-    state = a.start
-    for _ in range(1000):
-        state = automaton_step(a, state, 0)
-    # a thousand '+' are counted in the placement codes, and the flange
-    # leaves the section's vector and product alone
-    codes, section, vec, closed = state
-    assert max(codes).bit_length() < 15 and (section, vec, closed) == a.start[1:]
-    assert automaton_numerator(a, state) is None  # still short of the flange
+    # the automaton steps the template's own placement states, numbered as
+    # walks first reach them: below 13 symbols, the 17 states of +13
+    assert a.placement is huge.template._placement
     assert automaton_mismatches(huge, 13) == []
+    thirteen = parse_template("+13 -* +* -1 +*")
+    list(walk(13, *placement(thirteen)))
+    assert a.placement == thirteen._placement and len(a.placement.ids) == 17
+    state = a.start
+    for _ in range(12):
+        state = automaton_step(a, state, 0)
+    # twelve '+' are counted in a state the walk numbered, and the flange
+    # leaves the section's vector and product alone
+    assert len(a.placement.ids) == 17 and state[1:] == a.start[1:]
+    assert automaton_numerator(a, state) is None  # still short of the flange
 
 
 def test_a_compiled_model_pickles():

@@ -36,10 +36,12 @@ Core claims:
       expressions of the template and its reduced templates do: on every
       alternating template of up to 5 clusters with multiplicities 1, 2,
       3 and * to 12 symbols, and by property test on random templates;
-      a multiplicity of 100000000 compiles to the table of a 1 and is
-      counted in one code; coideal-identities, finite-harmonicity,
-      distinctness and graph --ideal run no greedy pass on a walked
-      word, and semifinite one, the place call it compares with
+      a multiplicity of 100000000 compiles to the table of a 1, and a
+      walk numbers only the placement states of its words, as many as
+      its length allows the first cluster to take, those of +13 below 13
+      symbols; coideal-identities, finite-harmonicity, distinctness and
+      graph --ideal run no greedy pass on a walked word, and semifinite
+      one, the place call it compares with
 """
 
 import pickle
@@ -619,22 +621,31 @@ def test_the_walk_places_every_word_of_random_templates(t, n):
 
 
 def test_a_huge_multiplicity_keeps_the_step_state_small():
-    huge, one = parse_template("+100000000 -* +* -1 +*"), parse_template("+1 -* +* -1 +*")
-    start, step = placement(huge)
-    # one table row per cluster and symbol, one code per reduced template
-    assert len(start) == len(placement(one)[0]) == 2
-    assert [len(table) for table in huge._placement] == [10, 10]
-    assert pickle.loads(pickle.dumps(huge)) == huge  # the stored tables are data
-    state = start
-    for _ in range(1000):
-        state = step(state, 0)
-    # a thousand '+' taken by the first cluster, in t and in the template
-    # with that cluster lowered: one count in each code
-    assert state == (1000 * 10, 1000 * 10) and state[0].bit_length() < 15
-    for bit in (1, 1, 0, 1):
-        state = step(state, bit)
-    # a thousand '+' leave the first cluster short: the word is on the locus
-    assert state is not None and on_locus(state)
+    # a placement state is a small id, numbered when a walk first reaches
+    # it, and a walk numbers only the states of its own words; the first
+    # cluster's count makes one state per symbol it took, so their number
+    # follows the walk's length, never the multiplicity
+    text = "+100000000 -* +* -1 +*"
+    states = {}
+    for n in (5, 9, 13, 21):
+        huge = parse_template(text)
+        reached = {at for _, at in walk(n, *placement(huge))}
+        assert reached == set(huge._placement.ids.values()), n
+        states[n] = len(reached)
+    assert states == {5: 9, 9: 13, 13: 17, 21: 25}
+    # one table row per cluster and symbol, in t and in its reduced template
+    assert [len(table) for table in huge._placement.advance.args[0]] == [10, 10]
+    # below 13 symbols the first cluster never fills: the walk numbers the
+    # states of +13, id for id, and the stored automaton is data
+    huge, thirteen = parse_template(text), parse_template("+13 -* +* -1 +*")
+    walked = list(walk(13, *placement(huge)))
+    assert walked == list(walk(13, *placement(thirteen)))
+    assert huge._placement == thirteen._placement
+    copy = pickle.loads(pickle.dumps(huge))
+    assert copy == huge and copy._placement == huge._placement
+    assert list(walk(15, *placement(copy))) == list(walk(15, *placement(huge)))
+    # twelve '+' leave the first cluster short: the word is on the locus
+    assert all(on_locus(at) for w, at in walked if w.bits == 0)
     assert member_J(huge, BinaryWord.from_str("+" * 1000 + "--+-"))
     assert _walked(huge, 12) == [(w, member_J(huge, w)) for w in words_below(13)
                                  if member(huge, w)]

@@ -25,9 +25,13 @@ Core claims:
       words walked per model, the coideal sizes at level 10
     - path-counts, coideal-identities, injection, approx-sequence and
       distinctness each report one planted fault: a wrong path count, a
-      walk state wrongly on the blow-up locus, two decompositions or
+      placement state wrongly on the blow-up locus (at each word that
+      reaches it, and in the certificate), two decompositions or
       swapped coordinates at one word, a wrong value at a base word, and
       a pair of equal models
+    - coideal-identities certifies both identities at every level over
+      its 57 product states once they close, at its acceptance value,
+      and claims nothing at level 8, where they are still growing
     - ring-identity reports a wrong automaton value at one product word
       at the one pair whose product holds it, makes no point evaluation,
       and pieri reports one extra shuffle count; ring-identity at degree
@@ -39,8 +43,9 @@ Core claims:
 
 Each negative control swaps a name inside ``verify``, ``semifinite`` or
 ``qsym`` for a wrapper that spoils one value, or for a copy of the
-function compiled with one line changed, so it shows that the exact
-checks can fail.  A fault planted in the growth models' automaton is in
+function compiled with one line changed, or the capped template's stored
+placement automaton for one that flags one state wrongly, so it shows
+that the exact checks can fail.  A fault planted in the growth models' automaton is in
 ``test_semifinite.py``, beside the oracle that catches it.  A fault planted in the placement step itself is in
 ``test_cli.py``, beside the graph reference it also breaks.
 """
@@ -50,12 +55,15 @@ import inspect
 import textwrap
 from fractions import Fraction
 
+import pytest
+
 from model_oracle import cover_sum
 from template_oracle import template_regex
 from word_oracle import enumerate_level
-from zigzag_harmonics import (INFINITY, BinaryWord, GrowthModel, member, on_locus,
-                              paintbox, phi_tw, placement, product_F, qsym, semifinite,
-                              upper_covers, verify, walk, words, words_below)
+from zigzag_harmonics import (INFINITY, BinaryWord, Explorer, GrowthModel, compile_placement,
+                              member, on_locus, paintbox, parse_template, phi_tw, placement,
+                              product_F, qsym, semifinite, upper_covers, verify, walk, words,
+                              words_below)
 from zigzag_harmonics.verify import (CAPPED_MODEL, EXAMPLE_MODELS, STEP_MODEL, run_suite,
                                      semifinite_table)
 from zigzag_harmonics.words import LEVEL_CAP
@@ -276,23 +284,43 @@ def test_a_wrong_path_count_fails_path_counts(monkeypatch):
     assert report.lines[1:] == ["dim(++--,++-+-) = 2, expected 1"]
 
 
-def test_a_wrong_capped_blow_up_word_fails_coideal_identities(monkeypatch):
-    # +-- generates the capped coideal's finite part, off the blow-up locus;
-    # the suite's walk state starts with the capped placement, and the empty
-    # word's placement lies on the locus
-    real = verify.walk
-    on_the_locus = placement(CAPPED_MODEL.template)[0]
-    assert on_locus(on_the_locus)
-
-    def walk(n, start, step):
-        for w, state in real(n, start, step):
-            yield w, (on_the_locus, *state[1:]) if w == W("+--") else state
-
-    monkeypatch.setattr(verify, "walk", walk)
-    # level 8 reaches the bracketed generators, so that check passes
-    report = run_suite("coideal-identities", level=8)
+def test_a_wrong_capped_blow_up_word_fails_coideal_identities():
+    # +-- generates the capped coideal's finite part, off the blow-up locus.
+    # The suite checks each product state once, so a capped placement state
+    # planted on the locus fails at every word that reaches it, and the
+    # certificate fails with it
+    capped = CAPPED_MODEL.template
+    real = compile_placement(parse_template(str(capped)))
+    at_gen = next(at for w, at in walk(4, real.start, real.step) if w == W("+--"))
+    assert not on_locus(at_gen)
+    key = real.keys[at_gen]
+    reaching = [w for w, at in walk(9, real.start, real.step) if real.keys[at] == key]
+    assert [str(w) for w in reaching] == ["+" + "-" * k for k in range(2, 8)]
+    planted = Explorer(real.keys[real.start], real.advance,
+                       lambda codes: (1, real.note(codes)[1]) if codes == key
+                       else real.note(codes))
+    kept = capped._placement
+    object.__setattr__(capped, "_placement", planted)
+    try:
+        # level 8 reaches the bracketed generators, so that check passes
+        report = run_suite("coideal-identities", level=8)
+    finally:
+        object.__setattr__(capped, "_placement", kept)
     assert not report.ok
-    assert report.lines[1:] == ["capped blow-up locus differs from the section at +--"]
+    assert report.lines[1:-1] == [f"capped blow-up locus differs from the section at {w}"
+                                  for w in reaching]
+    assert report.lines[-1].startswith("not certified: ")
+    assert "break an identity" in report.lines[-1]
+
+
+@pytest.mark.parametrize("level, line", [
+    (11, "both identities certified at every level over 57 product states"),
+    (8, "not certified: 57 product states by 9 symbols, and still growing")])
+def test_coideal_identities_certifies_once_the_product_states_close(level, line):
+    report = run_suite("coideal-identities", level=level)
+    assert report.ok and report.lines == [
+        f"both identities exhaustive to {level} symbols; bracketed ideal has 2 minimal elements",
+        line]
 
 
 def test_two_decompositions_at_one_word_fail_injection(monkeypatch):

@@ -20,6 +20,14 @@ Core claims:
       linear in its length
     - a position outside a word is refused with IndexError
     - subword order is a partial order
+    - an explorer numbers the states a walk reaches, in the order it
+      reaches them, steps each state once per symbol, tells when they
+      close, and gives each state's distance to a flagged one
+    - eight threads walking one explorer at once number each state once
+    - path counts, membership, evaluations and walks agree under threads
+      with serial runs on fresh objects, and a template's placement
+      automaton and a model's automaton keep one id per state when eight
+      threads walk them at once
 """
 
 import random
@@ -33,11 +41,12 @@ from hypothesis import strategies as st
 
 from word_oracle import (composition_by_text, dominates_at, enumerate_level, expand,
                          first_certified_level, word_of_composition)
-from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, FormalCombination, GrowthModel,
-                              Paintbox, cover_sums, dim, dominates_search, is_subword,
-                              level, lower_covers, member, member_J, parse_template,
-                              parse_vertex, phi_tw, phi_w, upper_cover_bits, upper_covers,
-                              words_below)
+from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, Explorer, FormalCombination,
+                              GrowthModel, Paintbox, automaton, automaton_numerator, automaton_step,
+                              cover_sums, dim, dominates_search, is_subword, level,
+                              lower_covers, member, member_J, on_locus, parse_template,
+                              parse_vertex, phi_tw, phi_w, placement, upper_cover_bits,
+                              upper_covers, walk, words_below)
 from zigzag_harmonics.words import LEVEL_CAP, composition_of_word
 
 W = BinaryWord.from_str
@@ -455,12 +464,74 @@ def test_vertex_serialization():
         parse_vertex("+x-")
 
 
+def test_an_explorer_numbers_the_states_a_walk_reaches():
+    # the number of '-' modulo 3, flagged at 2
+    counted = []
+
+    def advance(held, bit):
+        counted.append(held)
+        return (held + bit) % 3
+
+    explorer = Explorer(0, advance, lambda held: (int(held == 2), f"{held} mod 3"))
+    walked = list(walk(2, explorer.start, explorer.step))
+    # ids 2n + flag, in the order the walk first reached the states
+    assert explorer.ids == {0: 2, 1: 4}
+    assert [explorer.keys[at] for _, at in walked] == [w.bits.bit_count() for w, _ in walked]
+    assert not explorer.explore(2) and explorer.explore(3)
+    assert explorer.ids == {0: 2, 1: 4, 2: 7} and explorer.labels[7] == "2 mod 3"
+    assert len(counted) == 6  # one advance per state and symbol, once each
+    assert list(walk(12, explorer.start, explorer.step))[-1] == (W("-" * 11), 7)
+    assert len(counted) == 6 and explorer.distances(1) == {7: 0, 4: 1, 2: 2}
+    with pytest.raises(ValueError, match="above cap"):
+        explorer.explore(LEVEL_CAP + 2)
+
+
+def test_an_explorer_numbers_each_state_once_under_threads():
+    # noting a new state yields the interpreter lock, so that another
+    # thread walks in between finding a key unnumbered and numbering it
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    def note(held):
+        time.sleep(0)
+        return held & 1, None
+
+    explorer = Explorer(1, lambda held, bit: (2 * held + bit) % 97, note)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            walks = list(pool.map(lambda _: [(w, explorer.keys[at]) for w, at in
+                                             walk(10, explorer.start, explorer.step)],
+                                  range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    states = set(explorer.ids.values())
+    assert len(states) == len(explorer.keys) // 2 - 1 == 97
+    assert all(explorer.ids[explorer.keys[at]] == at and at & 1 == explorer.keys[at] & 1
+               for at in states)
+    # the key is a leading 1 and then the word's bits, first symbol highest
+    assert walks == [[(w, int("1" + str(w).translate({43: "0", 45: "1"}), 2) % 97)
+                      for w in words_below(10)]] * 8
+
+
 def test_operations_are_safe_under_threads():
     # shared memo table, and a template, a paintbox and a growth model
     # whose compiled parts are stored on the object: concurrent results
-    # must agree with serial ones computed on fresh objects
+    # must agree with serial ones computed on fresh objects.  A fresh
+    # template and a fresh model are also walked by every thread at once,
+    # so that their placement automaton numbers its states under the race
     import sys
     from concurrent.futures import ThreadPoolExecutor
+    from functools import partial
+
+    def walk_template(t):
+        return [(w, on_locus(at)) for w, at in walk(12, *placement(t))]
+
+    def walk_model(m):
+        a = automaton(m)
+        return [(w, automaton_numerator(a, state))
+                for w, state in walk(11, a.start, partial(automaton_step, a))]
 
     from zigzag_harmonics.words import _dim_words
 
@@ -468,6 +539,7 @@ def test_operations_are_safe_under_threads():
     text_m = text_t + " | w=1/3,1/4,1/6,1/8,1/8"
     template, paintbox = parse_template(text_t), Paintbox.parse(text_pb)
     model = GrowthModel.parse(text_m)
+    shared_t, shared_m = parse_template(text_t), GrowthModel.parse(text_m)
     words = [w for length in range(9) for w in enumerate_level(length)]
     _dim_words.cache_clear()
     pairs = [(a, b) for b in enumerate_level(8) for a in enumerate_level(3)
@@ -480,6 +552,8 @@ def test_operations_are_safe_under_threads():
             blown = list(pool.map(lambda w: member_J(template, w), words, timeout=60))
             values = list(pool.map(lambda w: phi_w(w, paintbox), words, timeout=60))
             model_values = list(pool.map(lambda w: phi_tw(model, w), words, timeout=60))
+            template_walks = list(pool.map(walk_template, [shared_t] * 8, timeout=60))
+            model_walks = list(pool.map(walk_model, [shared_m] * 8, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     _dim_words.cache_clear()
@@ -489,3 +563,11 @@ def test_operations_are_safe_under_threads():
     assert values == [phi_w(w, fresh_pb) for w in words]
     fresh_m = GrowthModel.parse(text_m)
     assert model_values == [phi_tw(fresh_m, w) for w in words]
+    assert template_walks == [walk_template(parse_template(text_t))] * 8
+    assert model_walks == [walk_model(GrowthModel.parse(text_m))] * 8
+    # each state was numbered once, and every step leads to a numbered id
+    for p in (shared_t._placement, automaton(shared_m).placement):
+        states = set(p.ids.values())
+        assert len(states) == len(p.keys) // 2 - 1
+        assert all(p.ids[p.keys[at]] == at for at in states)
+        assert all(child in states for child in p.table if type(child) is int)
