@@ -9,8 +9,7 @@ from .semifinite import (INFINITY, ApproxReport, Automaton, GrowthModel,
                          automaton_step, build_w_eps, check_approx_sequence,
                          check_limit_formula, model_paintbox, phi_tw,
                          ring_identity_failures, section_interval_tuples)
-from .templates import (Cluster, FlangeDecomposition, Template, compile_placement,
-                        flange_and_sections, inject, inject_all,
+from .templates import (Cluster, Template, compile_placement, inject, inject_all,
                         is_finite_template, member, member_J,
                         minimal_maxblock_word, on_locus, parse_template, place,
                         placement)

@@ -21,17 +21,18 @@ evaluations of :mod:`zigzag_harmonics.semifinite` are infinite.
 A reduced template fits exactly the words that fit t with that flange
 cluster's multiplicity lowered by one (merged neighbours change no
 coideal), so :func:`place` decides the locus without building one.
-One greedy forward loop, :func:`_greedy`, decides membership; run by
-:func:`place` it also gives where each cluster's chunk starts, so
-:func:`member`, :func:`member_J`, :func:`inject` and the semifinite
-evaluation all run the same code: the point route.  The mirror-image
-pass from the end gives the least position from which the later
-clusters fit; a flange cluster can be left one symbol short exactly
-when that position lies less than its multiplicity past the start of
-its chunk.  Off the locus every flange chunk is full, so the greedy
-chunks, joined per section, are the section coordinates; the search
-over every splitting is left to :func:`inject_all`, the uniqueness
-oracle.
+One greedy forward loop, :func:`_greedy`, over a tuple of cluster runs
+and a packed word, decides membership; run by :func:`place` it also
+gives where each cluster's chunk starts, so :func:`member`,
+:func:`member_J`, :func:`inject` and the semifinite evaluation all run
+the same code: the point route.  The mirror-image pass from the end
+gives the least position from which the later clusters fit; a flange
+cluster can be left one symbol short exactly when that position lies
+less than its multiplicity past the start of its chunk.  Off the locus
+every flange chunk is full, so the greedy chunks, joined per section,
+are the section coordinates.  The search over every splitting is left
+to :func:`inject_all`, the uniqueness oracle, which reads the layout's
+spans and runs the same loop on each section's slice of the runs.
 
 Walks take the other route.  :func:`compile_placement` turns the greedy
 pass, one symbol at a time in t and in each reduced template at once,
@@ -88,9 +89,6 @@ class Template:
     # the placement automaton of t and its reduced templates; made by
     # compile_placement on first use, and grows as walks reach new states
     _placement: Optional[Explorer] = field(
-        default=None, init=False, repr=False, compare=False)
-    # filled by flange_and_sections on first use
-    _flange: Optional["FlangeDecomposition"] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -175,22 +173,24 @@ def is_finite_template(t: Template) -> bool:
 # Membership and placement
 # ---------------------------------------------------------------------------
 
-def _greedy(t: Template, w: BinaryWord, starts: Optional[list[int]] = None) -> int:
-    """How far into w t's clusters reach, each in turn taking the longest
-    run of its sign that its multiplicity allows, read off ``w.bits``;
-    the loop stops once all of w is taken.  When ``starts`` is a list,
-    the start of each chunk taken is appended to it.
+def _greedy(runs: tuple[tuple[int, Optional[int]], ...], bits: int, n: int,
+            starts: Optional[list[int]] = None) -> int:
+    """How far into the word of n symbols packed in ``bits`` the clusters
+    of ``runs`` (:attr:`Template._runs`, or a slice of it) reach, each in
+    turn taking the longest run of its sign that its multiplicity allows;
+    the loop stops once all of the word is taken.  When ``starts`` is a
+    list, the start of each chunk taken is appended to it.
 
     The greedy reach is exact because the coideal is closed under
     deletion: if some splitting fits, every suffix of the remainder it
     leaves after a cluster fits the remaining clusters, so taking more
     symbols never hurts.  (By induction, the greedy position after each
     cluster is at least that of any fitting splitting.)  A constant
-    number of integer operations per cluster, whatever the length of w.
+    number of integer operations per cluster, whatever the length of
+    the word.
     """
-    bits, n = w.bits, w.n
     pos = 0
-    for bit, mult in t._runs:
+    for bit, mult in runs:
         if starts is not None:
             starts.append(pos)
         rest = bits >> pos
@@ -209,7 +209,7 @@ def _greedy(t: Template, w: BinaryWord, starts: Optional[list[int]] = None) -> i
 def member(t: Template, w: BinaryWord) -> bool:
     """True iff w splits into chunks fitting t's clusters in order: the
     greedy pass takes all of it."""
-    return _greedy(t, w) == w.n
+    return _greedy(t._runs, w.bits, w.n) == w.n
 
 
 def place(t: Template, w: BinaryWord) -> tuple[bool, Optional[list[tuple[int, int]]]]:
@@ -234,7 +234,7 @@ def place(t: Template, w: BinaryWord) -> tuple[bool, Optional[list[tuple[int, in
     """
     bits, n = w.bits, w.n
     starts: list[int] = []  # starts[i]: where cluster i's greedy chunk starts
-    pos = _greedy(t, w, starts)
+    pos = _greedy(t._runs, bits, n, starts)
     if pos != n:
         return False, None
     runs = t._runs
@@ -349,41 +349,6 @@ def on_locus(at: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Flange and sections
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FlangeDecomposition:
-    """The flange words a_0, ..., a_k and the sections t_1, ..., t_k of a
-    template, as words and templates; outer flange words may be empty.
-
-    A record of :func:`_layout` for the injection suite and the tests;
-    the library's own paths read the layout itself.
-    """
-
-    flange_words: tuple[BinaryWord, ...]
-    sections: tuple[Template, ...]
-
-
-def flange_and_sections(t: Template) -> FlangeDecomposition:
-    """Split t at its flange into maximal finite-template sections.
-
-    For a finite template the flange is empty and the single section is
-    t itself.  Built on first use and stored on t.
-    """
-    if t._flange is None:
-        spans = _layout(t)[0]
-        # the flange words lie between the sections: 0 to the first start,
-        # each end to the next start, the last end to len(t)
-        cuts = (0, *(i for span in spans for i in span), len(t))
-        words = tuple(BinaryWord.from_str("".join(c.sign * c.mult for c in t.clusters[lo:hi]))
-                      for lo, hi in zip(cuts[::2], cuts[1::2]))
-        sections = tuple(Template(t.clusters[lo:hi]) for lo, hi in spans)
-        object.__setattr__(t, "_flange", FlangeDecomposition(words, sections))
-    return t._flange
-
-
-# ---------------------------------------------------------------------------
 # The injection into the product of sections
 # ---------------------------------------------------------------------------
 
@@ -406,26 +371,41 @@ def inject(t: Template, w: BinaryWord) -> tuple[BinaryWord, ...]:
 
 def inject_all(t: Template, w: BinaryWord) -> list[tuple[BinaryWord, ...]]:
     """Every a_0 . s_1 . a_1 ... s_k . a_k = w with s_i fitting section i,
-    as the tuple (s_1, ..., s_k); used to check the uniqueness claim."""
-    fd = flange_and_sections(t)
-    pairs = tuple(zip(fd.flange_words, fd.sections))
-    n = len(w)
+    as the tuple (s_1, ..., s_k), in increasing order of the cuts; used to
+    check the uniqueness claim.
+
+    A search over :func:`_layout`'s spans and ``t._runs``, on w's packed
+    bits.  Each flange cluster between two sections takes exactly its
+    multiplicity of its own sign, checked once the rest of w is known to
+    be long enough.  Section i takes every prefix of the rest up to its
+    greedy reach, :func:`_greedy` on the section's slice of the runs:
+    the section's coideal is closed under deletion, so those prefixes
+    are exactly the ones that fit it.
+    """
+    spans = _layout(t)[0]
+    runs, bits, n = t._runs, w.bits, w.n
+    # the flange clusters lie between the sections: 0 to the first start,
+    # each end to the next start, the last end to len(t)
+    cuts = (0, *(i for span in spans for i in span), len(t))
+    flanges = [runs[lo:hi] for lo, hi in zip(cuts[::2], cuts[1::2])]
+    sections = [runs[lo:hi] for lo, hi in spans]
     found: list[tuple[BinaryWord, ...]] = []
 
     def search(pos: int, i: int, coords: tuple[BinaryWord, ...]) -> None:
-        if i == len(pairs):
-            if w.sub(pos, n) == fd.flange_words[-1]:
+        for bit, mult in flanges[i]:
+            if n - pos < mult:
+                return
+            full = (1 << mult) - 1
+            if (bits >> pos) & full != (full if bit else 0):
+                return
+            pos += mult
+        if i == len(sections):
+            if pos == n:
                 found.append(coords)
             return
-        word, section = pairs[i]
-        start = pos + len(word)
-        if start > n or w.sub(pos, start) != word:
-            return
-        for stop in range(start, n + 1):
-            piece = w.sub(start, stop)
-            if not member(section, piece):
-                break  # every longer piece has this one as a prefix
-            search(stop, i + 1, coords + (piece,))
+        reach = _greedy(sections[i], bits >> pos, n - pos)
+        for stop in range(pos, pos + reach + 1):
+            search(stop, i + 1, coords + (w.sub(pos, stop),))
 
     search(0, 0, ())
     return found

@@ -43,7 +43,7 @@ from .semifinite import (Automaton, GrowthModel, ModelState, automaton,
                          automaton_numerator, automaton_step, check_approx_sequence,
                          check_limit_formula, phi_tw, ring_identity_failures,
                          semifinite_table)
-from .templates import (flange_and_sections, inject_all, member, member_J,
+from .templates import (Template, _layout, inject_all, member, member_J,
                         minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, Explorer, FormalCombination, Vertex,
@@ -362,7 +362,7 @@ def suite_injection(cap: int, _seed: Optional[int]) -> Checks:
     lines: list[str] = []
     for name, model in EXAMPLE_MODELS.items():
         t = model.template
-        sections = flange_and_sections(t).sections
+        sections = [Template(t.clusters[lo:hi]) for lo, hi in _layout(t)[0]]
         image: dict[tuple[BinaryWord, ...], BinaryWord] = {}
         coords: dict[BinaryWord, tuple[BinaryWord, ...]] = {}
         for w, state in walk(cap, *placement(t)):
@@ -492,7 +492,7 @@ def suite_approx_sequence(max_n: int, _seed: Optional[int]) -> Checks:
 
 
 # ---------------------------------------------------------------------------
-# Suite 9: the eps-limit (valuation and ratio constancy)
+# Suite 9: the eps-limit (valuation and ratio, constant and in closed form)
 # ---------------------------------------------------------------------------
 
 #: check_limit_formula starts at the marker word of each example model
@@ -500,23 +500,37 @@ MARKER_LEVEL = max(vertex_level(minimal_maxblock_word(model.template))
                    for model in EXAMPLE_MODELS.values())
 
 
+def limit_closed_forms(model: GrowthModel) -> tuple[int, int]:
+    """The eps-limit's valuation and ratio, read off the template's layout.
+
+    Above the marker word a minimal splitting puts each flange word's
+    boxes into eps-intervals, one fewer for a word between two sections:
+    F - k + 1 boxes for F flange symbols and k sections, the automaton's
+    offset plus one.  At each sign change inside a flange word the corner
+    box may go to either neighbouring eps-interval, which doubles the
+    minimal splittings: the ratio is 2 to the flange clusters less the
+    flange words, the maximal runs of consecutive flange indices.
+    """
+    flange = _layout(model.template)[1]
+    runs = sum(1 for i, f in enumerate(flange) if not i or f != flange[i - 1] + 1)
+    return automaton(model).offset + 1, 2 ** (len(flange) - runs)
+
+
 @_suite("eps-limit", 9, MARKER_LEVEL, LEVEL_CAP + 1)
 def suite_eps_limit(cap: int, _seed: Optional[int]) -> Checks:
     failures, lines = [], []
     for name, model in EXAMPLE_MODELS.items():
         report = check_limit_formula(model, cap)
-        lines.append(f"{name}: n={report.n} const={report.const} "
-                     f"({report.finite_points} finite, "
+        n, ratio = limit_closed_forms(model)
+        lines.append(f"{name}: n={report.n} const={report.const}, closed forms n={n} "
+                     f"const={ratio} ({report.finite_points} finite, "
                      f"{report.vanishing_points} vanishing points)")
         if not report.ok:
             failures.extend(f"{name}: {f}" for f in report.failures)
-        if name == "step":
-            # Measured against the splitting oracle: two minimal splittings
-            # run through the pair of eps-intervals, hence ratio 2.
-            if report.n != 1:
-                failures.append(f"step: valuation {report.n}, expected 1")
-            if report.const != 2:
-                failures.append(f"step: ratio {report.const}, expected 2")
+        if report.n != n:
+            failures.append(f"{name}: valuation {report.n}, closed form {n}")
+        if report.const != ratio:
+            failures.append(f"{name}: ratio {report.const}, closed form {ratio}")
     return lines, failures
 
 

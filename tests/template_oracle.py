@@ -11,7 +11,10 @@ and ask ``member`` of each, so tests can compare the two routes.
 
 ``template_regex`` reads a coideal as a regular expression over the
 word's text, so membership can be checked without the greedy loop that
-``member``, ``place`` and ``phi_tw`` share.
+``member``, ``place`` and ``phi_tw`` share.  ``splittings`` uses it to
+find every decomposition of a word into flange words and section
+pieces by trying every cut of its text, the search that
+``templates.inject_all`` makes on packed bits.
 
 ``alternating_templates`` draws random templates for property tests:
 one to six alternating clusters of multiplicity 1, 2, 3 or *, at least
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations_with_replacement, groupby
 from typing import Optional
 
 from hypothesis import strategies as st
@@ -101,6 +105,33 @@ def template_regex(t: Template) -> re.Pattern:
     return re.compile("".join(
         re.escape(c.sign) + ("*" if c.is_infinite else f"{{0,{c.mult}}}")
         for c in t.clusters))
+
+
+def splittings(t: Template, w: BinaryWord) -> list[tuple[BinaryWord, ...]]:
+    """Every a_0 . s_1 . a_1 ... s_k . a_k = w with s_i fitting section i,
+    as the tuple (s_1, ..., s_k), in increasing order of the cuts.
+
+    Maximal runs of clusters that ``is_flange`` marks are the flange
+    words, each of which a piece must equal exactly; the runs between
+    them are the sections, each piece of which must ``fullmatch`` the
+    section's ``template_regex``.  Every cut of w's text into that many
+    pieces is tried, so nothing here shares code with ``inject_all``."""
+    parts = []  # (section?, the test a piece of text must pass)
+    for flange, run in groupby(range(len(t)), key=lambda i: is_flange(t, i)):
+        clusters = tuple(t.clusters[i] for i in run)
+        if flange:
+            parts.append((False, "".join(c.sign * c.mult for c in clusters).__eq__))
+        else:
+            parts.append((True, template_regex(Template(clusters)).fullmatch))
+    text = str(w)
+    found = []
+    for cuts in combinations_with_replacement(range(len(text) + 1), len(parts) - 1):
+        bounds = (0, *cuts, len(text))
+        pieces = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+        if all(fits(piece) for (_, fits), piece in zip(parts, pieces)):
+            found.append(tuple(BinaryWord.from_str(piece)
+                               for (section, _), piece in zip(parts, pieces) if section))
+    return found
 
 
 @st.composite

@@ -51,6 +51,7 @@ from zigzag_harmonics import cli, render, templates, verify
 from zigzag_harmonics.cli import main
 from zigzag_harmonics.qsym import DEGREE_CAP, fexpansion_from_json
 from zigzag_harmonics.verify import SUITES, SuiteReport
+from zigzag_harmonics.words import LEVEL_CAP
 
 W = BinaryWord.from_str
 
@@ -741,6 +742,14 @@ FUZZ_MODELS = (*(str(m) for m in verify.EXAMPLE_MODELS.values()), "+* -1 +1 -* |
                "+* -* | w=1/2,1/2", "+* -1 +* | w=1/2,1/2", "+1 -* | w=2", "+*", "--", "")
 FUZZ_PAINTBOXES = ("+1/3,-2/3", "+1/3,-1/6,+1/2", "-1", "+1/2,-1/3", "+1e9", "--", "")
 LONG_WORDS = ("+-" * 300, "+" * 600, "-" * 300 + "+" * 300)
+# each suite's flag and cap as the registry declares them; one above the
+# cap must exit 2 before any work
+VERIFY_CAPS = {"pieri": ("level", DEGREE_CAP - 2), "path-counts": ("level", LEVEL_CAP + 1),
+               "kerov-oracle": ("level", LEVEL_CAP), "finite-harmonicity": ("level", LEVEL_CAP),
+               "coideal-identities": ("level", LEVEL_CAP), "injection": ("level", LEVEL_CAP + 1),
+               "semifinite": ("level", LEVEL_CAP + 1),
+               "approx-sequence": ("level", LEVEL_CAP + 1), "eps-limit": ("level", LEVEL_CAP + 1),
+               "ring-identity": ("degree", DEGREE_CAP), "distinctness": ("level", LEVEL_CAP + 1)}
 
 
 def exit_of(argv):
@@ -777,10 +786,16 @@ def argv_for(command, word, other, draw):
                 *pick([[], [f"--template={pick(FUZZ_TEMPLATES)}"],
                        [f"--template={pick(FUZZ_TEMPLATES)}", "--ideal"], ["--ideal"]]),
                 f"--format={pick(['text', 'json', 'dot', 'csv'])}"]
+    if command == "verify":
+        suite = pick(sorted(VERIFY_CAPS))
+        flag, cap = VERIFY_CAPS[suite]
+        value = draw(st.one_of(st.integers(-1, 6), st.just(cap + 1)))
+        return ["verify", suite, f"--{pick([flag, 'level', 'degree'])}={value}",
+                *pick([[], [f"--seed={draw(st.integers(-1, 3))}"]])]
     return ["limit", f"--model={pick(FUZZ_MODELS)}", f"--level={draw(st.integers(-1, 10))}"]
 
 
-COMMANDS = ("render", "eval", "covers", "dim", "product", "inject", "graph", "limit")
+COMMANDS = ("render", "eval", "covers", "dim", "product", "inject", "graph", "limit", "verify")
 # the words of 600 symbols too: dim refuses one by its length, whatever
 # the recursion limit, which hypothesis raises by 2,000 frames
 WORDS = st.one_of(st.text("+-", max_size=12),
@@ -792,11 +807,18 @@ WORDS = st.one_of(st.text("+-", max_size=12),
 def test_every_drawn_argv_keeps_the_exit_contract(command, word, other, data):
     argv = argv_for(command, word, other, data.draw)
     code, err = exit_of(argv)
-    assert code in ((0, 1, 2) if command == "limit" else (0, 2)), argv
+    assert code in ((0, 1, 2) if command in ("limit", "verify") else (0, 2)), argv
     if code == 2:
         assert err.startswith(("error:", "usage:")) and "Traceback" not in err, (argv, err)
     else:
         assert err == "", argv
+
+
+def test_the_drawn_verify_caps_are_the_registry_caps():
+    assert sorted(VERIFY_CAPS) == sorted(SUITES)
+    for suite, (flag, cap) in VERIFY_CAPS.items():
+        with pytest.raises(ValueError, match=f"^{suite} --{flag} {cap + 1} above cap {cap}$"):
+            verify.run_suite(suite, **{flag: cap + 1})
 
 
 # every command that takes a word, on each long word, beside the draws

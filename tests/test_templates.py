@@ -5,8 +5,9 @@ Core claims:
     - finiteness classification matches the worked pair of examples
     - membership agrees with brute-force chunk assignment, exhaustively
       on small words and by property tests on random templates
-    - flange words and sections reproduce the worked decompositions, and
-      inject_all builds a template's decomposition once, stored on it
+    - the layout's spans and flange indices reproduce the worked
+      decompositions, and inject_all on a flange multiplicity of
+      100000000 allocates under 2 MiB
     - reductions (built by the test oracle) come from flange clusters
       only; the capped template reduces to its bare section (so its
       blow-up locus is one coideal)
@@ -23,6 +24,12 @@ Core claims:
     - the section coordinates read off the greedy pass are the one
       decomposition the splitting search finds, off the blow-up locus,
       exhaustively to 14 symbols and by property test on random templates
+    - the splitting search finds exactly the splittings that trying
+      every cut of the word's text against the flange words and the
+      sections' regular expressions finds, in the same order: on every
+      word below 10 symbols of the four benchmark models, locus words
+      and words off the coideal included, and by property test on
+      random templates
     - a growth model's eps-deformed intervals and section intervals are
       those built from the oracle's own flange test, by property test on
       random semifinite templates and weights
@@ -47,6 +54,7 @@ Core claims:
 import pickle
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 
@@ -58,15 +66,16 @@ from maxblock_oracle import maxblock_member
 from model_oracle import value_kind
 from template_oracle import (alternating_templates, inject_by_reduction, is_flange,
                              locus_by_reduction, reduced_templates, single_generator_word,
-                             template_regex)
+                             splittings, template_regex)
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, GrowthModel, Template,
-                              build_w_eps, flange_and_sections, inject, inject_all,
+                              build_w_eps, inject, inject_all,
                               is_finite_template, is_subword, lower_covers, member,
                               member_J, minimal_maxblock_word, on_locus, parse_template,
                               phi_tw, place, placement, section_interval_tuples,
                               upper_covers, walk, words_below)
 from zigzag_harmonics import cli, templates, verify
+from zigzag_harmonics.templates import _layout
 from zigzag_harmonics.verify import EXAMPLE_MODELS
 
 W = BinaryWord.from_str
@@ -186,45 +195,52 @@ def test_coideals_are_saturated():
 
 # -- flange and sections ------------------------------------------------------
 
+def _flange_words_and_sections(t):
+    """The flange words between the sections and the section templates, as
+    text, read off the layout's spans and flange indices."""
+    spans, flange = _layout(t)
+    cuts = (0, *(i for span in spans for i in span), len(t))
+    gaps = list(zip(cuts[::2], cuts[1::2]))
+    # the flange indices are exactly the clusters between the sections
+    assert list(flange) == [i for lo, hi in gaps for i in range(lo, hi)], t
+    return (["".join(c.sign * c.mult for c in t.clusters[lo:hi]) for lo, hi in gaps],
+            [str(Template(t.clusters[lo:hi])) for lo, hi in spans])
+
+
 def test_flange_worked_decomposition():
-    fd = flange_and_sections(FIGURE)
-    assert [str(w) for w in fd.flange_words] == ["-", "+-", "--", "-+--", ""]
-    assert [str(s) for s in fd.sections] == ["+* -*", "+*", "+*", "+* -* +1 -*"]
+    assert _layout(FIGURE) == (((1, 3), (5, 6), (7, 8), (11, 15)), (0, 3, 4, 6, 8, 9, 10))
+    words, sections = _flange_words_and_sections(FIGURE)
+    assert words == ["-", "+-", "--", "-+--", ""]
+    assert sections == ["+* -*", "+*", "+*", "+* -* +1 -*"]
 
 
 def test_flange_step_and_capped():
-    fd = flange_and_sections(STEP)
-    assert [str(w) for w in fd.flange_words] == ["", "-+", ""]
-    assert [str(s) for s in fd.sections] == ["+*", "-*"]
+    assert _layout(STEP) == (((0, 1), (3, 4)), (1, 2))
+    assert _flange_words_and_sections(STEP) == (["", "-+", ""], ["+*", "-*"])
 
-    fd = flange_and_sections(CAPPED)
-    assert [str(w) for w in fd.flange_words] == ["+", ""]
-    assert [str(s) for s in fd.sections] == ["-* +* -1 +*"]
+    assert _layout(CAPPED) == (((1, 5),), (0,))
+    assert _flange_words_and_sections(CAPPED) == (["+", ""], ["-* +* -1 +*"])
 
 
 def test_flange_of_finite_template_is_empty():
     t = parse_template("+* -1 +*")
-    fd = flange_and_sections(t)
-    assert fd.flange_words == (EMPTY, EMPTY)
-    assert fd.sections == (t,)
+    assert _layout(t) == (((0, 3),), ())
+    assert _flange_words_and_sections(t) == (["", ""], [str(t)])
 
 
-def test_inject_all_builds_the_decomposition_once(monkeypatch):
-    built = []
-    real = templates.FlangeDecomposition
-
-    def counted(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(templates, "FlangeDecomposition", counted)
-    t = parse_template(str(BRACKETED))  # fresh: nothing stored on it yet
-    for w in words_below(10):
-        inject_all(t, w)
-    assert len(built) == 1
-    monkeypatch.undo()
-    copy = pickle.loads(pickle.dumps(t))  # the stored decomposition is data
-    assert copy == t and copy._flange == flange_and_sections(t)
+def test_inject_all_on_a_huge_flange_multiplicity_stays_small():
+    # a flange cluster of 10^8 symbols is checked against the rest of the
+    # word's length before any mask is built, and never spelt out
+    t = parse_template("+100000000 -* +* -1 +*")
+    tracemalloc.start()
+    try:
+        for w in words_below(8):
+            assert inject_all(t, w) == [], w
+        assert inject_all(t, W("+" * 1000 + "-+--+")) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 # -- reductions and the blow-up locus ----------------------------------------
@@ -426,6 +442,31 @@ def test_greedy_coordinates_on_random_semifinite_templates(t, data):
     assert fits == member(t, w), (t, w)
     if cuts is not None:
         assert inject_all(t, w) == [tuple(w.sub(a, b) for a, b in cuts)], (t, w)
+
+
+def test_inject_all_finds_every_splitting_of_the_text():
+    # every word below 10 symbols, locus words and words off the coideal
+    # included, against the cut-by-cut search over the word's text
+    for t in (STEP, CAPPED, BRACKETED, TWO_FLANGE):
+        several = 0
+        for w in words_below(10):
+            found = inject_all(t, w)
+            assert found == splittings(t, w), (t, w)
+            several += len(found) > 1
+        assert several == 0, t
+    # off the examples' coideals a word may split in several ways
+    t = parse_template("+* -* +2 -* +*")
+    assert inject_all(t, W("+++")) == splittings(t, W("+++")) == [
+        (W(""), W("+")), (W("+"), W(""))]
+
+
+@settings(max_examples=200)
+@given(alternating_templates(), st.data())
+def test_inject_all_finds_every_splitting_on_random_templates(t, data):
+    sizes = st.tuples(*(st.integers(0, 3) for _ in t.clusters), st.integers(-1, 11))
+    w = data.draw(st.one_of(sizes.map(lambda s: _filled(t, s)),
+                            sizes.map(lambda s: _near_fit(t, s))))
+    assert inject_all(t, w) == splittings(t, w), (t, w)
 
 
 def _by_flange_test(t, weights, eps):
@@ -654,8 +695,8 @@ def test_a_huge_multiplicity_keeps_the_step_state_small():
 def test_the_walked_suites_place_no_walked_word(monkeypatch):
     placed = []
     real = templates._greedy
-    monkeypatch.setattr(templates, "_greedy",
-                        lambda t, w, *rest: placed.append(w) or real(t, w, *rest))
+    monkeypatch.setattr(templates, "_greedy", lambda runs, bits, n, *rest: placed.append(
+        BinaryWord(n, bits)) or real(runs, bits, n, *rest))
     # member and member_J of the two common lower covers of g1 and g2
     verify.run_suite("coideal-identities", level=11)
     assert sorted(map(str, placed)) == ["-++-+-+", "-++-+-+", "-+-++-+", "-+-++-+"]

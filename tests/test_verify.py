@@ -14,7 +14,11 @@ Core claims:
     - finite-harmonicity reports a fault in the column step, and a run of
       covers gathered from a wrong offset, as harmonicity failures
     - eps-limit reports a wrong leading coefficient at one finite point
-      as a ratio failure, and a vanishing point of too low a valuation
+      as a ratio failure, and a vanishing point of too low a valuation;
+      its valuation and ratio are the closed forms read off the layout
+      on the three example models and two more, and one flange symbol
+      too many in the automaton's offset, or one flange cluster too few
+      in the layout, fails it
     - semifinite reads one table of automaton numerators per model,
       whose values and integer cover sums are those of the point API;
       it reports a wrong finite value in the table as a harmonicity
@@ -23,6 +27,8 @@ Core claims:
       coideal's boundary fails the trichotomy, and at levels 0 and 1 the
       covers of cap symbols carry the whole check; its report counts the
       words walked per model, the coideal sizes at level 10
+    - injection embeds 36, 84 and 11 points at level 10, and 78, 286 and
+      378 at level 14
     - path-counts, coideal-identities, injection, approx-sequence and
       distinctness each report one planted fault: a wrong path count, a
       placement state wrongly on the blow-up locus (at each word that
@@ -356,6 +362,14 @@ def test_swapped_coordinates_at_one_word_fail_injection(monkeypatch):
         for w, u in (("+-+", "+-+-"), ("-+-", "+-+-"), ("+-+-", "++-+-"), ("+-+-", "+-+--")))
 
 
+@pytest.mark.parametrize("level, counts", [(10, (36, 84, 11)), (14, (78, 286, 378))])
+def test_injection_embeds_the_pinned_points(level, counts):
+    report = run_suite("injection", level=level)
+    assert report.ok and report.lines == [
+        f"{name}: {count} points embedded, edges and ideal image checked"
+        for name, count in zip(("step", "capped", "bracketed"), counts)]
+
+
 def test_a_wrong_value_at_a_base_word_fails_approx_sequence(monkeypatch):
     # +-+- is the base word of the sequence under ++--
     real = semifinite.phi_tw
@@ -427,6 +441,48 @@ def test_a_vanishing_point_of_low_valuation_breaks_the_limit(monkeypatch):
     assert not report.ok
     assert "step: +--+-: vanishing point with valuation 1 <= 1" in report.lines
     assert sum("vanishing point with" in line for line in report.lines) == 1
+
+
+# the suite pins the three example models; these have more flange words
+@pytest.mark.parametrize("text, level, forms", [
+    ("-2 +* -* +1 -* +* -1 +2 | w=1/5,3/10,1/4,1/4", 12, (5, 2)),
+    ("+2 -1 +* -2 +* | w=1/2,1/2", 10, (4, 2)),
+])
+def test_the_eps_limit_matches_its_closed_forms(text, level, forms):
+    model = GrowthModel.parse(text)
+    report = semifinite.check_limit_formula(model, level)
+    assert report.ok and report.finite_points
+    assert (report.n, report.const) == verify.limit_closed_forms(model) == forms
+
+
+def test_the_eps_limit_reports_both_closed_forms():
+    report = run_suite("eps-limit", level=9)
+    assert report.ok and [line.partition(" (")[0] for line in report.lines] == [
+        "step: n=1 const=2, closed forms n=1 const=2",
+        "capped: n=1 const=1, closed forms n=1 const=1",
+        "bracketed: n=2 const=1, closed forms n=2 const=1"]
+
+
+def test_a_flange_symbol_too_many_fails_eps_limit(monkeypatch):
+    # the automaton's offset F - k counts one flange symbol too many
+    real = verify.automaton
+    monkeypatch.setattr(verify, "automaton",
+                        lambda model: real(model)._replace(offset=real(model).offset + 1))
+    report = run_suite("eps-limit", level=9)
+    assert not report.ok
+    assert report.lines[3:] == ["step: valuation 1, closed form 2",
+                                "capped: valuation 1, closed form 2",
+                                "bracketed: valuation 2, closed form 3"]
+
+
+def test_a_flange_cluster_too_few_fails_eps_limit(monkeypatch):
+    # the layout the closed forms read loses the last flange cluster: the
+    # step model's flange word -+ counts one cluster and no sign change
+    real = verify._layout
+    monkeypatch.setattr(verify, "_layout", lambda t: (real(t)[0], real(t)[1][:-1]))
+    report = run_suite("eps-limit", level=9)
+    assert not report.ok
+    assert report.lines[3:] == ["step: ratio 2, closed form 1"]
 
 
 def test_the_semifinite_table_is_the_point_api():
