@@ -75,10 +75,14 @@ from .words import (MINUS, PLUS, ROOT, BinaryWord, Vertex, check_word_bound,
 
 def parse_rational(token: str) -> Fraction:
     """An integer, 'a/b' or a plain decimal; exponent notation is refused
-    before ``Fraction`` would build 10^e."""
+    before ``Fraction`` would build 10^e, and a zero denominator is
+    refused by name."""
     if "e" in token or "E" in token:
         raise ValueError(f"exponent notation in {token!r} is not accepted")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,15 @@ Core claims:
       pass the cap
     - eval prints exact values past the 4,300 digits that CPython's str
       of an int allows
-    - a length or weight in exponent notation exits 2 before any work;
+    - a length or weight in exponent notation exits 2 before any work,
+      and one with a zero denominator exits 2 naming its token;
       integers, fractions and plain decimals are read exactly
+    - main builds its parser once per process, and a call through the
+      shared parser reads the same as through a fresh one, after
+      refused, helped and --opt=-- calls and from eight threads at once
 """
 
+import argparse
 import io
 import json
 import time
@@ -529,10 +534,7 @@ def test_an_error_about_the_one_box_word_names_it(capsys):
     assert (code, err.strip()) == (2, "error: '++' does not fit +1 -*")
 
 
-def test_inject_exits_0_or_2_on_every_word_to_10_symbols(capsys, monkeypatch):
-    # one parser serves every call: building it is most of a call's time
-    parser = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+def test_inject_exits_0_or_2_on_every_word_to_10_symbols(capsys):
     for text in ("+* -1 +1 -*", "+1 -* +* -1 +*", "-1 +* -* +1 -* +* -* +1",
                  "-2 +* -* +1 -* +* -1 +2"):
         t = parse_template(text)
@@ -590,6 +592,12 @@ def test_lengths_and_weights_take_integers_fractions_and_plain_decimals(capsys):
         code, out, _ = run(capsys, "eval", "--model", f"+* -1 +1 -* | w={weights}",
                            "--word", "+-+")
         assert (code, out) == (0, "3/64\n")
+
+
+@pytest.mark.parametrize("option", ["--paintbox=+1/0", "--model=+* -1 +1 -* | w=1/0,1"])
+def test_a_zero_denominator_exits_2_naming_its_token(capsys, option):
+    code, out, err = run(capsys, "eval", "--word", "+", option)
+    assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
 
 
 @pytest.mark.parametrize("argv", [("pieri", "--level", "15"),
@@ -752,15 +760,22 @@ VERIFY_CAPS = {"pieri": ("level", DEGREE_CAP - 2), "path-counts": ("level", LEVE
                "ring-identity": ("degree", DEGREE_CAP), "distinctness": ("level", LEVEL_CAP + 1)}
 
 
-def exit_of(argv):
-    """main's exit code, argparse's included, and what it wrote to stderr."""
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+def outcome(argv):
+    """main's exit code, argparse's included, and what it wrote to stdout
+    and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse refusing the argv
+        except SystemExit as exc:  # argparse refusing or answering the argv
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def exit_of(argv):
+    """main's exit code, argparse's included, and what it wrote to stderr."""
+    code, _, err = outcome(argv)
+    return code, err
 
 
 def argv_for(command, word, other, draw):
@@ -819,6 +834,80 @@ def test_the_drawn_verify_caps_are_the_registry_caps():
     for suite, (flag, cap) in VERIFY_CAPS.items():
         with pytest.raises(ValueError, match=f"^{suite} --{flag} {cap + 1} above cap {cap}$"):
             verify.run_suite(suite, **{flag: cap + 1})
+
+
+# -- one parser serves every call in the process ------------------------------
+
+GOOD_CALLS = {
+    ("covers", "--word", "+"): (0, "++\n+-\n-+\n", ""),
+    ("eval", "--model", "+* -1 +1 -* | w=1/2,1/2", "--word=-+"): (0, "1/4\n", ""),
+    ("graph", "--level", "2"): (0, "level 0: @\nlevel 1: \nlevel 2: + -\n"
+                                   "4 vertices, 3 edges\n", ""),
+    ("inject", "--template", "+* -1 +1 -*", "--word=-+"): (0, "(one box) | (one box)\n", ""),
+    ("dim", "--word", "@", "--to", "+-+"): (0, "5\n", ""),
+}
+
+
+def test_the_shared_parser_keeps_no_state_between_calls():
+    cli._build_parser.cache_clear()
+    first = {argv: outcome(list(argv)) for argv in GOOD_CALLS}
+    # options that the good calls leave at their defaults
+    assert outcome(["covers", "--word=+-", "--down"]) == (0, "+\n-\n", "")
+    assert outcome(["eval", "--paintbox=+1/2,-1/2", "--word", "+-"]) == (0, "1/4\n", "")
+    assert outcome(["graph", "--level", "1", "--format", "dot"])[0] == 0
+    code, out, err = outcome(["verify", "nosuch"])
+    assert (code, out) == (2, "") and "invalid choice: 'nosuch'" in err
+    code, out, err = outcome(["--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: zigzag")
+    assert outcome(["--help"]) == (code, out, err)
+    assert outcome(["verify", "path-counts", "--level=--"]) == (
+        2, "", "error: argument --level: invalid value '--'\n")
+    assert outcome(["inject", "--template", "+* -1 +1 -*", "--word=--"]) == (
+        2, "", "error: '--' fits a reduced template of +* -1 +1 -*\n")
+    code, out, _ = outcome(["verify", "path-counts", "--level", "3"])
+    assert code == 0 and "PASS path-counts" in out
+    assert first == {argv: outcome(list(argv)) for argv in GOOD_CALLS} == GOOD_CALLS
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli._build_parser.cache_clear()
+    for argv in [*GOOD_CALLS, ("verify", "nosuch"), ("--help",), *GOOD_CALLS]:
+        outcome(list(argv))
+    # the parser and a subparser per command, each built once
+    assert built == ["zigzag", *(f"zigzag {command}" for command in cli._HANDLERS)]
+
+
+def test_the_shared_parser_is_safe_under_threads():
+    # eight threads parse different argv through the one parser at once;
+    # each must read what a serial parse reads
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    argvs = [list(argv) for argv in GOOD_CALLS] + [
+        ["verify", "kerov-oracle", "--level", "4", "--seed", "7", "--format", "json"],
+        ["graph", "--level", "3", "--template", "+* -1 +1 -*", "--ideal", "--format=dot"],
+        ["product", "--word", "+", "--with=--", "--format", "json"]]
+    parser = cli._build_parser()
+    serial = [parser.parse_args(argv) for argv in argvs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(
+                lambda argv: [cli._build_parser().parse_args(argv) for _ in range(200)],
+                argvs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(argvs) == 8
+    assert threaded == [[namespace] * 200 for namespace in serial]
 
 
 # every command that takes a word, on each long word, beside the draws
