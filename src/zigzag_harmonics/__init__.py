@@ -15,7 +15,7 @@ from .templates import (Cluster, Template, compile_placement, inject, inject_all
                         placement)
 from .words import (EMPTY, MINUS, PLUS, ROOT, BinaryWord, Explorer, FormalCombination,
                     composition_of_word, cover_sums, dim, dominates_search,
-                    is_subword, level, lower_covers, parse_vertex, subword_step,
-                    upper_cover_bits, upper_covers, walk, words_below)
+                    is_subword, key_str, level, lower_covers, parse_vertex, subword_step,
+                    upper_cover_bits, upper_covers, walk, walk_levels, words_below)
 
 __version__ = "0.1.0"

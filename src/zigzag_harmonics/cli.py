@@ -27,8 +27,8 @@ from .render import PICTURE_CAP, render_template, render_vertex
 from .semifinite import INFINITY, GrowthModel, _Value, check_limit_formula, phi_tw
 from .templates import compile_placement, inject, on_locus, parse_template, placement
 from .verify import SUITES, run_suite
-from .words import (ROOT, BinaryWord, check_word_bound, dim, lower_covers, parse_vertex,
-                    upper_cover_bits, upper_covers, walk)
+from .words import (ROOT, BinaryWord, check_word_bound, dim, key_str, lower_covers,
+                    parse_vertex, upper_cover_bits, upper_covers, walk_levels)
 
 SCHEMA_GRAPH = "zigzag-graph/1"
 SCHEMA_VERIFY = "zigzag-verify/1"
@@ -149,8 +149,10 @@ def _graph_data(max_level: int, template_text: Optional[str], ideal: bool,
 
     Names are keyed by packed bits under a leading 1, so the key's bit
     length is the vertex's level, and the root, below the empty word,
-    is key 0.  Each vertex is turned into its string once; the edges
-    out of a vertex come from its cover bits, sorted by name.  With a
+    is key 0.  The walk runs on packed bits, and each vertex is named
+    once, by ``key_str`` of its key; the edges out of a vertex come from
+    its cover bits, sorted by name, and text only counts the covers
+    that are listed.  With a
     template, one walk of its coideal places each word once, by its
     placement automaton, and ``ideal`` drops the words whose placement
     lies on the blow-up locus.
@@ -194,24 +196,28 @@ def _graph_data(max_level: int, template_text: Optional[str], ideal: bool,
             return None if at is None or far.get(at, left) >= left else (at, left - 1)
 
         top = max_level - 1
-        for w, (at, _) in walk(max_level, (start, top) if far.get(start, top + 1) <= top
-                               else None, below_listed):
-            if not on_locus(at):
-                names[w.bits | 1 << w.n] = str(w)
+        walked = walk_levels(max_level, (start, top) if far.get(start, top + 1) <= top
+                             else None, below_listed)
+        keys = (bits | 1 << n for n, layer in walked for bits, (at, _) in layer
+                if not on_locus(at))
     else:
-        for w, _ in walk(max_level, start, step):
-            names[w.bits | 1 << w.n] = str(w)
+        keys = (bits | 1 << n for n, layer in walk_levels(max_level, start, step)
+                for bits, _ in layer)
+    names.update((key, key_str(key)) for key in keys)
     edges, edge_count = [], 0
     for key, name in names.items():
         n = key.bit_length() - 1  # symbols of the word; -1 at the root
         covers = (0,) if n < 0 else upper_cover_bits(n, key ^ 1 << n)
-        ups = [names[k] for k in (c | 1 << (n + 1) for c in covers) if k in names]
+        lead = 1 << (n + 1)  # the covers' leading 1
+        if edge_cost is None:  # text counts the listed covers and names none
+            edge_count += sum(c | lead in names for c in covers)
+            continue
+        ups = [names[c | lead] for c in covers if c | lead in names]
         edge_count += len(ups)
-        if edge_cost is not None:
-            # each cover's name has n + 1 symbols
-            size += len(ups) * (len(name) + n + 1 + edge_cost)
-            _check_listing(size)
-            edges.extend((name, up) for up in sorted(ups))
+        # each cover's name has n + 1 symbols
+        size += len(ups) * (len(name) + n + 1 + edge_cost)
+        _check_listing(size)
+        edges.extend((name, up) for up in sorted(ups))
     return [(key.bit_length(), name) for key, name in names.items()], edges, edge_count
 
 

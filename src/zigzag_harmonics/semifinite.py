@@ -34,7 +34,7 @@ from .templates import (Template, _layout, compile_placement, is_finite_template
                         member_J, minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, Explorer, FormalCombination,
-                    Vertex, dominates_search, level, subword_step, walk)
+                    Vertex, dominates_search, level, subword_step, walk_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +263,19 @@ def semifinite_table(model: GrowthModel, cap: int
     """
     a = automaton(model)
     step = partial(automaton_step, a)
-    walked = walk(cap, a.start, step)  # checks cap before any work
+    walked = walk_levels(cap, a.start, step)  # checks cap before any work
     levels: list[dict[int, Optional[int]]] = [{} for _ in range(cap + 1)]
     top = levels[cap]
     if not cap:
         top[0] = automaton_numerator(a, a.start)
-    for w, state in walked:
-        levels[w.n][w.bits] = automaton_numerator(a, state)
-        if w.n == cap - 1:
-            for bit in (0, 1):
-                child = step(state, bit)
-                if child is not None:
-                    top[w.bits | bit << w.n] = automaton_numerator(a, child)
+    for length, layer in walked:
+        levels[length] = {bits: automaton_numerator(a, state) for bits, state in layer}
+        if length == cap - 1:
+            for bits, state in layer:
+                for bit in (0, 1):
+                    child = step(state, bit)
+                    if child is not None:
+                        top[bits | bit << length] = automaton_numerator(a, child)
     return a.denominator, levels
 
 
@@ -359,9 +360,10 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     finite_points = 0
     vanishing: list[tuple[BinaryWord, int]] = []
     failures: list[str] = []
-    for w, (_, held) in walk(level_cap, (start, 0), step):
-        if held < nu.n:
-            continue
+    # a word object only for the words above the marker word
+    above = (BinaryWord(length, bits) for length, layer in walk_levels(level_cap, (start, 0), step)
+             for bits, (_, held) in layer if held == nu.n)
+    for w in above:
         numerator = eval_F_numerator(w, w_eps)
         n_here = ((numerator & -numerator).bit_length() - 1) // b if numerator else None
         val = phi_tw(model, w)

@@ -232,7 +232,11 @@ def place(t: Template, w: BinaryWord) -> tuple[bool, Optional[list[tuple[int, in
     flange chunk is full, and the greedy chunks, joined per section,
     are the section coordinates.
     """
-    bits, n = w.bits, w.n
+    return _place(t, w.bits, w.n)
+
+
+def _place(t: Template, bits: int, n: int) -> tuple[bool, Optional[list[tuple[int, int]]]]:
+    """:func:`place` of the word of n symbols packed in ``bits``."""
     starts: list[int] = []  # starts[i]: where cluster i's greedy chunk starts
     pos = _greedy(t._runs, bits, n, starts)
     if pos != n:
@@ -336,8 +340,8 @@ def compile_placement(t: Template) -> Explorer:
 def placement(t: Template) -> tuple[int, Callable[[int, int], Optional[int]]]:
     """The empty word's placement state in t, and the step that gives a
     word's state from its parent's and its last symbol (None off t's
-    coideal), for :func:`~zigzag_harmonics.words.walk`: one table read of
-    :func:`compile_placement`'s automaton once the state is known."""
+    coideal), for :func:`~zigzag_harmonics.words.walk_levels`: one table
+    read of :func:`compile_placement`'s automaton once the state is known."""
     p = compile_placement(t)
     return p.start, p.step
 

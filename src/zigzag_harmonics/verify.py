@@ -43,12 +43,11 @@ from .semifinite import (Automaton, GrowthModel, ModelState, automaton,
                          automaton_numerator, automaton_step, check_approx_sequence,
                          check_limit_formula, phi_tw, ring_identity_failures,
                          semifinite_table)
-from .templates import (Template, _layout, inject_all, member, member_J,
-                        minimal_maxblock_word, on_locus, parse_template, place,
-                        placement)
+from .templates import (_greedy, _layout, _place, inject_all, member, member_J,
+                        minimal_maxblock_word, on_locus, parse_template, placement)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, Explorer, FormalCombination, Vertex,
-                    cover_sums, dim, lower_covers, subword_step, upper_cover_bits,
-                    upper_covers, walk, words_below)
+                    cover_sums, dim, key_str, lower_covers, subword_step, upper_cover_bits,
+                    walk, walk_levels, words_below)
 from .words import level as vertex_level
 
 W = BinaryWord.from_str
@@ -229,8 +228,8 @@ def suite_finite_harmonicity(cap: int, seed: Optional[int]) -> Checks:
     failures = []
     for idx, pb in enumerate(boxes):
         support = [set() for _ in range(cap)]  # packed bits per length
-        for w, _ in walk(cap, *placement(template_of_paintbox(pb))):
-            support[w.n].add(w.bits)
+        for length, layer in walk_levels(cap, *placement(template_of_paintbox(pb))):
+            support[length] = {bits for bits, _ in layer}
         denominator, numerators = eval_F_levels(pb, cap + 1)
         if denominator != numerators[0][0]:  # N(@) = 1, its one cover the empty word
             failures.append(f"paintbox {idx}: not harmonic at {ROOT}")
@@ -318,11 +317,14 @@ def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
     # tell whether the scan's states are closed under the step
     closed = product.explore(max_symbols + 1)
     labels = product.labels
-    for w, at in walk(max_symbols + 1, product.start, product.step):
-        broken, finite_b = labels[at]
-        failures.extend(f"{check} at {w}" for check in broken)
-        if finite_b and len(w) == len(g1):
-            minimal.append(w)
+    for length, layer in walk_levels(max_symbols + 1, product.start, product.step):
+        for bits, at in layer:
+            broken, finite_b = labels[at]
+            if broken:
+                name = key_str(bits | 1 << length)
+                failures.extend(f"{check} at {name}" for check in broken)
+            if finite_b and length == len(g1):
+                minimal.append(BinaryWord(length, bits))
     if sorted(map(str, minimal)) != sorted([str(g1), str(g2)]):
         failures.append(f"bracketed minimal elements are {minimal}, expected two generators")
 
@@ -358,49 +360,69 @@ def suite_coideal_identities(max_symbols: int, _seed: Optional[int]) -> Checks:
 
 @_suite("injection", 10, 0, LEVEL_CAP + 1)
 def suite_injection(cap: int, _seed: Optional[int]) -> Checks:
+    # points, coordinates and covers are keys, packed bits under a leading
+    # 1; a word is built only for inject_all, the search under check, and
+    # for a failure line
     failures: list[str] = []
     lines: list[str] = []
     for name, model in EXAMPLE_MODELS.items():
         t = model.template
-        sections = [Template(t.clusters[lo:hi]) for lo, hi in _layout(t)[0]]
-        image: dict[tuple[BinaryWord, ...], BinaryWord] = {}
-        coords: dict[BinaryWord, tuple[BinaryWord, ...]] = {}
-        for w, state in walk(cap, *placement(t)):
-            if not on_locus(state):
-                decs = inject_all(t, w)
-                if len(decs) != 1:
-                    failures.append(f"{name}: {len(decs)} decompositions at {w}")
-                    continue
-                coords[w] = decs[0]
-                if decs[0] in image:
-                    failures.append(f"{name}: image collision at {decs[0]}")
-                image[decs[0]] = w
-        for w, tup in coords.items():
-            covers, pieces = upper_covers(w), [upper_covers(x) for x in tup]
+        sections = [t._runs[lo:hi] for lo, hi in _layout(t)[0]]
+        image: dict[tuple[int, ...], int] = {}
+        coords: dict[int, tuple[int, ...]] = {}
+        points = (BinaryWord(n, bits) for n, layer in walk_levels(cap, *placement(t))
+                  for bits, state in layer if not on_locus(state))
+        for w in points:
+            decs = inject_all(t, w)
+            if len(decs) != 1:
+                failures.append(f"{name}: {len(decs)} decompositions at {w}")
+                continue
+            tup = tuple(x.bits | 1 << x.n for x in decs[0])
+            coords[w.bits | 1 << w.n] = tup
+            if tup in image:
+                failures.append(f"{name}: image collision at {decs[0]}")
+            image[tup] = w.bits | 1 << w.n
+        for key, tup in coords.items():
+            covers, pieces = _cover_keys(key), [_cover_keys(x) for x in tup]
             for u in covers:
                 if u not in coords:
                     continue
+                edge = f"{name}: edge {key_str(key)}->{key_str(u)}"
                 diff = [i for i in range(len(tup)) if coords[u][i] != tup[i]]
                 if len(diff) != 1:
-                    failures.append(f"{name}: edge {w}->{u} moves {len(diff)} coordinates")
+                    failures.append(f"{edge} moves {len(diff)} coordinates")
                     continue
                 i = diff[0]
                 if coords[u][i] not in pieces[i]:
-                    failures.append(f"{name}: edge {w}->{u} is not a coordinate cover")
-            if vertex_level(w) >= cap:
+                    failures.append(f"{edge} is not a coordinate cover")
+            if key.bit_length() >= cap:  # the word's level
                 continue  # the bumped preimage would fall outside the enumeration
-            for i, section in enumerate(sections):
+            for i, runs in enumerate(sections):
                 for c in pieces[i]:
-                    if not member(section, c):
+                    n = c.bit_length() - 1
+                    if _greedy(runs, c ^ 1 << n, n) != n:  # c is not in section i
                         continue
                     bumped = tup[:i] + (c,) + tup[i + 1:]
                     pre = image.get(bumped)
                     if pre is None:
-                        failures.append(f"{name}: image misses cover {bumped} of {tup}")
+                        failures.append(f"{name}: image misses cover {_words(bumped)} "
+                                        f"of {_words(tup)}")
                     elif pre not in covers:
-                        failures.append(f"{name}: product edge at {tup} has no preimage edge")
+                        failures.append(f"{name}: product edge at {_words(tup)} "
+                                        "has no preimage edge")
         lines.append(f"{name}: {len(coords)} points embedded, edges and ideal image checked")
     return lines, failures
+
+
+def _cover_keys(key: int) -> list[int]:
+    """The keys of the upper covers of the word with this key."""
+    n = key.bit_length() - 1
+    return [c | 1 << (n + 1) for c in upper_cover_bits(n, key ^ 1 << n)]
+
+
+def _words(keys: tuple[int, ...]) -> tuple[BinaryWord, ...]:
+    """The words with these keys."""
+    return tuple(BinaryWord(k.bit_length() - 1, k ^ 1 << (k.bit_length() - 1)) for k in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +447,12 @@ def suite_semifinite(cap: int, _seed: Optional[int]) -> Checks:
             above = levels[k + 1]
             for bits, value in levels[k].items():
                 count += 1
-                w = BinaryWord(k, bits)
-                fits, cuts = place(t, w)
+                fits, cuts = _place(t, bits, k)
                 kind = "infinite" if value is None else "finite" if value else "zero"
                 expected_kind = "zero" if not fits else ("infinite" if cuts is None else "finite")
                 if kind != expected_kind:
-                    failures.append(f"{name}: {w} is {kind}, expected {expected_kind}")
+                    failures.append(f"{name}: {key_str(bits | 1 << k)} is {kind}, "
+                                    f"expected {expected_kind}")
                 total: Optional[int] = 0
                 for c in upper_cover_bits(k, bits):
                     covered = above.get(c, 0)
@@ -439,7 +461,7 @@ def suite_semifinite(cap: int, _seed: Optional[int]) -> Checks:
                         break
                     total += covered
                 if total != (None if value is None else value * denominator):
-                    failures.append(f"{name}: not harmonic at {w}")
+                    failures.append(f"{name}: not harmonic at {key_str(bits | 1 << k)}")
         counts.append(f"{name} {count}")
     # the closed form checks both routes: phi_tw, and the walked table,
     # whose numerators the checks above tie only to each other
@@ -598,8 +620,10 @@ def suite_distinctness(cap: int, _seed: Optional[int]) -> Checks:
             at1, at2 = at1 and automaton_step(a1, at1, bit), at2 and automaton_step(a2, at2, bit)
             return (at1, at2) if at1 or at2 else None
 
-        witness = next((w for w, (at1, at2) in walk(cap, (a1.start, a2.start), in_either)
-                        if _values_differ(a1, at1, a2, at2, w.n)), None)
+        witness = next((BinaryWord(length, bits)
+                        for length, layer in walk_levels(cap, (a1.start, a2.start), in_either)
+                        for bits, (at1, at2) in layer
+                        if _values_differ(a1, at1, a2, at2, length)), None)
         if witness is None:
             failures.append(f"pair {idx} not separated up to level {cap}")
         else:

@@ -61,9 +61,7 @@ class BinaryWord:
         return self.n
 
     def __str__(self) -> str:
-        # a leading 1 keeps the zeros of high '+' symbols; reversed, the
-        # slice drops it with the '0b' prefix
-        return bin(self.bits | 1 << self.n)[:2:-1].replace("0", PLUS).replace("1", MINUS)
+        return key_str(self.bits | 1 << self.n)
 
     def __repr__(self) -> str:
         return f"BinaryWord({str(self)!r})"
@@ -95,6 +93,14 @@ class BinaryWord:
 
 
 EMPTY = BinaryWord(0, 0)
+
+
+def key_str(key: int) -> str:
+    """The symbols of the word whose packed bits sit under a leading 1 in
+    ``key``, ``bits | 1 << n`` for a word of n symbols: the leading 1 keeps
+    the zeros of high '+' symbols, and the reversed slice drops it with
+    the '0b' prefix.  Walks that keep words by key name them with it."""
+    return bin(key)[:2:-1].replace("0", PLUS).replace("1", MINUS)
 
 
 class _Root:
@@ -156,12 +162,13 @@ def upper_cover_bits(n: int, bits: int) -> list[int]:
     n + 1.  They are the opposite of each symbol inserted just before
     it, and either symbol appended.  Any other insertion lands inside a
     run of its own symbol and repeats the insertion at that run's end.
+    Inserting at pos shifts symbol pos and those after it up one place,
+    which adds ``bits >> pos << pos`` to the bits, and sets bit pos
+    where ``bits`` has a 0.
     """
+    flipped = ~bits
     covers = [bits, bits | 1 << n]
-    for pos in range(n):
-        low = bits & ((1 << pos) - 1)
-        high = bits >> pos  # symbol pos and those after it
-        covers.append(low | (high << 1 | (~high & 1)) << pos)
+    covers += [bits + (bits >> pos << pos) + (flipped & 1 << pos) for pos in range(n)]
     return covers
 
 
@@ -351,9 +358,11 @@ def check_word_bound(n: int) -> None:
         raise ValueError(f"word length {n - 1} above cap {LEVEL_CAP}")
 
 
-def walk(n: int, start: Any, step: Callable[[Any, int], Any]
-         ) -> Iterator[tuple[BinaryWord, Any]]:
-    """Every word of fewer than n symbols with its state, shortest first, lazily.
+def walk_levels(n: int, start: Any, step: Callable[[Any, int], Any]
+                ) -> Iterator[tuple[int, list[tuple[int, Any]]]]:
+    """Every word of fewer than n symbols with its state, one length at a
+    time, shortest first, lazily: ``(length, [(bits, state), ...])``, each
+    word by its packed bits.
 
     ``start`` is the empty word's state, and ``step(state, bit)`` builds
     a word's state from its parent's and its last symbol (bit 1 for
@@ -361,23 +370,34 @@ def walk(n: int, start: Any, step: Callable[[Any, int], Any]
     prefix-closed, as every template coideal is.  Each length appends
     '+', then '-', to each word of the last, in lexicographic order ('+'
     < '-'), so the walk visits the kept words and their one-symbol
-    boundary, each once.  The cap is checked here, before any word is
-    made, and a search that stops early builds no further length.
+    boundary, each once.  The walk ends at the first length that keeps
+    no word.  The cap is checked here, before any work, and a search
+    that stops early builds no further length.
     """
     check_word_bound(n)
-    return _walk(n, start, step)
+    return _walk_levels(n, start, step)
 
 
-def _walk(n: int, start: Any, step: Callable[[Any, int], Any]
-          ) -> Iterator[tuple[BinaryWord, Any]]:
-    layer = [] if start is None else [(EMPTY, start)]
+def _walk_levels(n: int, start: Any, step: Callable[[Any, int], Any]
+                 ) -> Iterator[tuple[int, list[tuple[int, Any]]]]:
+    layer = [] if start is None else [(0, start)]
     for length in range(n):
         if length:
             minus = 1 << (length - 1)
-            layer = [(BinaryWord(length, w.bits | symbol), child)
-                     for w, state in layer for symbol, bit in ((0, 0), (minus, 1))
+            layer = [(bits | symbol, child)
+                     for bits, state in layer for symbol, bit in ((0, 0), (minus, 1))
                      if (child := step(state, bit)) is not None]
-        yield from layer
+        if not layer:
+            return
+        yield length, layer
+
+
+def walk(n: int, start: Any, step: Callable[[Any, int], Any]
+         ) -> Iterator[tuple[BinaryWord, Any]]:
+    """:func:`walk_levels` one word at a time, each as a :class:`BinaryWord`
+    with its state; the cap is checked at the call."""
+    return ((BinaryWord(length, bits), state)
+            for length, layer in walk_levels(n, start, step) for bits, state in layer)
 
 
 def words_below(n: int) -> Iterator[BinaryWord]:

@@ -318,6 +318,7 @@ def test_graph_refuses_level_21_before_the_walk(capsys, monkeypatch, restriction
         raise AssertionError("a vertex was named past the size check")
 
     monkeypatch.setattr(cli, "str", named, raising=False)
+    monkeypatch.setattr(cli, "key_str", named)
     started = time.perf_counter()
     code, out, err = run(capsys, "graph", "--level", "21", *restriction, "--format", fmt)
     assert code == 2 and out == "" and err.startswith("error:") and "above cap" in err
@@ -350,18 +351,18 @@ def infinite_clusters_take_two(monkeypatch):
 
 def _ideal_walk(max_level, template_text):
     """graph --ideal's listed words, and every word its walk reached."""
-    walked, real = [], cli.walk
+    walked, real = [], cli.walk_levels
 
     def recording(*args):
-        for w, state in real(*args):
-            walked.append(str(w))
-            yield w, state
+        for length, layer in real(*args):
+            walked.extend(str(BinaryWord(length, bits)) for bits, _ in layer)
+            yield length, layer
 
-    cli.walk = recording
+    cli.walk_levels = recording
     try:
         vertices, _, _ = cli._graph_data(max_level, template_text, True)
     finally:
-        cli.walk = real
+        cli.walk_levels = real
     return [name for _, name in vertices], walked
 
 

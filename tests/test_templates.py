@@ -49,6 +49,11 @@ Core claims:
       symbols; coideal-identities, finite-harmonicity, distinctness and
       graph --ideal run no greedy pass on a walked word, and semifinite
       one, the place call it compares with
+    - the per-word walk is the layer walk word for word and state for
+      state on the example templates to 12 symbols; the layer walk of a
+      None start is empty, it ends at the first length that keeps no
+      word, a search that stops early builds no further length, and a
+      bound past the cap is refused before any step
 """
 
 import pickle
@@ -73,10 +78,11 @@ from zigzag_harmonics import (EMPTY, BinaryWord, Cluster, GrowthModel, Template,
                               is_finite_template, is_subword, lower_covers, member,
                               member_J, minimal_maxblock_word, on_locus, parse_template,
                               phi_tw, place, placement, section_interval_tuples,
-                              upper_covers, walk, words_below)
+                              upper_covers, walk, walk_levels, words_below)
 from zigzag_harmonics import cli, templates, verify
 from zigzag_harmonics.templates import _layout
 from zigzag_harmonics.verify import EXAMPLE_MODELS
+from zigzag_harmonics.words import LEVEL_CAP
 
 W = BinaryWord.from_str
 
@@ -659,6 +665,49 @@ def test_the_walk_places_every_word_of_every_small_template():
 @given(alternating_templates(), st.integers(0, 14))
 def test_the_walk_places_every_word_of_random_templates(t, n):
     _check_walk(t, n)
+
+
+@pytest.mark.parametrize("t", [STEP, CAPPED, BRACKETED, TWO_FLANGE, FIGURE], ids=str)
+def test_the_walk_is_the_layer_walk_word_by_word(t):
+    start, step = placement(t)
+    layers = list(walk_levels(13, start, step))
+    assert [length for length, _ in layers] == list(range(13))
+    assert list(walk(13, start, step)) == [
+        (BinaryWord(length, bits), at) for length, layer in layers for bits, at in layer]
+
+
+def test_the_layer_walk_stops_where_its_words_do():
+    steps = []
+
+    def step(depth, bit):
+        steps.append(depth)
+        return depth + 1 if depth < 2 else None
+
+    # a None start walks nothing, and a length that keeps no word ends the walk
+    assert list(walk_levels(5, None, step)) == list(walk(5, None, step)) == []
+    assert [(length, len(layer)) for length, layer in walk_levels(10, 0, step)] == [
+        (0, 1), (1, 2), (2, 4)]
+    assert len(steps) == 2 + 4 + 8
+    # a search that stops early builds no further length: the words of 2
+    # symbols come from stepping the 1 + 2 shorter ones, none of theirs
+    steps.clear()
+    for length, layer in walk_levels(10, 0, step):
+        if length == 2:
+            break
+    assert len(steps) == 2 + 4
+    steps.clear()
+    assert next(w for w, _ in walk(10, 0, step) if w.n == 2) == BinaryWord(2, 0)
+    assert len(steps) == 2 + 4
+
+    def refused(state, bit):
+        raise AssertionError("a refused walk stepped a state")
+
+    # the cap is refused at the call, before any word or step
+    for bound in (LEVEL_CAP + 2, -1):
+        with pytest.raises(ValueError):
+            walk_levels(bound, 0, refused)
+        with pytest.raises(ValueError):
+            walk(bound, 0, refused)
 
 
 def test_a_huge_multiplicity_keeps_the_step_state_small():

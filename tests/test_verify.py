@@ -41,7 +41,12 @@ Core claims:
     - ring-identity reports a wrong automaton value at one product word
       at the one pair whose product holds it, makes no point evaluation,
       and pieri reports one extra shuffle count; ring-identity at degree
-      12 checks all three models
+      12 checks all three models, and at degree 9 80, 80 and 0 pairs
+    - eps-limit at level 9 reads 15, 20 and 1 finite and 55, 15 and 0
+      vanishing points, and finite-harmonicity at level 10 walks supports
+      of 55, 175, 10, 175, 10, 385, 175, 55, 385 and 10 words
+    - semifinite_table builds no word object at level 10, and
+      coideal-identities at level 11 fewer than 50
     - the ring identity fails on a mixture of two growth models with the
       same template, and holds for each of them alone
     - distinctness accepts no level below the one at which the point
@@ -461,6 +466,10 @@ def test_the_eps_limit_reports_both_closed_forms():
         "step: n=1 const=2, closed forms n=1 const=2",
         "capped: n=1 const=1, closed forms n=1 const=1",
         "bracketed: n=2 const=1, closed forms n=2 const=1"]
+    # the words above each marker word that the limit reads
+    assert [line.partition(" (")[2] for line in report.lines] == [
+        "15 finite, 55 vanishing points)", "20 finite, 15 vanishing points)",
+        "1 finite, 0 vanishing points)"]
 
 
 def test_a_flange_symbol_too_many_fails_eps_limit(monkeypatch):
@@ -684,6 +693,48 @@ def test_ring_identity_at_degree_12_reaches_the_bracketed_model():
     report = run_suite("ring-identity", degree=12)
     assert report.ok
     assert report.lines == ["step: 224 pairs", "capped: 448 pairs", "bracketed: 16 pairs"]
+
+
+def test_ring_identity_checks_the_pinned_pairs_at_its_acceptance_degree():
+    report = run_suite("ring-identity", degree=9)
+    assert report.ok
+    assert report.lines == ["step: 80 pairs", "capped: 80 pairs",
+                            "bracketed: 0 pairs (no finite vertices this low)"]
+
+
+def test_finite_harmonicity_walks_the_pinned_supports(monkeypatch):
+    # the words below 10 symbols in each paintbox's support, as the walk
+    # lists them; the suite checks them against the positive numerators
+    sizes = []
+    real = verify.walk_levels
+
+    def walk_levels(n, start, step):
+        sizes.append(0)
+        for length, layer in real(n, start, step):
+            sizes[-1] += len(layer)
+            yield length, layer
+
+    monkeypatch.setattr(verify, "walk_levels", walk_levels)
+    assert run_suite("finite-harmonicity", level=10).ok
+    assert sizes == [55, 175, 10, 175, 10, 385, 175, 55, 385, 10]
+
+
+def test_the_walked_suites_build_no_word_per_walked_word(monkeypatch):
+    built = []
+    real = BinaryWord.__post_init__
+
+    def counted(w):
+        built.append(w)
+        real(w)
+
+    monkeypatch.setattr(BinaryWord, "__post_init__", counted)
+    for model in EXAMPLE_MODELS.values():
+        semifinite_table(model, 10)
+    assert built == []
+    # 21 words: the minimal elements, the generators' lower covers, the
+    # expected meet and the capped generator; the walk reaches 2,621
+    assert run_suite("coideal-identities", level=11).ok
+    assert len(built) < 50
 
 
 def test_the_ring_identity_fails_on_a_mixture_of_two_models():
