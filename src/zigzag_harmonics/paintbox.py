@@ -62,15 +62,14 @@ corner-symbol convention above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
 from typing import Sequence, Union
 
 from .templates import Cluster, Template
-from .words import (MINUS, PLUS, ROOT, BinaryWord, Vertex, check_word_bound,
-                    composition_of_word)
+from .words import (MINUS, PLUS, ROOT, BinaryWord, Frozen, Vertex, _set,
+                    check_word_bound, composition_of_word)
 
 
 def parse_rational(token: str) -> Fraction:
@@ -85,37 +84,39 @@ def parse_rational(token: str) -> Fraction:
         raise ValueError(f"zero denominator in {token!r}") from None
 
 
-@dataclass(frozen=True)
-class IntervalTuple:
+class IntervalTuple(Frozen):
     """Ordered oriented intervals of positive rational (int or Fraction) length."""
 
+    __slots__ = ("intervals", "_transfer")
     intervals: tuple[tuple[str, Fraction], ...]
     # (keeps per symbol bit, scaled lengths, common denominator D), see eval_F
-    _transfer: tuple = field(init=False, repr=False, compare=False)
+    _transfer: tuple
 
-    def __post_init__(self) -> None:
-        if not self.intervals:
+    def __init__(self, intervals: tuple[tuple[str, Fraction], ...]) -> None:
+        if not intervals:
             raise ValueError("need at least one interval")
-        for sign, length in self.intervals:
+        for sign, length in intervals:
             if sign not in (PLUS, MINUS):
                 raise ValueError(f"bad orientation {sign!r}")
             if (type(length) is not int and type(length) is not Fraction) or length <= 0:
                 raise ValueError(f"length {length!r} is not a positive int or Fraction")
-        denominator = lcm(*(l.denominator for l in self.lengths))
-        lengths = tuple(int(l * denominator) for l in self.lengths)
-        keeps = tuple(tuple(s == sign for s in self.signs) for sign in (PLUS, MINUS))
-        object.__setattr__(self, "_transfer", (keeps, lengths, denominator))
+        denominator = lcm(*(l.denominator for _, l in intervals))
+        lengths = tuple(int(l * denominator) for _, l in intervals)
+        keeps = tuple(tuple(s == sign for s, _ in intervals) for sign in (PLUS, MINUS))
+        _set(self, "intervals", intervals)
+        _set(self, "_transfer", (keeps, lengths, denominator))
 
-    @staticmethod
-    def parse(text: str) -> "IntervalTuple":
-        """Comma-separated signed rationals, e.g. '+1/3,-1/6,+1/2'."""
+    @classmethod
+    def parse(cls, text: str) -> "IntervalTuple":
+        """Comma-separated signed rationals, e.g. '+1/3,-1/6,+1/2'; a
+        ``Paintbox.parse`` gives a paintbox."""
         intervals = []
         for token in text.split(","):
             token = token.strip()
             if not token or token[0] not in (PLUS, MINUS):
                 raise ValueError(f"bad interval token {token!r}")
             intervals.append((token[0], parse_rational(token[1:])))
-        return IntervalTuple(tuple(intervals))
+        return cls(tuple(intervals))
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -136,19 +137,16 @@ class IntervalTuple:
         return self._transfer[2]
 
 
-@dataclass(frozen=True)
 class Paintbox(IntervalTuple):
     """IntervalTuple with exact rational lengths of total one."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        total = sum(self.lengths, Fraction(0))
+    __slots__ = ()
+
+    def __init__(self, intervals: tuple[tuple[str, Fraction], ...]) -> None:
+        super().__init__(intervals)
+        total = Fraction(sum(self._transfer[1]), self.denominator)
         if total != 1:
             raise ValueError(f"paintbox lengths must sum to 1, got {total}")
-
-    @staticmethod
-    def parse(text: str) -> "Paintbox":
-        return Paintbox(IntervalTuple.parse(text).intervals)
 
 
 # ---------------------------------------------------------------------------

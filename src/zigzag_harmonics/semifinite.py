@@ -21,7 +21,6 @@ integer evaluation at a large power of two.  eps is never a float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod
@@ -33,8 +32,8 @@ from .qsym import DEGREE_CAP, shuffle_counts
 from .templates import (Template, _layout, compile_placement, is_finite_template, member,
                         member_J, minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
-from .words import (LEVEL_CAP, ROOT, BinaryWord, Explorer, FormalCombination,
-                    Vertex, dominates_search, level, subword_step, walk_levels)
+from .words import (LEVEL_CAP, ROOT, BinaryWord, Explorer, FormalCombination, Frozen,
+                    Vertex, _set, dominates_search, level, subword_step, walk_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -64,29 +63,31 @@ _Value = Union[Fraction, _Infinity]
 # Growth models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthModel:
+class GrowthModel(Frozen):
     """Semifinite template plus growth weights on its infinite clusters."""
 
+    __slots__ = ("template", "weights", "_sections", "_automaton")
     template: Template
     weights: tuple[Fraction, ...]
     # filled by section_interval_tuples on first use
-    _sections: Optional[tuple[IntervalTuple, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
+    _sections: Optional[tuple[IntervalTuple, ...]]
     # filled by automaton on first use
-    _automaton: Optional["Automaton"] = field(
-        default=None, init=False, repr=False, compare=False)
+    _automaton: Optional["Automaton"]
 
-    def __post_init__(self) -> None:
-        if is_finite_template(self.template):
-            raise ValueError(f"template {self.template} is finite")
-        if len(self.weights) != self.template.infinite_count:
+    def __init__(self, template: Template, weights: tuple[Fraction, ...]) -> None:
+        if is_finite_template(template):
+            raise ValueError(f"template {template} is finite")
+        if len(weights) != template.infinite_count:
             raise ValueError(
-                f"need {self.template.infinite_count} weights, got {len(self.weights)}")
-        if not all((type(w) is int or type(w) is Fraction) and w > 0 for w in self.weights):
+                f"need {template.infinite_count} weights, got {len(weights)}")
+        if not all((type(w) is int or type(w) is Fraction) and w > 0 for w in weights):
             raise ValueError("weights must be positive ints or Fractions")
-        if sum(self.weights, Fraction(0)) != 1:
+        if sum(weights, Fraction(0)) != 1:
             raise ValueError("weights must sum to 1")
+        _set(self, "template", template)
+        _set(self, "weights", weights)
+        _set(self, "_sections", None)
+        _set(self, "_automaton", None)
 
     @staticmethod
     def parse(text: str) -> "GrowthModel":
@@ -111,7 +112,7 @@ def section_interval_tuples(model: GrowthModel) -> tuple[IntervalTuple, ...]:
     if model._sections is None:
         clusters = model.template.clusters
         weights = iter(model.weights)
-        object.__setattr__(model, "_sections", tuple(
+        _set(model, "_sections", tuple(
             IntervalTuple(tuple((c.sign, next(weights))
                                 for c in clusters[lo:hi] if c.is_infinite))
             for lo, hi in _layout(model.template)[0]))
@@ -221,7 +222,7 @@ def automaton(model: GrowthModel) -> Automaton:
         for s, (lo, hi) in enumerate(spans, 1):
             section_of[lo:hi] = [s] * (hi - lo)
         p = compile_placement(t)
-        object.__setattr__(model, "_automaton", Automaton(
+        _set(model, "_automaton", Automaton(
             (p.start, 0, lengths[0], 1), p, tuple(section_of), keeps, lengths, skipped, denominator,
             sum(t.clusters[i].mult for i in flange) - len(spans)))
     return model._automaton
@@ -301,8 +302,7 @@ def build_w_eps(model: GrowthModel, eps: Union[int, Fraction]) -> IntervalTuple:
                                if c.is_infinite or i in flange))
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     ok: bool
     n: Optional[int]
     const: Optional[Fraction]
@@ -445,8 +445,7 @@ def ring_identity_failures(model: GrowthModel, lefts: Sequence[Vertex],
     return failures
 
 
-@dataclass(frozen=True)
-class ApproxReport:
+class ApproxReport(NamedTuple):
     ok: bool
     certified_levels: tuple[Optional[int], ...]
     values: tuple[Fraction, ...]

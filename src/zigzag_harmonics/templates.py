@@ -50,23 +50,24 @@ positive integer or '*' for an infinite multiplicity, e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional
 
-from .words import MINUS, PLUS, BinaryWord, Explorer
+from .words import MINUS, PLUS, BinaryWord, Explorer, Frozen, _set
 
 
-@dataclass(frozen=True, slots=True)
-class Cluster:
+class Cluster(Frozen):
+    __slots__ = ("sign", "mult")
     sign: str
     mult: Optional[int]  # None means infinite
 
-    def __post_init__(self) -> None:
-        if self.sign not in (PLUS, MINUS):
-            raise ValueError(f"bad cluster sign {self.sign!r}")
-        if self.mult is not None and self.mult < 1:
-            raise ValueError(f"finite multiplicity must be >= 1, got {self.mult}")
+    def __init__(self, sign: str, mult: Optional[int]) -> None:
+        if sign not in (PLUS, MINUS):
+            raise ValueError(f"bad cluster sign {sign!r}")
+        if mult is not None and mult < 1:
+            raise ValueError(f"finite multiplicity must be >= 1, got {mult}")
+        _set(self, "sign", sign)
+        _set(self, "mult", mult)
 
     @property
     def is_infinite(self) -> bool:
@@ -76,31 +77,30 @@ class Cluster:
         return f"{self.sign}{'*' if self.mult is None else self.mult}"
 
 
-@dataclass(frozen=True, slots=True)
-class Template:
+class Template(Frozen):
+    __slots__ = ("clusters", "_runs", "_layout", "_placement")
     clusters: tuple[Cluster, ...]
     # (sign bit, multiplicity or None) per cluster, read by _greedy
-    _runs: tuple[tuple[int, Optional[int]], ...] = field(
-        init=False, repr=False, compare=False)
+    _runs: tuple[tuple[int, Optional[int]], ...]
     # per section, its first and one past its last cluster index, and the
     # flange cluster indices; filled by _layout on first use
-    _layout: Optional[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    _layout: Optional[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]
     # the placement automaton of t and its reduced templates; made by
     # compile_placement on first use, and grows as walks reach new states
-    _placement: Optional[Explorer] = field(
-        default=None, init=False, repr=False, compare=False)
+    _placement: Optional[Explorer]
 
-    def __post_init__(self) -> None:
-        if not self.clusters:
+    def __init__(self, clusters: tuple[Cluster, ...]) -> None:
+        if not clusters:
             raise ValueError("template needs at least one cluster")
-        for a, b in zip(self.clusters, self.clusters[1:]):
+        for a, b in zip(clusters, clusters[1:]):
             if a.sign == b.sign:
                 raise ValueError(f"clusters must alternate, got {a} {b}")
-        if not any(c.is_infinite for c in self.clusters):
+        if not any(c.is_infinite for c in clusters):
             raise ValueError("template needs at least one infinite cluster")
-        object.__setattr__(self, "_runs", tuple(
-            (1 if c.sign == MINUS else 0, c.mult) for c in self.clusters))
+        _set(self, "clusters", clusters)
+        _set(self, "_runs", tuple((1 if c.sign == MINUS else 0, c.mult) for c in clusters))
+        _set(self, "_layout", None)
+        _set(self, "_placement", None)
 
     @staticmethod
     def parse(text: str) -> "Template":
@@ -160,7 +160,7 @@ def _layout(t: Template) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
                     spans.append((i, i + 1))
             else:
                 flange.append(i)
-        object.__setattr__(t, "_layout", (tuple(spans), tuple(flange)))
+        _set(t, "_layout", (tuple(spans), tuple(flange)))
     return t._layout
 
 
@@ -332,7 +332,7 @@ def compile_placement(t: Template) -> Explorer:
         bits, mults = [bit for bit, _ in t._runs], [mult for _, mult in t._runs]
         tables = (_table(bits, mults), *(
             _table(bits, mults[:f] + [mults[f] - 1] + mults[f + 1:]) for f in _layout(t)[1]))
-        object.__setattr__(t, "_placement", Explorer(
+        _set(t, "_placement", Explorer(
             (0,) * len(tables), partial(_codes_step, tables), partial(_codes_note, 2 * len(t))))
     return t._placement
 

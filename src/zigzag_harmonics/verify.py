@@ -29,12 +29,11 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import factorial
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .paintbox import (IntervalTuple, Paintbox, eval_F_coproduct_levels, eval_F_levels,
                        eval_F_numerator, template_of_paintbox)
@@ -63,8 +62,7 @@ EXAMPLE_MODELS = {
 }
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     ok: bool
     lines: list[str]

@@ -18,12 +18,11 @@ is immutable, and all of it is safe to use from several threads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import lcm
-from operator import add
+from operator import add, attrgetter
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 PLUS = "+"
@@ -37,16 +36,78 @@ LEVEL_CAP = 20
 _DIGITS = str.maketrans(PLUS + MINUS, "01")
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryWord:
+# sets a slot of a Frozen value, whose own __setattr__ refuses
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes.  A subclass lists its fields
+    and then its caches in ``__slots__``; a cache's name starts with '_'.
+    Its ``__init__`` checks the fields and sets every slot with
+    ``object.__setattr__``, the only way to set one: assignment raises
+    ``AttributeError``.  Instances are equal when they are of the same
+    class with equal fields, hash as the tuple of their fields and
+    print as ``Name(field=value, ...)``; a pickle keeps the caches."""
+
+    __slots__ = ()
+    _slots: tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._slots = tuple(s for c in reversed(cls.__mro__) for s in vars(c).get("__slots__", ()))
+        cls._fields = tuple(s for s in cls._slots if s[0] != "_")
+        get = attrgetter(*cls._fields)
+        # attrgetter gives the bare value for one field, a tuple for more
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, s) for s in self._slots)
+
+    def __setstate__(self, state: tuple) -> None:
+        for s, value in zip(self._slots, state):
+            _set(self, s, value)
+
+
+class BinaryWord(Frozen):
     """Immutable word over {+, -}; bit i of ``bits`` is symbol i (1 = '-')."""
 
+    __slots__ = ("n", "bits")
     n: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"invalid packed word ({self.n}, {self.bits})")
+    def __init__(self, n: int, bits: int) -> None:
+        if n < 0 or bits < 0 or bits >> n:
+            raise ValueError(f"invalid packed word ({n}, {bits})")
+        _set(self, "n", n)
+        _set(self, "bits", bits)
+
+    # the path-count memo's key: spelled out, twice as fast as the generic pair
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.bits == other.bits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
 
     @staticmethod
     def from_str(text: str) -> "BinaryWord":

@@ -31,6 +31,8 @@ Core claims:
     - a length or weight in exponent notation exits 2 before any work,
       and one with a zero denominator exits 2 naming its token;
       integers, fractions and plain decimals are read exactly
+    - importing the command line in a fresh interpreter loads neither
+      dataclasses nor inspect
     - main builds its parser once per process, and a call through the
       shared parser reads the same as through a fresh one, after
       refused, helped and --opt=-- calls and from eight threads at once
@@ -477,6 +479,23 @@ def test_dim_past_the_recursion_depth_exits_2_with_one_line():
          "--to", "+-" * 300], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: path count to a word of 600 symbols above cap 20\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    import os
+    import subprocess
+    import sys
+
+    # a fresh interpreter on the source tree, whatever is installed
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, zigzag_harmonics.cli; "
+         "print(sys.modules['zigzag_harmonics'].__file__); "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    where, loaded = proc.stdout.splitlines()
+    assert where.startswith(src) and loaded == "[]"
 
 
 def test_dim_refuses_a_long_word_by_its_length_under_a_raised_recursion_limit(

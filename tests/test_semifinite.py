@@ -17,7 +17,7 @@ Core claims:
       templates and weights; a planted fault that counts a skipped
       section as one fails that comparison and passes the semifinite
       suite; a multiplicity of 100000000 steps the placement states of
-      a 13 below 13 symbols, and a compiled model pickles
+      a 13 below 13 symbols, and a compiled model pickles with its caches
     - model weights are exact rationals; floats and bools are refused
     - phi_tw is zero, finite or infinite exactly as the coideal and the
       reduced coideals, read as regular expressions, say: on the root
@@ -291,6 +291,12 @@ def test_a_compiled_model_pickles():
     a = automaton(model)
     copy = pickle.loads(pickle.dumps(model))
     assert copy == model and copy._automaton == a  # the stored automaton is data
+    # every cache comes along: the sections with their transfer data, and
+    # the template's placement, one object with the automaton's
+    assert copy._sections == model._sections
+    assert [u._transfer for u in copy._sections] == [u._transfer for u in model._sections]
+    assert copy.template._layout == model.template._layout is not None
+    assert copy.template._placement is copy._automaton.placement
     walked = [(w, automaton_numerator(a, state))
               for w, state in walk(9, a.start, partial(automaton_step, a))]
     b = automaton(copy)

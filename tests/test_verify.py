@@ -721,13 +721,13 @@ def test_finite_harmonicity_walks_the_pinned_supports(monkeypatch):
 
 def test_the_walked_suites_build_no_word_per_walked_word(monkeypatch):
     built = []
-    real = BinaryWord.__post_init__
+    real = BinaryWord.__init__
 
-    def counted(w):
+    def counted(w, n, bits):
+        real(w, n, bits)
         built.append(w)
-        real(w)
 
-    monkeypatch.setattr(BinaryWord, "__post_init__", counted)
+    monkeypatch.setattr(BinaryWord, "__init__", counted)
     for model in EXAMPLE_MODELS.values():
         semifinite_table(model, 10)
     assert built == []

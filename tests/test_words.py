@@ -18,6 +18,10 @@ Core claims:
       as a property test
     - a word prints as its symbols and parses back from them, in time
       linear in its length
+    - each value class (word, cluster, template, interval tuple,
+      paintbox, growth model) is equal only to a value of its own class
+      with equal fields, hashes as the tuple of its fields, prints as
+      ``Name(field=value, ...)``, and refuses assignment to any name
     - a position outside a word is refused with IndexError
     - subword order is a partial order
     - an explorer numbers the states a walk reaches, in the order it
@@ -41,12 +45,12 @@ from hypothesis import strategies as st
 
 from word_oracle import (composition_by_text, dominates_at, enumerate_level, expand,
                          first_certified_level, word_of_composition)
-from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, Explorer, FormalCombination,
-                              GrowthModel, Paintbox, automaton, automaton_numerator, automaton_step,
-                              cover_sums, dim, dominates_search, is_subword, level,
-                              lower_covers, member, member_J, on_locus, parse_template,
-                              parse_vertex, phi_tw, phi_w, placement, upper_cover_bits,
-                              upper_covers, walk, words_below)
+from zigzag_harmonics import (EMPTY, ROOT, BinaryWord, Cluster, Explorer, FormalCombination,
+                              GrowthModel, IntervalTuple, Paintbox, automaton,
+                              automaton_numerator, automaton_step, cover_sums, dim,
+                              dominates_search, is_subword, level, lower_covers, member,
+                              member_J, on_locus, parse_template, parse_vertex, phi_tw, phi_w,
+                              placement, upper_cover_bits, upper_covers, walk, words_below)
 from zigzag_harmonics.words import LEVEL_CAP, composition_of_word
 
 W = BinaryWord.from_str
@@ -462,6 +466,53 @@ def test_vertex_serialization():
     assert parse_vertex("+-+") == W("+-+")
     with pytest.raises(ValueError):
         parse_vertex("+x-")
+
+
+
+# -- value classes ------------------------------------------------------------
+
+VALUES = [
+    (BinaryWord(3, 5), (3, 5), BinaryWord(3, 4), "BinaryWord('-+-')"),
+    (Cluster("-", 1), ("-", 1), Cluster("-", None), "Cluster(sign='-', mult=1)"),
+    (parse_template("+* -1"), ((Cluster("+", None), Cluster("-", 1)),),
+     parse_template("+* -2"),
+     "Template(clusters=(Cluster(sign='+', mult=None), Cluster(sign='-', mult=1)))"),
+    (IntervalTuple((("+", Fraction(1, 3)), ("-", 2))), ((("+", Fraction(1, 3)), ("-", 2)),),
+     IntervalTuple((("+", Fraction(1, 3)), ("+", 2))),
+     "IntervalTuple(intervals=(('+', Fraction(1, 3)), ('-', 2)))"),
+    (Paintbox.parse("+1/3,-2/3"), ((("+", Fraction(1, 3)), ("-", Fraction(2, 3))),),
+     Paintbox.parse("+2/3,-1/3"),
+     "Paintbox(intervals=(('+', Fraction(1, 3)), ('-', Fraction(2, 3))))"),
+    (GrowthModel.parse("+* -1 | w=1"), (parse_template("+* -1"), (Fraction(1),)),
+     GrowthModel.parse("+* -2 | w=1"),
+     "GrowthModel(template=Template(clusters=(Cluster(sign='+', mult=None), "
+     "Cluster(sign='-', mult=1))), weights=(Fraction(1, 1),))"),
+]
+
+
+@pytest.mark.parametrize("value, fields, other, text", VALUES,
+                         ids=[type(v).__name__ for v, *_ in VALUES])
+def test_a_value_compares_hashes_and_prints_by_its_fields(value, fields, other, text):
+    twin = type(value)(*fields)
+    assert twin is not value and twin == value and not twin != value
+    assert value != other and hash(twin) == hash(value) == hash(fields)
+    assert value != fields  # equal fields, but not a value of the class
+    # every field and cache, and a name the class does not have
+    for name in (*type(value)._slots, "color"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text and twin == value
+
+
+def test_a_paintbox_is_not_equal_to_the_interval_tuple_of_its_intervals():
+    u = Paintbox.parse("+1/2,-1/2")
+    plain = IntervalTuple(u.intervals)
+    assert u != plain and plain != u and hash(u) == hash(plain)
+    assert len({u, plain}) == 2
+    assert type(Paintbox.parse("+1/2,-1/2")) is Paintbox
+    assert type(IntervalTuple.parse("+1/2,-1/2")) is IntervalTuple
 
 
 def test_an_explorer_numbers_the_states_a_walk_reaches():
