@@ -21,9 +21,10 @@ on whole levels, its own kernel over the same compiled keeps: one
 column per interval across every word of a length, so that a length
 costs O(m) list operations and no call per word.  Each interval tuple
 is compiled once, when it is built: its lengths, positive ``int`` or
-``Fraction`` values and nothing else (never a float), become integer
-numerators over one common denominator D, so the whole product stays
-in integers, and :func:`eval_F` divides it by D^(n+1) once at the end.
+``Fraction`` values and nothing else (never a float), are checked and
+become integer numerators over one common denominator D, a paintbox's
+summing to D, so the whole product stays in integers, and
+:func:`eval_F` divides it by D^(n+1) once at the end.
 Callers that multiply or sum many values, such as the semifinite
 evaluation, keep the numerators and divide once themselves, as
 :func:`eval_F_levels` does for whole levels.
@@ -75,11 +76,14 @@ from .words import (MINUS, PLUS, ROOT, BinaryWord, Frozen, Vertex, _set,
 def parse_rational(token: str) -> Fraction:
     """An integer, 'a/b' or a plain decimal; exponent notation is refused
     before ``Fraction`` would build 10^e, and a zero denominator is
-    refused by name."""
+    refused by name.  'a' or 'a/b' of ASCII digits is read with ``int``,
+    any other token by ``Fraction(token)``: the same values and refusals."""
     if "e" in token or "E" in token:
         raise ValueError(f"exponent notation in {token!r} is not accepted")
+    p, slash, q = token.partition("/")
+    fast = token.isascii() and p.isdigit() and (q.isdigit() or not slash)
     try:
-        return Fraction(token)
+        return Fraction(int(p), int(q) if slash else 1) if fast else Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {token!r}") from None
 
@@ -98,10 +102,10 @@ class IntervalTuple(Frozen):
         for sign, length in intervals:
             if sign not in (PLUS, MINUS):
                 raise ValueError(f"bad orientation {sign!r}")
-            if (type(length) is not int and type(length) is not Fraction) or length <= 0:
+            if (type(length) is not int and type(length) is not Fraction) or length.numerator <= 0:
                 raise ValueError(f"length {length!r} is not a positive int or Fraction")
         denominator = lcm(*(l.denominator for _, l in intervals))
-        lengths = tuple(int(l * denominator) for _, l in intervals)
+        lengths = tuple(l.numerator * (denominator // l.denominator) for _, l in intervals)
         keeps = tuple(tuple(s == sign for s, _ in intervals) for sign in (PLUS, MINUS))
         _set(self, "intervals", intervals)
         _set(self, "_transfer", (keeps, lengths, denominator))
@@ -144,9 +148,10 @@ class Paintbox(IntervalTuple):
 
     def __init__(self, intervals: tuple[tuple[str, Fraction], ...]) -> None:
         super().__init__(intervals)
-        total = Fraction(sum(self._transfer[1]), self.denominator)
-        if total != 1:
-            raise ValueError(f"paintbox lengths must sum to 1, got {total}")
+        total = sum(self._transfer[1])
+        if total != self.denominator:
+            raise ValueError(f"paintbox lengths must sum to 1, "
+                             f"got {Fraction(total, self.denominator)}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ coideals, and elsewhere the product over sections of the section
 coordinate evaluated against that section's weighted intervals.  The
 root always evaluates to infinity: the empty diagram fits every
 reduced template, so no normalization at the root is possible.
-:func:`phi_tw` works on integer numerators and divides once; it values
-one vertex.  A walk values each word from its parent's state, through
-the model compiled once into a weighted automaton (:func:`automaton`),
+A model keeps its weights as integers, scaled by their common
+denominator D, and each section's interval tuple keeps its own integer
+lengths (:func:`section_interval_tuples`).  :func:`phi_tw` multiplies
+the section numerators and divides once; it values one vertex.  A walk
+values each word from its parent's state, through the model compiled
+once into a weighted automaton (:func:`automaton`) over the model's D,
 and the ring identity compares that walk's integers and never divides.
 
 The deformation machinery replaces each flange cluster by an interval of
@@ -66,9 +69,11 @@ _Value = Union[Fraction, _Infinity]
 class GrowthModel(Frozen):
     """Semifinite template plus growth weights on its infinite clusters."""
 
-    __slots__ = ("template", "weights", "_sections", "_automaton")
+    __slots__ = ("template", "weights", "_scaled", "_sections", "_automaton")
     template: Template
     weights: tuple[Fraction, ...]
+    # the common denominator D of the weights, and the weights scaled by D
+    _scaled: tuple[int, tuple[int, ...]]
     # filled by section_interval_tuples on first use
     _sections: Optional[tuple[IntervalTuple, ...]]
     # filled by automaton on first use
@@ -80,12 +85,15 @@ class GrowthModel(Frozen):
         if len(weights) != template.infinite_count:
             raise ValueError(
                 f"need {template.infinite_count} weights, got {len(weights)}")
-        if not all((type(w) is int or type(w) is Fraction) and w > 0 for w in weights):
+        if not all((type(w) is int or type(w) is Fraction) and w.numerator > 0 for w in weights):
             raise ValueError("weights must be positive ints or Fractions")
-        if sum(weights, Fraction(0)) != 1:
+        denominator = lcm(*(w.denominator for w in weights))
+        scaled = tuple(w.numerator * (denominator // w.denominator) for w in weights)
+        if sum(scaled) != denominator:
             raise ValueError("weights must sum to 1")
         _set(self, "template", template)
         _set(self, "weights", weights)
+        _set(self, "_scaled", (denominator, scaled))
         _set(self, "_sections", None)
         _set(self, "_automaton", None)
 
@@ -212,8 +220,9 @@ def automaton(model: GrowthModel) -> Automaton:
         t = model.template
         spans, flange = _layout(t)
         sections = section_interval_tuples(model)
-        denominator = lcm(*(w.denominator for w in model.weights))
-        lengths = ((1,), *(tuple(int(l * denominator) for l in u.lengths) for u in sections))
+        denominator, scaled = model._scaled
+        weights = iter(scaled)
+        lengths = ((1,), *(tuple(next(weights) for _ in u.intervals) for u in sections))
         keeps = (((), ()), *(u._transfer[0] for u in sections))
         totals = [sum(scaled) for scaled in lengths]
         skipped = tuple(tuple(prod(totals[s + 1:e]) for e in range(len(totals) + 1))

@@ -499,11 +499,15 @@ class Explorer:
     first asks for it: :meth:`step` is one table read, ``advance`` runs
     once per transition, and a walk of n symbols numbers only the states
     of its words.  The explorer is data when ``advance`` and ``note`` are
-    (a module function or a ``partial`` of one), so it pickles, and two
-    explorers that numbered the same states compare equal.
+    (a module function or a ``partial`` of one), so it pickles at every
+    protocol, and two explorers that numbered the same states compare
+    equal.
     """
 
     __slots__ = ("start", "table", "keys", "labels", "ids", "advance", "note")
+    # pickled slot by slot as the frozen classes are, which protocols 0 and 1 need
+    _slots = __slots__
+    __getstate__, __setstate__ = Frozen.__getstate__, Frozen.__setstate__
 
     def __init__(self, start: Any, advance: Callable[[Any, int], Any],
                  note: Callable[[Any], tuple[int, Any]]) -> None:

@@ -2,7 +2,11 @@
 
 Core claims:
     - interval tuples refuse any length that is not a positive int or
-      Fraction, floats included
+      Fraction, floats included, and a paintbox any total but 1, each
+      with its message
+    - parse_rational's integer path gives the value, type or refusal
+      message of Fraction(token) on property-test tokens of digits,
+      '/', '.', '_', spaces, signs, exponents and non-ASCII digits
     - eval_F agrees with brute-force splitting enumeration
     - eval_F and the coproduct evaluator agree everywhere tested, and on
       property-test inputs well above the exhaustive levels; the
@@ -304,15 +308,59 @@ def test_interval_lengths_must_be_exact_rationals():
 
 def test_paintbox_validation():
     Paintbox((("+", F(1, 3)), ("+", F(1, 3)), ("-", F(1, 3))))  # touching ok
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^paintbox lengths must sum to 1, got 2/3$"):
         Paintbox((("+", F(1, 3)), ("-", F(1, 3))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^length Fraction\(0, 1\) is not a positive"):
         Paintbox((("+", F(1, 2)), ("-", F(0)), ("+", F(1, 2))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bad interval token '\\?1/2'$"):
         Paintbox.parse("+1/2,?1/2")
     assert Paintbox.parse("+1/3,-1/6,+1/2").lengths == (F(1, 3), F(1, 6), F(1, 2))
     # interval tuples carry no total-length constraint
     IntervalTuple.parse("+1/3,-1/6")
+
+
+def fraction_route(token):
+    """What parse_rational does with every token but for its integer
+    path: exponent notation refused, then ``Fraction(token)``."""
+    if "e" in token or "E" in token:
+        raise ValueError(f"exponent notation in {token!r} is not accepted")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
+
+
+def parse_outcome(parse, token):
+    """The value with its type, or the refusal's message."""
+    try:
+        value = parse(token)
+    except ValueError as e:
+        return ValueError, str(e)
+    return type(value), value
+
+
+# digits weighted twice, then the other characters a token may carry,
+# with a non-ASCII digit that int and Fraction read (Arabic-Indic three,
+# fullwidth one) and one that neither does (superscript two)
+RATIONAL_CHARS = st.sampled_from([*"0123456789" * 2, *"/._ +-eE", "\u0663", "\uff11", "\u00b2"])
+DIGIT_TOKENS = (st.builds("{}/{}".format, st.integers(0, 10 ** 30), st.integers(0, 99))
+                | st.builds(str, st.integers(0, 10 ** 30)))
+
+
+@given(st.text(RATIONAL_CHARS, max_size=8) | DIGIT_TOKENS)
+@settings(max_examples=400)
+def test_parse_rational_is_fraction_of_the_token(token):
+    assert parse_outcome(paintbox.parse_rational, token) == parse_outcome(fraction_route, token)
+
+
+def test_parse_rational_names_what_it_refuses():
+    for token in ("1/0", "0/0", "00/000"):
+        with pytest.raises(ValueError, match=f"^zero denominator in '{token}'$"):
+            paintbox.parse_rational(token)
+    for token in ("1e3", "1/2E1", "\u0661e3"):
+        with pytest.raises(ValueError, match=f"^exponent notation in '{token}' is not accepted$"):
+            paintbox.parse_rational(token)
+    assert parse_outcome(paintbox.parse_rational, "0012/0016") == (Fraction, F(3, 4))
 
 
 def test_template_of_paintbox_examples():

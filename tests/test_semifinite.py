@@ -18,7 +18,14 @@ Core claims:
       section as one fails that comparison and passes the semifinite
       suite; a multiplicity of 100000000 steps the placement states of
       a 13 below 13 symbols, and a compiled model pickles with its caches
-    - model weights are exact rationals; floats and bools are refused
+      at every protocol, its copy's walk numbering the same states
+    - model weights are exact rationals; floats and bools are refused,
+      and each refusal of a model, paintbox or interval length carries
+      its message
+    - phi_tw, on integer section numerators with one division, is the
+      product of eval_F over inject's coordinates and the
+      section_interval_tuples, on every word below 11 symbols of the four
+      benchmark models and by property test on random models
     - phi_tw is zero, finite or infinite exactly as the coideal and the
       reduced coideals, read as regular expressions, say: on the root
       and every word below 11 symbols, for four models
@@ -51,7 +58,8 @@ from model_oracle import automaton_mismatches, cover_sum, value_kind
 from template_oracle import alternating_templates, reduced_templates, template_regex
 from word_oracle import enumerate_level
 from zigzag_harmonics import (EMPTY, INFINITY, ROOT, BinaryWord,
-                              FormalCombination, GrowthModel, automaton,
+                              FormalCombination, GrowthModel, IntervalTuple, Paintbox, automaton,
+                              inject,
                               automaton_numerator, automaton_step, build_w_eps,
                               check_approx_sequence, check_limit_formula,
                               eval_F, eval_F_numerator, is_finite_template, level, member,
@@ -110,16 +118,25 @@ def test_eps_poly_arithmetic():
 # -- growth models ------------------------------------------------------------
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        GrowthModel.parse("+* -1 +* | w=1/2,1/2")  # finite template
-    with pytest.raises(ValueError):
-        GrowthModel.parse("+* -1 +1 -* | w=1/2")
-    with pytest.raises(ValueError):
-        GrowthModel.parse("+* -1 +1 -* | w=1/2,1/3")
-    with pytest.raises(ValueError):
-        GrowthModel.parse("+* -1 +1 -* | w=3/2,-1/2")
+    refusals = {
+        "+* -1 +* | w=1/2,1/2": "template +* -1 +* is finite",
+        "+* -1 +1 -* | w=1/2": "need 2 weights, got 1",
+        "+* -1 +1 -* | w=1/2,1/3": "weights must sum to 1",
+        "+* -1 +1 -* | w=1/2,1/2,0": "need 2 weights, got 3",
+        "+* -1 +1 -* | w=3/2,-1/2": "weights must be positive ints or Fractions",
+        "+* -1 +1 -* | w=0,1": "weights must be positive ints or Fractions",
+    }
+    for text, message in refusals.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GrowthModel.parse(text)
+    with pytest.raises(ValueError, match="^paintbox lengths must sum to 1, got 5/6$"):
+        Paintbox.parse("+1/2,-1/3")
+    for length in (0, -1, F(0), F(-1, 2)):
+        with pytest.raises(ValueError, match=f"^length {re.escape(repr(length))} is not a positive"):
+            IntervalTuple((("+", F(1, 2)), ("-", length)))
     m = GrowthModel.parse(" +* -1 +1 -*  |  w=1/3,2/3 ")
     assert str(m) == "+* -1 +1 -* | w=1/3,2/3"
+    assert m._scaled == (3, (1, 2))  # the integer form: D and the weights scaled by it
 
 
 def test_model_refuses_float_weights():
@@ -155,6 +172,49 @@ def test_step_closed_form():
     assert type(value) is Fraction and value == 0
     assert phi_tw(STEP_MODEL, ROOT) is INFINITY
     assert phi_tw(STEP_MODEL, EMPTY) is INFINITY
+
+
+# the four models of the benchmark's queries: the three worked models and
+# one with flange clusters at both ends
+QUERY_MODELS = [*EXAMPLE_MODELS.values(),
+                GrowthModel.parse("-2 +* -* +1 -* +* -1 +2 | w=1/5,3/10,1/4,1/4")]
+
+
+def fraction_route_mismatches(model, words):
+    """The words of finite value at which phi_tw, on integer section
+    numerators with one division, is not the product of eval_F over
+    inject's coordinates and the section_interval_tuples; and how many
+    finite points there were."""
+    tuples = section_interval_tuples(model)
+    finite, wrong = 0, []
+    for w in words:
+        value = phi_tw(model, w)
+        if value_kind(value) != "finite":
+            continue
+        finite += 1
+        expected = F(1)
+        for part, u in zip(inject(model.template, w), tuples):
+            expected *= eval_F(part, u)
+        if type(value) is not Fraction or value != expected:
+            wrong.append(w)
+    return wrong, finite
+
+
+def test_phi_tw_is_the_fraction_route_to_10_symbols():
+    for model in QUERY_MODELS:
+        wrong, finite = fraction_route_mismatches(model, words_below(11))
+        assert wrong == [] and finite, (model, wrong[:3])
+
+
+@given(alternating_templates().filter(lambda t: not is_finite_template(t)), st.data())
+def test_phi_tw_is_the_fraction_route_on_random_models(t, data):
+    raw = data.draw(st.lists(st.integers(1, 9), min_size=t.infinite_count,
+                             max_size=t.infinite_count))
+    # a whole weight, 1 on a one-section model, comes as an int or a Fraction
+    weights = tuple(1 if r == sum(raw) and data.draw(st.booleans()) else F(r, sum(raw))
+                    for r in raw)
+    model = GrowthModel(t, weights)
+    assert fraction_route_mismatches(model, words_below(8))[0] == [], model
 
 
 def test_phi_tw_kind_matches_the_regex_oracle():
@@ -287,21 +347,26 @@ def test_a_huge_multiplicity_keeps_the_automaton_state_small():
 
 
 def test_a_compiled_model_pickles():
-    model = GrowthModel.parse(str(THREE_SECTIONS))
-    a = automaton(model)
-    copy = pickle.loads(pickle.dumps(model))
-    assert copy == model and copy._automaton == a  # the stored automaton is data
-    # every cache comes along: the sections with their transfer data, and
-    # the template's placement, one object with the automaton's
-    assert copy._sections == model._sections
-    assert [u._transfer for u in copy._sections] == [u._transfer for u in model._sections]
-    assert copy.template._layout == model.template._layout is not None
-    assert copy.template._placement is copy._automaton.placement
-    walked = [(w, automaton_numerator(a, state))
-              for w, state in walk(9, a.start, partial(automaton_step, a))]
-    b = automaton(copy)
-    assert walked == [(w, automaton_numerator(b, state))
-                      for w, state in walk(9, b.start, partial(automaton_step, b))]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        model = GrowthModel.parse(str(THREE_SECTIONS))
+        a = automaton(model)
+        copy = pickle.loads(pickle.dumps(model, protocol))
+        assert copy == model and copy._automaton == a, protocol  # the stored automaton is data
+        # every cache comes along: the integer weights, the sections with
+        # their transfer data, and the template's placement, one object
+        # with the automaton's
+        assert copy._scaled == model._scaled == (7, (2, 3, 2))
+        assert copy._sections == model._sections
+        assert [u._transfer for u in copy._sections] == [u._transfer for u in model._sections]
+        assert copy.template._layout == model.template._layout is not None
+        assert copy.template._placement is copy._automaton.placement
+        walked = [(w, automaton_numerator(a, state))
+                  for w, state in walk(9, a.start, partial(automaton_step, a))]
+        b = automaton(copy)
+        assert walked == [(w, automaton_numerator(b, state))
+                          for w, state in walk(9, b.start, partial(automaton_step, b))]
+        # the walk on the copy numbered the states the original's did, in order
+        assert b.placement == a.placement and len(b.placement.ids) > 1, protocol
 
 
 # -- deformation --------------------------------------------------------------
