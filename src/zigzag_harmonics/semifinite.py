@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .paintbox import (IntervalTuple, Paintbox, eval_F_numerator, parse_rational,
                        template_of_intervals, transfer)
 from .qsym import DEGREE_CAP, shuffle_counts
-from .templates import (Template, _layout, compile_placement, is_finite_template, member,
+from .templates import (Template, _greedy, _layout, compile_placement, is_finite_template,
                         member_J, minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, Explorer, FormalCombination, Frozen,
@@ -469,14 +469,14 @@ def check_approx_sequence(model: GrowthModel, target: BinaryWord,
     Each combination must live where the model is finite, be dominated
     by the target in the cone of the template's coideal (single-level
     certificate searched up to the cap), and the finite values must
-    strictly increase; unboundedness is asserted as the last value
-    exceeding the requested threshold.  A missing certificate means
-    "not certified at this cap", not a disproof of dominance.
+    strictly increase; unboundedness is the last value exceeding the
+    requested threshold, which an empty sequence fails.  A missing
+    certificate means "not certified at this cap", not a disproof.
     """
     t = model.template
     if not member_J(t, target):
         raise ValueError(f"target '{target}' is not an infinite-value word of {t}")
-    within = lambda w: member(t, w)
+    within = lambda n, bits: _greedy(t._runs, bits, n) == n
     levels: list[Optional[int]] = []
     values: list[Fraction] = []
     for comb in seq:
@@ -490,5 +490,5 @@ def check_approx_sequence(model: GrowthModel, target: BinaryWord,
         values.append(total)
     increasing = all(x < y for x, y in zip(values, values[1:]))
     ok = (all(lvl is not None for lvl in levels) and increasing
-          and (threshold is None or (values and values[-1] > threshold)))
+          and (threshold is None or bool(values) and values[-1] > threshold))
     return ApproxReport(ok, tuple(levels), tuple(values))

@@ -355,54 +355,54 @@ class FormalCombination:
         return f"<level {self.level}: {inner or '0'}>"
 
 
-Filter = Optional[Callable[[BinaryWord], bool]]
+Filter = Optional[Callable[[int, int], bool]]
 
 
 def dominates_search(a: Vertex, comb: FormalCombination, max_level: int,
                      within: Filter = None) -> Optional[int]:
     """First level up to max_level at which the certificate holds, else None.
 
-    The certificate is monotone: once the level-L difference is a
-    non-negative combination it stays one at every higher level.
-
-    The certificate at a level compares the path counts into each of
-    its vertices from a and from comb, coefficient by coefficient.
-    Both sides are pushed up one level at a time.  The layers hold
-    integer path counts, both sides scaled by the common denominator of
-    the coefficients, keyed by packed bits (the root by 0), and
-    ``within`` is asked once per word in one search.
+    The certificate at a level: a's path counts into each of its
+    vertices are at least comb's.  Counts push up the covers linearly,
+    so one layer of signed differences is pushed, a's counts minus
+    comb's scaled by the common denominator, keyed by packed bits (the
+    root by 0), once the lower side is lifted to the other's level.
+    The first level with no negative entry is the answer, and every
+    level above it holds too.  ``within(n, bits)`` keeps the covers in
+    a coideal, asked once per word of n symbols that a push reaches;
+    with none, every word of every level is pushed, so max_level is
+    capped as a walk's bound is, before any work.
     """
     start = max(comb.level, level(a))
     if max_level < start:
         return None
+    if within is None:
+        check_word_bound(max_level)
     scale = lcm(*(c.denominator for c in comb.coeffs.values()))
-    kept: dict[int, bool] = {}  # within, by packed bits under a leading 1
 
     def push(lvl: int, layer: dict[int, int]) -> dict[int, int]:
-        """Path counts one level above the words of level lvl."""
+        """The layer one level above the words of level lvl."""
         up: dict[int, int] = {}
         for bits, count in layer.items():
             for cover in (0,) if lvl == 0 else upper_cover_bits(lvl - 1, bits):
-                key = cover | 1 << lvl
-                inside = kept.get(key)
-                if inside is None:
-                    inside = kept[key] = within is None or within(BinaryWord(lvl, cover))
-                if inside:
-                    up[cover] = up.get(cover, 0) + count
-        return up
+                up[cover] = up.get(cover, 0) + count
+        if within is None:
+            return up
+        return {cover: count for cover, count in up.items() if within(lvl, cover)}
 
     def lift(lvl: int, layer: dict[int, int]) -> dict[int, int]:
         for below in range(lvl, start):
             layer = push(below, layer)
         return layer
 
-    lhs = lift(level(a), {0 if a is ROOT else a.bits: scale})
-    rhs = lift(comb.level, {0 if v is ROOT else v.bits: int(c * scale)
-                            for v, c in comb.coeffs.items()})
+    layer = lift(level(a), {0 if a is ROOT else a.bits: scale})
+    for bits, count in lift(comb.level, {0 if v is ROOT else v.bits: -int(c * scale)
+                                         for v, c in comb.coeffs.items()}).items():
+        layer[bits] = layer.get(bits, 0) + count
     for lvl in range(start, max_level + 1):
         if lvl > start:
-            lhs, rhs = push(lvl - 1, lhs), push(lvl - 1, rhs)
-        if all(lhs.get(u, 0) >= c for u, c in rhs.items()):
+            layer = push(lvl - 1, layer)
+        if all(count >= 0 for count in layer.values()):
             return lvl
     return None
 

@@ -584,7 +584,10 @@ def test_approx_sequence_threshold():
     seq = [FormalCombination(level(base), {base: F(n)}) for n in (1, 2)]
     rep = check_approx_sequence(STEP_MODEL, target, seq, search_cap=8,
                                 threshold=F(10))
-    assert not rep.ok  # values fine but far below the requested bar
+    assert rep.ok is False  # values fine but far below the requested bar
+    # an empty sequence reaches no threshold
+    rep = check_approx_sequence(STEP_MODEL, target, [], search_cap=9, threshold=F(1))
+    assert rep.ok is False
 
 
 # -- independent product-form cross-check --------------------------------------

@@ -14,8 +14,9 @@ Core claims:
     - the single-level cone certificate accepts and rejects correctly,
       in the full graph and restricted to a template's coideal
     - the level-by-level cone search gives the first level at which the
-      single-level certificate holds, exhaustively on small targets and
-      as a property test
+      single-level certificate holds, exhaustively on small targets, at
+      the signed layer's edges and as a property test; with no
+      restriction it refuses a level past the cap before any work
     - a word prints as its symbols and parses back from them, in time
       linear in its length
     - each value class (word, cluster, template, interval tuple,
@@ -76,9 +77,15 @@ def brute_dim(a, b):
 
 STEP_T = parse_template("+* -1 +1 -*")
 CAPPED_T = parse_template("+1 -* +* -1 +*")
+# word filters, as the oracles take them; packed() gives dominates_search's
 FILTERS = {"graph": None,
            "step": lambda w: member(STEP_T, w),
            "capped": lambda w: member(CAPPED_T, w)}
+
+
+def packed(within):
+    """A word filter as dominates_search takes it, on (length, packed bits)."""
+    return within and (lambda n, bits: within(BinaryWord(n, bits)))
 
 
 # -- compositions -------------------------------------------------------------
@@ -303,7 +310,7 @@ def test_dominates_needs_template_restriction():
     within = lambda w: member(t, w)
     target = W("++--")
     c = FormalCombination(5, {W("+-+-"): Fraction(2)})
-    assert dominates_search(target, c, 9, within=within) == 7
+    assert dominates_search(target, c, 9, within=packed(within)) == 7
     assert not dominates_at(target, c, 5, within=within)
     assert dominates_search(target, c, 9) is None
 
@@ -324,15 +331,47 @@ def test_dominates_search_is_the_first_certified_level():
         cases.append((a, FormalCombination(level(pair[0]), {
             v: Fraction(rng.randint(1, 3), rng.randint(1, 3)) for v in pair})))
     cases.append((W("+-"), FormalCombination(3, {W("-+"): Fraction(2)})))
+    # a pair two levels above a, certified one level up in the step coideal only
+    cases.append((W("-"), FormalCombination(4, {W("+--"): 1, W("--+"): Fraction(1, 3)})))
+    # the signed layer at its edges, each certified at the same offset in
+    # every filter: a comb above a's level; a comb below it, lifted to
+    # cancel a exactly, and one that a never dominates; exact cancellation
+    # at the start level; a comb holding a plus another vertex
+    edges = [(W("+"), FormalCombination(4, {W("+-+"): Fraction(1, 2)}), 0),
+             (EMPTY, FormalCombination(0, {ROOT: 1}), 0),
+             (W("+-+-"), FormalCombination(2, {W("+"): Fraction(1, 5)}), None),
+             (W("+-"), FormalCombination(3, {W("+-"): Fraction(1)}), 0),
+             (W("+-"), FormalCombination(3, {W("+-"): 1, W("++"): Fraction(1, 3)}), None)]
     outcomes = Counter()
-    for a, comb in cases:
+    for a, comb, offset in [(a, comb, ...) for a, comb in cases] + edges:
         start = max(comb.level, level(a))
         for name, within in FILTERS.items():
             expected = first_certified_level(a, comb, start + 2, within)
-            assert dominates_search(a, comb, start + 2, within) == expected, (a, comb, name)
+            assert (dominates_search(a, comb, start + 2, packed(within))
+                    == expected), (a, comb, name)
+            if offset is not ...:
+                assert expected == (None if offset is None else start + offset), (a, comb, name)
             outcomes[None if expected is None else expected - start] += 1
     # certified at once, one or two levels up, and not at all
     assert set(outcomes) == {None, 0, 1, 2}
+
+
+def test_an_unrestricted_search_is_capped_before_any_work(monkeypatch):
+    # with no restriction every word of every level is pushed, about five
+    # times more work per two levels; inside a coideal there is no cap
+    def no_push(*args):
+        raise AssertionError("pushed a layer")
+
+    c = FormalCombination(3, {W("++"): Fraction(4)})
+    monkeypatch.setattr("zigzag_harmonics.words.upper_cover_bits", no_push)
+    with pytest.raises(ValueError, match="above cap"):
+        dominates_search(W("+"), c, LEVEL_CAP + 2)
+    monkeypatch.undo()
+    w = W("+-+")
+    assert dominates_search(w, FormalCombination(4, {w: 1}), LEVEL_CAP + 1) == 4
+    c = FormalCombination(5, {W("+-+-"): Fraction(2)})
+    step = packed(FILTERS["step"])
+    assert dominates_search(W("++--"), c, LEVEL_CAP + 8, within=step) == 7
 
 
 @st.composite
@@ -358,7 +397,7 @@ def cone_cases(draw):
 def test_dominates_search_property(case):
     a, comb, max_level, name = case
     within = FILTERS[name]
-    assert (dominates_search(a, comb, max_level, within)
+    assert (dominates_search(a, comb, max_level, packed(within))
             == first_certified_level(a, comb, max_level, within))
 
 

@@ -11,8 +11,10 @@ as a combination of ``BinaryWord`` keys with ``Fraction`` coefficients;
 ``dominates_at`` compares two such expansions at one level, and
 ``first_certified_level`` asks it level after level, expanding from
 the base each time.  Together they are the oracle of
-``words.dominates_search``, which pushes packed integer layers up one
-level at a time.
+``words.dominates_search``, which pushes one signed layer of packed
+integer path counts up one level at a time and takes its restriction
+on a word's length and packed bits; the tests wrap these word filters
+for it.
 
 ``word_of_composition`` builds a word from its row lengths, the
 inverse of ``words.composition_of_word``; the polynomial oracle names
