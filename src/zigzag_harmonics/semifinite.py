@@ -19,7 +19,9 @@ The deformation machinery replaces each flange cluster by an interval of
 length eps; evaluations are then polynomials in eps with non-negative
 rational coefficients, and the limiting statements become exact
 statements about valuations and leading coefficients, both read off one
-integer evaluation at a large power of two.  eps is never a float.
+integer evaluation at a large power of two.  eps is never a float.  The
+eps-limit walk, too, steps each word's deformed transfer vector and
+automaton state from its parent's.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .templates import (Template, _greedy, _layout, compile_placement, is_finite
                         member_J, minimal_maxblock_word, on_locus, parse_template, place,
                         placement)
 from .words import (LEVEL_CAP, ROOT, BinaryWord, Explorer, FormalCombination, Frozen,
-                    Vertex, _set, dominates_search, level, subword_step, walk_levels)
+                    Vertex, _set, _walk_levels, check_word_bound, dominates_search, level,
+                    subword_step, walk_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -266,26 +269,14 @@ def semifinite_table(model: GrowthModel, cap: int
     the automaton numerator R of each word in the model's coideal by
     packed bits, None on the blow-up locus (:class:`Automaton`).
 
-    One walk of the automaton values each word below cap symbols once.
-    The words of cap symbols, read only as covers, come from one more
-    step on each state of cap - 1 symbols, so no walk passes the cap; at
-    cap 0 the empty word, the root's one cover, is the start state.
+    One walk of the automaton values each word of at most cap symbols
+    once, from its parent's state; the cap is checked before any work.
     """
+    check_word_bound(cap)
     a = automaton(model)
-    step = partial(automaton_step, a)
-    walked = walk_levels(cap, a.start, step)  # checks cap before any work
     levels: list[dict[int, Optional[int]]] = [{} for _ in range(cap + 1)]
-    top = levels[cap]
-    if not cap:
-        top[0] = automaton_numerator(a, a.start)
-    for length, layer in walked:
+    for length, layer in _walk_levels(cap + 1, a.start, partial(automaton_step, a)):
         levels[length] = {bits: automaton_numerator(a, state) for bits, state in layer}
-        if length == cap - 1:
-            for bits, state in layer:
-                for bit in (0, 1):
-                    child = step(state, bit)
-                    if child is not None:
-                        top[bits | bit << length] = automaton_numerator(a, child)
     return a.denominator, levels
 
 
@@ -326,23 +317,27 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     Walks the coideal of the deformed template up to the level cap and
     keeps the words above the template's minimal max-block word; that
     set is closed upward, not under prefixes, so the walk carries how
-    much of the marker word each word holds as a subword and filters on
-    it instead of pruning.  Where the model evaluates finitely the
-    eps-valuation must be one number n and the ratio leading
-    coefficient / value one constant; where the model evaluates to zero
-    (the word fits the deformed template but not the original one) the
-    valuation must exceed n, so that the rescaled limit vanishes too.
-    n and the constant are measured outputs.
+    much of the marker word each word holds as a subword, filters on it,
+    and prunes a word only once the rest cannot fit in the symbols left.
+    Where the model evaluates finitely the eps-valuation must be one
+    number n and the ratio leading coefficient / value one constant;
+    where it evaluates to zero (the word fits the deformed template but
+    not the original one) the valuation must exceed n, so that the
+    rescaled limit vanishes too.  n and the constant are measured
+    outputs.  The marker word fits no reduced template, so no word above
+    it is infinite.
 
-    Both numbers are read off one integer per word.  For a word of n
-    symbols the eps coefficients times D^(n+1) are integers at most
-    (D * L)^(n+1), L the total length at eps = 1, and n + 1 is at most
-    the level cap; so at eps = 2^b, b the bit length of (D * L)^cap,
-    they are the base-2^b digits of the numerator that
-    :func:`~zigzag_harmonics.paintbox.eval_F_numerator` returns
-    (Kronecker substitution).  The valuation is its count of trailing
-    zero bits over b, and the leading coefficient its lowest non-zero
-    digit over D^(n+1).
+    A word's state comes from its parent's: one
+    :func:`~zigzag_harmonics.paintbox.transfer` step of the deformed
+    tuple's vector and one :func:`automaton_step` of the model's state
+    (None off its coideal), whose value is :func:`automaton_numerator`
+    over D^(n - offset).  For a word of n symbols the eps coefficients
+    times D^(n+1) are integers at most (D * L)^(n+1), L the total length
+    at eps = 1, and n + 1 is at most the level cap; so at eps = 2^b, b
+    the bit length of (D * L)^cap, they are the base-2^b digits of the
+    vector's sum (Kronecker substitution).  The valuation is its count
+    of trailing zero bits over b, and the leading coefficient its lowest
+    non-zero digit over D^(n+1).
     """
     if level_cap - 1 > LEVEL_CAP:
         raise ValueError(f"level cap {level_cap} above the enumeration cap {LEVEL_CAP + 1}")
@@ -357,48 +352,51 @@ def check_limit_formula(model: GrowthModel, level_cap: int) -> LimitReport:
     b = (int(unit.denominator * sum(unit.lengths)) ** level_cap).bit_length()
     w_eps = build_w_eps(model, 1 << b)
     mask = (1 << b) - 1
+    keeps, lengths, eps_denominator = w_eps._transfer
     start, t_step = placement(template_of_intervals(w_eps))
+    a = automaton(model)
 
     def step(state: tuple, bit: int) -> Optional[tuple]:
-        at, held = state
-        at = t_step(at, bit)
-        return None if at is None else (at, subword_step(nu, held, bit))
+        at, held, left, vec, m = state
+        at, held = t_step(at, bit), subword_step(nu, held, bit)
+        if at is None or nu.n - held >= left:  # the rest of the marker cannot fit
+            return None
+        return (at, held, left - 1, transfer(keeps, lengths, vec, bit, 1),
+                m and automaton_step(a, m, bit))
 
     n_seen: Optional[int] = None
     const_seen: Optional[Fraction] = None
     finite_points = 0
-    vanishing: list[tuple[BinaryWord, int]] = []
+    vanishing: list[tuple[int, int, Optional[int]]] = []
     failures: list[str] = []
-    # a word object only for the words above the marker word
-    above = (BinaryWord(length, bits) for length, layer in walk_levels(level_cap, (start, 0), step)
-             for bits, (_, held) in layer if held == nu.n)
-    for w in above:
-        numerator = eval_F_numerator(w, w_eps)
-        n_here = ((numerator & -numerator).bit_length() - 1) // b if numerator else None
-        val = phi_tw(model, w)
-        if val is INFINITY:
-            failures.append(f"{w}: infinite value above the marker word")
-            continue
-        if not val:
-            vanishing.append((w, n_here))
-            continue
-        finite_points += 1
-        if n_here is None:
-            failures.append(f"{w}: zero expansion at a positive point")
-            continue
-        leading = (numerator >> n_here * b) & mask
-        const_here = Fraction(leading * val.denominator,
-                              w_eps.denominator ** (w.n + 1) * val.numerator)
-        if n_seen is None:
-            n_seen, const_seen = n_here, const_here
-        else:
-            if n_here != n_seen:
-                failures.append(f"{w}: valuation {n_here} != {n_seen}")
-            if const_here != const_seen:
-                failures.append(f"{w}: ratio {const_here} != {const_seen}")
-    for w, v in vanishing:
+    for length, layer in walk_levels(level_cap, (start, 0, level_cap - 1, lengths, a.start), step):
+        for bits, (_, held, _, vec, m) in layer:
+            if held != nu.n:
+                continue
+            numerator = sum(vec)
+            n_here = ((numerator & -numerator).bit_length() - 1) // b if numerator else None
+            if m is None:
+                vanishing.append((length, bits, n_here))
+                continue
+            finite_points += 1
+            if n_here is None:
+                failures.append(f"{BinaryWord(length, bits)}: zero expansion at a positive point")
+                continue
+            leading = (numerator >> n_here * b) & mask
+            const_here = Fraction(leading * a.denominator ** (length - a.offset),
+                                  eps_denominator ** (length + 1) * automaton_numerator(a, m))
+            if n_seen is None:
+                n_seen, const_seen = n_here, const_here
+            else:
+                if n_here != n_seen:
+                    failures.append(f"{BinaryWord(length, bits)}: valuation {n_here} != {n_seen}")
+                if const_here != const_seen:
+                    failures.append(
+                        f"{BinaryWord(length, bits)}: ratio {const_here} != {const_seen}")
+    for length, bits, v in vanishing:
         if n_seen is not None and (v is None or v <= n_seen):
-            failures.append(f"{w}: vanishing point with valuation {v} <= {n_seen}")
+            failures.append(f"{BinaryWord(length, bits)}: vanishing point with valuation "
+                            f"{v} <= {n_seen}")
     ok = not failures and finite_points > 0
     return LimitReport(ok, n_seen, const_seen, finite_points, len(vanishing),
                        tuple(failures))

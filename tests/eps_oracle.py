@@ -10,6 +10,11 @@ over a sequence of (sign, length) intervals, using the lengths as given,
 so eps polynomials work as lengths too.  The two share nothing with the
 transfer vector of ``paintbox.eval_F`` beyond the word encoding.  Both
 are slow, and meant for short words only.
+
+``limit_by_points`` is the eps-limit measured one point at a time, the
+route ``check_limit_formula`` took before its walk carried each word's
+state: a fresh ``eval_F_numerator`` on the deformed tuple and a
+``phi_tw`` call for every word above the marker word, with no pruning.
 """
 
 from __future__ import annotations
@@ -17,7 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
-from zigzag_harmonics import build_w_eps
+from zigzag_harmonics import INFINITY, build_w_eps, phi_tw
+from zigzag_harmonics.paintbox import eval_F_numerator, template_of_intervals
+from zigzag_harmonics.semifinite import LimitReport
+from zigzag_harmonics.templates import minimal_maxblock_word, placement
+from zigzag_harmonics.words import subword_step, walk
 
 
 class EpsPoly:
@@ -149,3 +158,55 @@ def brute_eval(word, intervals):
 
     place(0, 0, Fraction(1))
     return total
+
+
+def limit_by_points(model, cap) -> LimitReport:
+    """``check_limit_formula(model, cap)``, each word above the marker word
+    valued on its own: the same walk of the deformed template's coideal
+    with the progress into the marker word, the same eps = 2^b and the
+    same report, lines in the same order."""
+    nu = minimal_maxblock_word(model.template)
+    unit = build_w_eps(model, 1)
+    b = (int(unit.denominator * sum(unit.lengths)) ** cap).bit_length()
+    w_eps = build_w_eps(model, 1 << b)
+    start, t_step = placement(template_of_intervals(w_eps))
+
+    def step(state, bit):
+        at, held = state
+        at = t_step(at, bit)
+        return None if at is None else (at, subword_step(nu, held, bit))
+
+    n_seen = const_seen = None
+    finite_points = 0
+    vanishing, failures = [], []
+    for w, (_, held) in walk(cap, (start, 0), step):
+        if held != nu.n:
+            continue
+        numerator = eval_F_numerator(w, w_eps)
+        n_here = ((numerator & -numerator).bit_length() - 1) // b if numerator else None
+        val = phi_tw(model, w)
+        if val is INFINITY:
+            failures.append(f"{w}: infinite value above the marker word")
+            continue
+        if not val:
+            vanishing.append((w, n_here))
+            continue
+        finite_points += 1
+        if n_here is None:
+            failures.append(f"{w}: zero expansion at a positive point")
+            continue
+        leading = (numerator >> n_here * b) & ((1 << b) - 1)
+        const_here = Fraction(leading * val.denominator,
+                              w_eps.denominator ** (w.n + 1) * val.numerator)
+        if n_seen is None:
+            n_seen, const_seen = n_here, const_here
+        else:
+            if n_here != n_seen:
+                failures.append(f"{w}: valuation {n_here} != {n_seen}")
+            if const_here != const_seen:
+                failures.append(f"{w}: ratio {const_here} != {const_seen}")
+    for w, v in vanishing:
+        if n_seen is not None and (v is None or v <= n_seen):
+            failures.append(f"{w}: vanishing point with valuation {v} <= {n_seen}")
+    return LimitReport(not failures and finite_points > 0, n_seen, const_seen,
+                       finite_points, len(vanishing), tuple(failures))

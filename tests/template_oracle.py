@@ -18,7 +18,9 @@ pieces by trying every cut of its text, the search that
 
 ``alternating_templates`` draws random templates for property tests:
 one to six alternating clusters of multiplicity 1, 2, 3 or *, at least
-one of them infinite.
+one of them infinite.  ``sweep_models`` lists every semifinite
+alternating template of one to five clusters of multiplicity 1, 2 or *,
+578 of them, each as a growth model with seeded random weights.
 
 ``single_generator_word`` proposes one word whose upper set inside the
 coideal is the complement of the blow-up locus, with a sufficient
@@ -27,14 +29,17 @@ condition for that claim; the tests check it against ``member_J``.
 
 from __future__ import annotations
 
+import random
 import re
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby, product
 from typing import Optional
 
 from hypothesis import strategies as st
 
-from zigzag_harmonics.templates import Cluster, Template, inject_all, member
+from zigzag_harmonics.semifinite import GrowthModel
+from zigzag_harmonics.templates import Cluster, Template, inject_all, is_finite_template, member
 from zigzag_harmonics.words import MINUS, PLUS, BinaryWord
 
 
@@ -143,6 +148,26 @@ def alternating_templates(draw) -> Template:
         mults[draw(st.integers(0, k - 1))] = None
     signs = [first if i % 2 == 0 else ("-" if first == "+" else "+") for i in range(k)]
     return Template(tuple(Cluster(s, m) for s, m in zip(signs, mults)))
+
+
+def sweep_models(seed: int = 6) -> list[GrowthModel]:
+    """Every alternating template of one to five clusters of multiplicity
+    1, 2 or *, either sign first, with an infinite cluster and a flange;
+    each infinite cluster weighs an integer from 1 to 9, drawn from
+    ``random.Random(seed)``, over their sum."""
+    rng = random.Random(seed)
+    models = []
+    for k in range(1, 6):
+        for first, mults in product((PLUS, MINUS), product((1, 2, None), repeat=k)):
+            if None not in mults:
+                continue
+            signs = (first, MINUS if first == PLUS else PLUS)
+            t = Template(tuple(Cluster(signs[i % 2], m) for i, m in enumerate(mults)))
+            if is_finite_template(t):
+                continue
+            draws = [rng.randint(1, 9) for _ in range(t.infinite_count)]
+            models.append(GrowthModel(t, tuple(Fraction(d, sum(draws)) for d in draws)))
+    return models
 
 
 def _matches(clusters: tuple[Cluster, ...], pattern: tuple[tuple[str, Optional[int]], ...]) -> bool:

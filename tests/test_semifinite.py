@@ -36,6 +36,9 @@ Core claims:
       evaluations at n + 2 values of eps
     - valuation and ratio are constant above the marker word, to
       level 12; the step model measures n = 1 with ratio 2
+    - the eps-limit walk gives the report of the point-by-point route of
+      tests/eps_oracle.py on five models at every level from the marker
+      to 12
     - the ring identity holds against the model's paintbox, and refuses
       a combined degree above the product cap before any work
     - the worked approximating sequence is certified inside the
@@ -50,7 +53,7 @@ from functools import partial
 
 import pytest
 
-from eps_oracle import EPS, EpsPoly, brute_eval, eps_intervals
+from eps_oracle import EPS, EpsPoly, brute_eval, eps_intervals, limit_by_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,7 +66,8 @@ from zigzag_harmonics import (EMPTY, INFINITY, ROOT, BinaryWord,
                               automaton_numerator, automaton_step, build_w_eps,
                               check_approx_sequence, check_limit_formula,
                               eval_F, eval_F_numerator, is_finite_template, level, member,
-                              model_paintbox, parse_template, phi_tw, placement,
+                              minimal_maxblock_word, model_paintbox, parse_template, phi_tw,
+                              placement,
                               ring_identity_failures, section_interval_tuples,
                               semifinite, template_of_intervals, upper_covers, verify,
                               walk, words_below)
@@ -501,6 +505,20 @@ def test_limit_formula_at_level_12():
         assert rep.ok and not rep.failures, name
         assert (rep.n, rep.const, rep.finite_points,
                 rep.vanishing_points) == expected[name], name
+
+
+# the three example models and two with more flange words
+LIMIT_MODELS = {**EXAMPLE_MODELS,
+                "two-flange": GrowthModel.parse("-2 +* -* +1 -* +* -1 +2 | w=1/5,3/10,1/4,1/4"),
+                "+2 -1 +* -2 +*": GrowthModel.parse("+2 -1 +* -2 +* | w=1/2,1/2")}
+
+
+@pytest.mark.parametrize("name", list(LIMIT_MODELS))
+def test_the_limit_walk_agrees_with_the_point_route(name):
+    model = LIMIT_MODELS[name]
+    marker = minimal_maxblock_word(model.template).n + 1
+    for cap in range(marker, 13):
+        assert check_limit_formula(model, cap) == limit_by_points(model, cap), cap
 
 
 def test_limit_formula_rejects_levels_beyond_enumeration_at_entry():

@@ -16,9 +16,10 @@ Core claims:
     - eps-limit reports a wrong leading coefficient at one finite point
       as a ratio failure, and a vanishing point of too low a valuation;
       its valuation and ratio are the closed forms read off the layout
-      on the three example models and two more, and one flange symbol
-      too many in the automaton's offset, or one flange cluster too few
-      in the layout, fails it
+      on the three example models, two more and the 578 models of the
+      sweep, and one flange symbol too many in the automaton's offset,
+      or one flange cluster too few in the layout, fails it; it makes
+      no point evaluation
     - semifinite reads one table of automaton numerators per model,
       whose values and integer cover sums are those of the point API;
       it reports a wrong finite value in the table as a harmonicity
@@ -69,7 +70,7 @@ from fractions import Fraction
 import pytest
 
 from model_oracle import cover_sum
-from template_oracle import template_regex
+from template_oracle import is_flange, sweep_models, template_regex
 from word_oracle import enumerate_level
 from zigzag_harmonics import (INFINITY, BinaryWord, Explorer, GrowthModel, compile_placement,
                               member, on_locus, paintbox, parse_template, phi_tw, placement,
@@ -415,16 +416,33 @@ def test_the_lowest_distinctness_level_is_where_the_last_pair_separates():
 def spoiled_expansion(monkeypatch, word, spoil):
     """Let ``spoil(numerator, eps)`` replace the integer evaluation of the
     deformed interval tuple at one word, whose base-eps digits are the eps
-    coefficients times D^(n+1).  ``phi_tw`` calls ``eval_F_numerator`` too,
-    on the section tuples; the deformed tuple is the one whose longest
-    length, eps, is above 1, as no weight is."""
-    real = semifinite.eval_F_numerator
+    coefficients times D^(n+1).  The walk reads that integer as the sum of
+    the transfer vector in the word's state, its fourth entry; only the
+    state handed out for the word is spoiled, so its children step from
+    the true vector and every other word keeps its own.  eps is the last
+    length ``build_w_eps`` was asked for."""
+    eps = []
+    real_build, real_walk = semifinite.build_w_eps, semifinite.walk_levels
 
-    def numerator(v, u):
-        value, eps = real(v, u), max(u.lengths)
-        return spoil(value, eps) if v == word and eps > 1 else value
+    def build(model, e):
+        eps.append(e)
+        return real_build(model, e)
 
-    monkeypatch.setattr(semifinite, "eval_F_numerator", numerator)
+    def spoiled(state):
+        vec = list(state[3])
+        value = sum(vec)
+        vec[0] += spoil(value, eps[-1]) - value
+        return (*state[:3], vec, *state[4:])
+
+    def walk(n, start, step):
+        for length, layer in real_walk(n, start, step):
+            if length == word.n:
+                layer = [(bits, spoiled(state) if bits == word.bits else state)
+                         for bits, state in layer]
+            yield length, layer
+
+    monkeypatch.setattr(semifinite, "build_w_eps", build)
+    monkeypatch.setattr(semifinite, "walk_levels", walk)
 
 
 def test_a_wrong_leading_coefficient_breaks_the_ratio(monkeypatch):
@@ -458,6 +476,26 @@ def test_the_eps_limit_matches_its_closed_forms(text, level, forms):
     report = semifinite.check_limit_formula(model, level)
     assert report.ok and report.finite_points
     assert (report.n, report.const) == verify.limit_closed_forms(model) == forms
+
+
+def test_the_eps_limit_matches_its_closed_forms_over_the_sweep():
+    # the forms counted again on the oracle's flange: F flange symbols
+    # less the k sections, the maximal runs of clusters off the flange,
+    # plus one; and 2 to the flange clusters less the flange words
+    models = sweep_models()
+    assert len(models) == 578
+    for model in models:
+        t = model.template
+        on = [is_flange(t, i) for i in range(len(t))]
+        starts = [i for i in range(len(t)) if not i or on[i] != on[i - 1]]
+        words = sum(on[i] for i in starts)
+        sections = len(starts) - words
+        flange_symbols = sum(c.mult for c, f in zip(t.clusters, on) if f)
+        forms = (flange_symbols - sections + 1, 2 ** (sum(on) - words))
+        marker = 1 + sum(c.mult or 1 for c in t.clusters)
+        report = semifinite.check_limit_formula(model, max(marker + 2, 10))
+        assert report.ok, (str(model), report.failures)
+        assert (report.n, report.const) == verify.limit_closed_forms(model) == forms, str(model)
 
 
 def test_the_eps_limit_reports_both_closed_forms():
@@ -669,6 +707,28 @@ def test_ring_identity_makes_no_point_evaluation(monkeypatch):
     monkeypatch.setattr(semifinite, "phi_tw", value)
     monkeypatch.setattr(verify, "phi_tw", value)
     assert run_suite("ring-identity", degree=12).ok
+    assert calls == []
+
+
+def test_eps_limit_makes_no_point_evaluation(monkeypatch):
+    # each word above the marker word is valued from its parent's state:
+    # neither a model value nor an evaluation of the deformed tuple is
+    # made one word at a time
+    calls = []
+    real_value, real_numerator = semifinite.phi_tw, semifinite.eval_F_numerator
+
+    def value(model, v):
+        calls.append((model, v))
+        return real_value(model, v)
+
+    def numerator(v, u):
+        calls.append((v, u))
+        return real_numerator(v, u)
+
+    monkeypatch.setattr(semifinite, "phi_tw", value)
+    monkeypatch.setattr(verify, "phi_tw", value)
+    monkeypatch.setattr(semifinite, "eval_F_numerator", numerator)
+    assert run_suite("eps-limit", level=12).ok
     assert calls == []
 
 
